@@ -22,10 +22,14 @@ race:
 shuffle:
 	$(GO) test -shuffle=on ./...
 
-# Ten seconds of coverage-guided fuzzing over the DIMACS parser — a
-# smoke pass catching regressions in input hardening, not a deep campaign.
+# Coverage-guided fuzzing over the byte decoders — ten seconds on the
+# DIMACS parser, five each on the /batch request decoder and the
+# gateway's reply scanner — a smoke pass catching regressions in input
+# hardening, not a deep campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequest$$' -fuzztime=5s ./internal/batchwire
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchReply$$' -fuzztime=5s ./internal/batchwire
 
 # Known-vulnerability scan; skips gracefully where govulncheck or the
 # vulndb is unavailable (offline CI, hermetic builders).

@@ -67,15 +67,15 @@ func newChaosReplica(t *testing.T, m *core.Model, capacity int, delay time.Durat
 		})
 	})
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, req *http.Request) {
-		var body batchRequest
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
+		ss, ts, err := decodeBatch(req)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		serve(w, req, func() any {
-			out := make([]float64, len(body.Pairs))
-			for i, p := range body.Pairs {
-				out[i] = r.m.Estimate(p[0], p[1])
+			out := make([]float64, len(ss))
+			for i := range ss {
+				out[i] = r.m.Estimate(ss[i], ts[i])
 			}
 			return map[string]any{"distances": out}
 		})

@@ -45,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/batchwire"
 	"repro/internal/resilience"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
@@ -831,7 +832,7 @@ func (g *Gateway) proxyBySource(w http.ResponseWriter, r *http.Request, src int3
 			kind = "retry"
 		}
 		status, body, ct, err := g.forward(r.Context(), b, http.MethodGet,
-			route+"?"+r.URL.RawQuery, nil, kind)
+			route+"?"+r.URL.RawQuery, nil, g.cfg.MaxBatchBytes, kind)
 		if err != nil {
 			if r.Context().Err() != nil {
 				// The client hung up or its deadline expired mid-proxy:
@@ -909,7 +910,7 @@ func (g *Gateway) handleDistanceHedged(w http.ResponseWriter, r *http.Request, s
 			// span is closed here once its call resolves (the handler
 			// returning cancels the request context), not leaked.
 			status, body, ct, err := g.forward(r.Context(), b, http.MethodGet,
-				"/distance?"+r.URL.RawQuery, nil, kind)
+				"/distance?"+r.URL.RawQuery, nil, g.cfg.MaxBatchBytes, kind)
 			results <- attempt{b: b, hedged: hedged, status: status, body: body, ct: ct, err: err}
 		}()
 	}
@@ -1035,12 +1036,15 @@ var errBudgetExhausted = errors.New("deadline budget exhausted before backend ca
 // request ID is forwarded on every leg so all replicas log the same
 // correlation ID instead of minting their own.
 //
+// The reply is read whole up to replyCap bytes; a longer one is a
+// failed call (batchwire.ErrReplyTooLarge), never a truncated answer.
+//
 // Status classification: 2xx and 4xx are the caller's to relay or
 // merge; 504 is relayed verbatim (the budget ran out downstream — the
 // backend behaved correctly); 429/503 come back as a *backpressureError
 // (busy, not broken: retryable elsewhere but never counted toward
 // ejection); any other 5xx is a real failure.
-func (g *Gateway) forward(ctx context.Context, b *backend, method, path string, body []byte, kind string) (int, []byte, string, error) {
+func (g *Gateway) forward(ctx context.Context, b *backend, method, path string, body []byte, replyCap int64, kind string) (int, []byte, string, error) {
 	timeout := g.cfg.BackendTimeout
 	if dl, ok := ctx.Deadline(); ok {
 		remain := time.Until(dl) - g.cfg.BudgetMargin
@@ -1090,8 +1094,9 @@ func (g *Gateway) forward(ctx context.Context, b *backend, method, path string, 
 		return 0, nil, "", err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBatchBytes))
+	data, err := batchwire.ReadReply(resp.Body, resp.ContentLength, replyCap)
 	if err != nil {
+		err = fmt.Errorf("%s %s: %w", method, path, err)
 		span.SetError(err)
 		return 0, nil, "", err
 	}
@@ -1130,31 +1135,12 @@ func (g *Gateway) forward(ctx context.Context, b *backend, method, path string, 
 	return resp.StatusCode, data, resp.Header.Get("Content-Type"), nil
 }
 
-type batchRequest struct {
-	Pairs [][2]int32 `json:"pairs"`
-}
-
 // backendBatch is the slice of an inbound batch owned by one backend:
 // the original indices (for order-preserving scatter) and the pairs.
 type backendBatch struct {
-	b     *backend
-	index []int
-	pairs [][2]int32
-}
-
-// batchReply is what a replica answers a sub-batch with; Lo/Hi and
-// ClampedCount are present only in guard mode.
-type batchReply struct {
-	Distances    []float64 `json:"distances"`
-	Lo           []float64 `json:"lo"`
-	Hi           []float64 `json:"hi"`
-	ClampedCount *int      `json:"clamped_count"`
-}
-
-// pairError is one unanswered pair in a partial batch response.
-type pairError struct {
-	Index int    `json:"index"`
-	Error string `json:"error"`
+	b        *backend
+	index    []int
+	src, dst []int32
 }
 
 // handleBatch is the fan-out path: split the pairs by their source
@@ -1168,38 +1154,45 @@ type pairError struct {
 // true. Only when every sub-batch fails (502) — or no pair is
 // routable at all (503) — does the whole request fail.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBatchBytes)
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	bufs := batchwire.GetBuffers()
+	defer bufs.Release()
+	var err error
+	if bufs.Body, err = batchwire.ReadBody(w, r, g.cfg.MaxBatchBytes, bufs.Body); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			g.fail(w, http.StatusRequestEntityTooLarge,
 				"request body exceeds %d byte limit", tooLarge.Limit)
 			return
 		}
+		g.fail(w, http.StatusBadRequest, "reading body: %v", err)
+		return
+	}
+	bufs.S, bufs.T, err = batchwire.DecodePairs(bufs.Body, bufs.S, bufs.T)
+	if err != nil {
 		g.fail(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
-	if len(req.Pairs) == 0 {
+	ss, ts := bufs.S, bufs.T
+	if len(ss) == 0 {
 		g.fail(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	g.retryTokens.onRequest()
 
 	groups := make(map[*backend]*backendBatch)
-	var errs []pairError
-	for i, p := range req.Pairs {
-		b := g.route(p[0], nil)
+	var errs []batchwire.PairError
+	for i := range ss {
+		b := g.route(ss[i], nil)
 		if b == nil {
 			msg := "no healthy backend"
 			if sm := g.cfg.ShardMap; sm != nil {
-				if owner, ok := sm.ShardOf(p[0]); ok {
+				if owner, ok := sm.ShardOf(ss[i]); ok {
 					msg = fmt.Sprintf("shard %d has no healthy replica", owner)
 				} else {
-					msg = fmt.Sprintf("vertex %d outside the shard map", p[0])
+					msg = fmt.Sprintf("vertex %d outside the shard map", ss[i])
 				}
 			}
-			errs = append(errs, pairError{Index: i, Error: msg})
+			errs = append(errs, batchwire.PairError{Index: i, Error: msg})
 			continue
 		}
 		gr := groups[b]
@@ -1208,7 +1201,8 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			groups[b] = gr
 		}
 		gr.index = append(gr.index, i)
-		gr.pairs = append(gr.pairs, p)
+		gr.src = append(gr.src, ss[i])
+		gr.dst = append(gr.dst, ts[i])
 	}
 	if len(groups) == 0 {
 		g.fail(w, http.StatusServiceUnavailable, "no healthy backends")
@@ -1217,7 +1211,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	type result struct {
 		gr    *backendBatch
-		reply batchReply
+		reply *batchwire.Reply
 		code  int    // non-zero 4xx to relay verbatim
 		body  []byte // 4xx body
 		err   error
@@ -1231,9 +1225,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(gr)
 	}
 
-	distances := make([]float64, len(req.Pairs))
-	lo := make([]float64, len(req.Pairs))
-	hi := make([]float64, len(req.Pairs))
+	merge := batchwire.NewMerge(len(ss))
 	clamped := 0
 	guarded := true
 	served := 0
@@ -1250,7 +1242,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 				sawBackoff = true
 			}
 			for _, orig := range res.gr.index {
-				errs = append(errs, pairError{Index: orig, Error: res.err.Error()})
+				errs = append(errs, batchwire.PairError{Index: orig, Error: res.err.Error()})
 			}
 			continue
 		}
@@ -1260,29 +1252,24 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			relay(w, res.code, res.body, "application/json")
 			return
 		}
-		rp := res.reply
-		if len(rp.Distances) != len(res.gr.index) {
+		rp, n := res.reply, len(res.gr.index)
+		if len(rp.Distances) != n {
 			shape := fmt.Errorf("backend %s returned %d distances for %d pairs",
-				res.gr.b.id, len(rp.Distances), len(res.gr.index))
+				res.gr.b.id, len(rp.Distances), n)
 			for _, orig := range res.gr.index {
-				errs = append(errs, pairError{Index: orig, Error: shape.Error()})
+				errs = append(errs, batchwire.PairError{Index: orig, Error: shape.Error()})
 			}
 			continue
 		}
 		served++
-		if len(rp.Lo) == len(res.gr.index) && len(rp.Hi) == len(res.gr.index) {
-			for k, orig := range res.gr.index {
-				lo[orig], hi[orig] = rp.Lo[k], rp.Hi[k]
-			}
-			if rp.ClampedCount != nil {
-				clamped += *rp.ClampedCount
+		if len(rp.Lo) == n && len(rp.Hi) == n {
+			if rp.HasClamped {
+				clamped += rp.ClampedCount
 			}
 		} else {
 			guarded = false
 		}
-		for k, orig := range res.gr.index {
-			distances[orig] = rp.Distances[k]
-		}
+		merge.Add(rp, res.gr.index)
 	}
 
 	if served == 0 {
@@ -1292,20 +1279,17 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// Answer 429 so clients back off and retry, not 502.
 			w.Header().Set("Retry-After", fmt.Sprintf("%.2f", g.jittered(time.Second).Seconds()))
 			g.fail(w, http.StatusTooManyRequests,
-				"fleet saturated: every backend sub-batch was shed (%d pairs)", len(req.Pairs))
+				"fleet saturated: every backend sub-batch was shed (%d pairs)", len(ss))
 			return
 		}
-		g.fail(w, http.StatusBadGateway, "every backend sub-batch failed (%d pairs)", len(req.Pairs))
+		g.fail(w, http.StatusBadGateway, "every backend sub-batch failed (%d pairs)", len(ss))
 		return
 	}
 	if len(errs) == 0 {
-		resp := map[string]any{"distances": distances}
-		if guarded {
-			// Every backend answered with certified bounds, so the merged
-			// response keeps the guard-mode shape.
-			resp["lo"], resp["hi"], resp["clamped_count"] = lo, hi, clamped
-		}
-		g.writeJSON(w, http.StatusOK, resp)
+		// Guard bounds survive the merge only when every backend answered
+		// with certified bounds.
+		bufs.Out = merge.AppendOK(bufs.Out[:0], guarded, clamped)
+		batchwire.Write(w, http.StatusOK, bufs.Out)
 		return
 	}
 
@@ -1315,47 +1299,32 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	g.batchPartial.Inc()
 	g.pairErrors.Add(int64(len(errs)))
 	if rspan := telemetry.SpanFromContext(r.Context()); rspan.Recording() {
-		rspan.Event("partial", fmt.Sprintf("%d of %d pairs failed", len(errs), len(req.Pairs)))
+		rspan.Event("partial", fmt.Sprintf("%d of %d pairs failed", len(errs), len(ss)))
 		rspan.SetAttrInt("pair_errors", int64(len(errs)))
 	}
 	sortPairErrors(errs)
-	failed := make([]bool, len(req.Pairs))
-	for _, pe := range errs {
-		failed[pe.Index] = true
-	}
-	nullable := make([]*float64, len(req.Pairs))
-	for i := range distances {
-		if !failed[i] {
-			d := distances[i]
-			nullable[i] = &d
-		}
-	}
-	g.writeJSON(w, http.StatusPartialContent, map[string]any{
-		"distances": nullable,
-		"partial":   true,
-		"errors":    errs,
-	})
+	bufs.Out = merge.AppendPartial(bufs.Out[:0], errs)
+	batchwire.Write(w, http.StatusPartialContent, bufs.Out)
 }
 
 // sortPairErrors orders error entries by pair index so partial
 // responses are deterministic regardless of fan-out completion order.
-func sortPairErrors(errs []pairError) {
-	slices.SortFunc(errs, func(a, b pairError) int { return a.Index - b.Index })
+func sortPairErrors(errs []batchwire.PairError) {
+	slices.SortFunc(errs, func(a, b batchwire.PairError) int { return a.Index - b.Index })
 }
 
 // sendBatch posts one sub-batch, retrying once on the next healthy
 // backend when the owner fails (spending a retry-budget token; a
 // drained budget stops the retry rather than amplifying load).
 // Backend backpressure (429/503) is retryable but never counted
-// toward ejection. Returns either a parsed reply, or a 4xx
-// status+body to relay, or an error when no backend could serve the
-// slice — the caller degrades those pairs instead of failing the
-// whole batch.
-func (g *Gateway) sendBatch(ctx context.Context, gr *backendBatch) (batchReply, int, []byte, error) {
-	body, err := json.Marshal(batchRequest{Pairs: gr.pairs})
-	if err != nil {
-		return batchReply{}, 0, nil, err
-	}
+// toward ejection. Returns either a scanned reply (a malformed one is
+// a "bad reply" error), or a 4xx status+body to relay, or an error
+// when no backend could serve the slice — the caller degrades those
+// pairs instead of failing the whole batch. A reply longer than the
+// longest answer to the slice's pair count fails as over its cap.
+func (g *Gateway) sendBatch(ctx context.Context, gr *backendBatch) (*batchwire.Reply, int, []byte, error) {
+	body := batchwire.AppendRequest(nil, gr.src, gr.dst)
+	replyCap := batchwire.MaxReplyBytes(len(gr.src))
 	exclude := map[*backend]bool{}
 	b := gr.b
 	var lastErr error
@@ -1370,21 +1339,21 @@ func (g *Gateway) sendBatch(ctx context.Context, gr *backendBatch) (batchReply, 
 			g.retries.Inc()
 			kind = "shard-retry"
 		}
-		status, data, _, err := g.forward(ctx, b, http.MethodPost, "/batch", body, kind)
+		status, data, _, err := g.forward(ctx, b, http.MethodPost, "/batch", body, replyCap, kind)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Client cancellation, propagated into the sub-request:
 				// not the backend's fault, and not worth a retry the
 				// client will never see.
 				b.cancels.Inc()
-				return batchReply{}, 0, nil, fmt.Errorf("client canceled: %w", ctx.Err())
+				return nil, 0, nil, fmt.Errorf("client canceled: %w", ctx.Err())
 			}
 			lastErr = err
 			var bp *backpressureError
 			switch {
 			case errors.Is(err, errBudgetExhausted):
 				// No budget left for any backend; retrying cannot help.
-				return batchReply{}, 0, nil, err
+				return nil, 0, nil, err
 			case errors.As(err, &bp):
 				// Busy, not broken: no ejection bookkeeping.
 			default:
@@ -1394,26 +1363,26 @@ func (g *Gateway) sendBatch(ctx context.Context, gr *backendBatch) (batchReply, 
 			// Re-route by the slice's first source so the retry lands on
 			// the next owner: the ring's next backend in hash mode, a
 			// sibling replica of the same geo-shard in region mode.
-			b = g.route(gr.pairs[0][0], exclude)
+			b = g.route(gr.src[0], exclude)
 			continue
 		}
 		g.markSuccess(b)
 		if status == http.StatusGatewayTimeout {
 			// The backend ran out of forwarded budget mid-slice; surface
 			// it as this slice's failure, not a relayable 4xx.
-			return batchReply{}, 0, nil, fmt.Errorf("backend %s: budget exhausted (504)", b.id)
+			return nil, 0, nil, fmt.Errorf("backend %s: budget exhausted (504)", b.id)
 		}
 		if status != http.StatusOK {
-			return batchReply{}, status, data, nil
+			return nil, status, data, nil
 		}
-		var reply batchReply
-		if err := json.Unmarshal(data, &reply); err != nil {
-			return batchReply{}, 0, nil, fmt.Errorf("backend %s: bad reply: %w", b.id, err)
+		reply := batchwire.NewReply(len(gr.src))
+		if err := reply.Scan(data); err != nil {
+			return nil, 0, nil, fmt.Errorf("backend %s: bad reply: %w", b.id, err)
 		}
 		return reply, 0, nil, nil
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("no healthy backend")
 	}
-	return batchReply{}, 0, nil, lastErr
+	return nil, 0, nil, lastErr
 }

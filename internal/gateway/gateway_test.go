@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/alt"
+	"repro/internal/batchwire"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -77,8 +78,20 @@ func postBatch(t *testing.T, ts *httptest.Server, body string) (*http.Response, 
 }
 
 func batchBody(pairs [][2]int32) string {
-	b, _ := json.Marshal(batchRequest{Pairs: pairs})
-	return string(b)
+	var ss, ts []int32
+	for _, p := range pairs {
+		ss, ts = append(ss, p[0]), append(ts, p[1])
+	}
+	return string(batchwire.AppendRequest(nil, ss, ts))
+}
+
+// decodeBatch is a fake replica's request decoder.
+func decodeBatch(r *http.Request) ([]int32, []int32, error) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		return nil, nil, err
+	}
+	return batchwire.DecodePairs(body, nil, nil)
 }
 
 func TestRingStableAndMinimallyDisruptive(t *testing.T) {

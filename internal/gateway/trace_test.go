@@ -59,13 +59,13 @@ func okDistance(w http.ResponseWriter, r *http.Request) {
 
 // okBatch answers any batch with zeros of the right length.
 func okBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	ss, _, err := decodeBatch(r)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"distances": make([]float64, len(req.Pairs))})
+	json.NewEncoder(w).Encode(map[string]any{"distances": make([]float64, len(ss))})
 }
 
 func readSpans(t *testing.T, path string) []telemetry.SpanRecord {

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/batchwire"
 	"repro/internal/core"
 	"repro/internal/hybrid"
 	"repro/internal/index"
@@ -304,10 +305,18 @@ func (s *Server) Handler() http.Handler {
 	return telemetry.RequestID(h)
 }
 
+// writeJSON encodes v before the status goes out, so a value JSON
+// cannot carry (a NaN or infinite estimate) answers 500 with an error
+// body instead of a 200 with an empty one.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": fmt.Sprintf("cannot encode the answer: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n')) // a failed write means the client is gone
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...any) {
@@ -613,12 +622,15 @@ func (s *Server) countGuard(sn *snapshot, g hybrid.GuardResult) {
 	sn.drift.Observe(g.Raw, g.Lo, g.Hi)
 }
 
-// batchRequest is the /batch payload.
-type batchRequest struct {
-	Pairs [][2]int32 `json:"pairs"`
-}
-
 const maxBatch = 1 << 20
+
+// floats returns buf resized to n, reallocating only when it is short.
+func floats(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
 
 // batchExplanation is the per-pair provenance attached when /batch is
 // called with ?explain=1: compact (dominant level + clamp provenance)
@@ -640,44 +652,48 @@ func dominantLevel(sn *snapshot, s, t int32) int {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sn := s.active.Load()
-	// Bound request memory before decoding: a client cannot make the
-	// decoder buffer an unbounded body.
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	bufs := batchwire.GetBuffers()
+	defer bufs.Release()
+	// Bound request memory before reading: a client cannot make the
+	// server buffer an unbounded body.
+	var err error
+	if bufs.Body, err = batchwire.ReadBody(w, r, s.cfg.MaxBatchBytes, bufs.Body); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.fail(w, http.StatusRequestEntityTooLarge,
 				"request body exceeds %d byte limit", tooLarge.Limit)
 			return
 		}
+		s.fail(w, http.StatusBadRequest, "reading body: %v", err)
+		return
+	}
+	bufs.S, bufs.T, err = batchwire.DecodePairs(bufs.Body, bufs.S, bufs.T)
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
-	if len(req.Pairs) == 0 {
+	ss, ts := bufs.S, bufs.T
+	if len(ss) == 0 {
 		s.fail(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if len(req.Pairs) > maxBatch {
-		s.fail(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Pairs), maxBatch)
+	if len(ss) > maxBatch {
+		s.fail(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(ss), maxBatch)
 		return
 	}
 	n := int32(sn.view.NumVertices())
-	ss := make([]int32, len(req.Pairs))
-	ts := make([]int32, len(req.Pairs))
-	for i, p := range req.Pairs {
-		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
+	for i := range ss {
+		if ss[i] < 0 || ss[i] >= n || ts[i] < 0 || ts[i] >= n {
 			s.fail(w, http.StatusBadRequest, "pair %d references vertex outside [0,%d)", i, n)
 			return
 		}
-		ss[i], ts[i] = p[0], p[1]
 	}
 	// A shard replica owns a batch only if it owns every source: one
 	// misdirected pair fails the whole batch with the redirect hint
 	// (the gateway splits per-shard, so a mixed batch means its map is
 	// stale) — answering the rest would mislabel upper-level numbers
 	// as exact. Cross-shard *targets* are fine and counted below.
-	crossCount := 0
+	ans := batchwire.Answer{Sharded: sn.view.shard != nil}
 	if sv := sn.view.shard; sv != nil {
 		for i := range ss {
 			if !sv.Owns(ss[i]) {
@@ -685,7 +701,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if sv.CrossShard(ss[i], ts[i]) {
-				crossCount++
+				ans.CrossCount++
 			}
 		}
 	}
@@ -694,10 +710,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if explain {
 		explanations = make([]batchExplanation, len(ss))
 	}
+	bufs.Dist = floats(bufs.Dist, len(ss))
+	out := bufs.Dist
 	if sn.guard != nil {
-		out := make([]float64, len(ss))
-		lo := make([]float64, len(ss))
-		hi := make([]float64, len(ss))
+		bufs.Lo, bufs.Hi = floats(bufs.Lo, len(ss)), floats(bufs.Hi, len(ss))
+		lo, hi := bufs.Lo, bufs.Hi
 		clamped := 0
 		// Query-log records buffer until the loop resolves so an
 		// abandoned batch can tag every record Outcome "partial" — the
@@ -747,54 +764,50 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		gspan.SetAttrInt("clamped", int64(clamped))
 		gspan.End()
 		flushRecs("")
-		resp := map[string]any{
-			"distances": out, "lo": lo, "hi": hi, "clamped_count": clamped,
+		ans.Guarded, ans.Lo, ans.Hi, ans.ClampedCount = true, lo, hi, clamped
+	} else {
+		// Evaluate in chunks so an exhausted deadline budget abandons the
+		// batch between chunks instead of computing pairs no one can use
+		// (the resilience layer owns the 503/504 answer).
+		const batchChunk = 4096
+		_, kspan := telemetry.StartChild(r.Context(), "kernel")
+		kspan.SetAttrInt("pairs", int64(len(ss)))
+		for off := 0; off < len(ss); off += batchChunk {
+			if r.Context().Err() != nil {
+				kspan.Event("abandoned", fmt.Sprintf("deadline/cancel after %d of %d pairs", off, len(ss)))
+				kspan.End()
+				return
+			}
+			end := min(off+batchChunk, len(ss))
+			if err := sn.view.EstimateBatch(ss[off:end], ts[off:end], out[off:end]); err != nil {
+				kspan.SetError(err)
+				kspan.End()
+				s.fail(w, http.StatusInternalServerError, "%v", err)
+				return
+			}
 		}
-		if sn.view.shard != nil {
-			resp["cross_count"] = crossCount
+		kspan.End()
+		for i := range ss {
+			if explain {
+				explanations[i] = batchExplanation{DominantLevel: dominantLevel(sn, ss[i], ts[i])}
+			}
+			s.logQuery(r, "/batch", ss[i], ts[i], out[i], nil, start)
 		}
-		if explain {
-			resp["explain"] = explanations
+	}
+	ans.Distances = out
+	if explain {
+		if ans.Explain, err = json.Marshal(explanations); err != nil {
+			s.fail(w, http.StatusInternalServerError, "cannot encode the answer: %v", err)
+			return
 		}
-		s.writeJSON(w, http.StatusOK, resp)
+	}
+	// Encode before the status goes out: an estimate JSON cannot carry
+	// answers 500, never a 200 with a truncated body.
+	if bufs.Out, err = batchwire.AppendAnswer(bufs.Out[:0], &ans); err != nil {
+		s.fail(w, http.StatusInternalServerError, "cannot encode the answer: %v", err)
 		return
 	}
-	// Evaluate in chunks so an exhausted deadline budget abandons the
-	// batch between chunks instead of computing pairs no one can use
-	// (the resilience layer owns the 503/504 answer).
-	const batchChunk = 4096
-	out := make([]float64, len(ss))
-	_, kspan := telemetry.StartChild(r.Context(), "kernel")
-	kspan.SetAttrInt("pairs", int64(len(ss)))
-	for off := 0; off < len(ss); off += batchChunk {
-		if r.Context().Err() != nil {
-			kspan.Event("abandoned", fmt.Sprintf("deadline/cancel after %d of %d pairs", off, len(ss)))
-			kspan.End()
-			return
-		}
-		end := min(off+batchChunk, len(ss))
-		if err := sn.view.EstimateBatch(ss[off:end], ts[off:end], out[off:end]); err != nil {
-			kspan.SetError(err)
-			kspan.End()
-			s.fail(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-	}
-	kspan.End()
-	for i := range ss {
-		if explain {
-			explanations[i] = batchExplanation{DominantLevel: dominantLevel(sn, ss[i], ts[i])}
-		}
-		s.logQuery(r, "/batch", ss[i], ts[i], out[i], nil, start)
-	}
-	resp := map[string]any{"distances": out}
-	if sn.view.shard != nil {
-		resp["cross_count"] = crossCount
-	}
-	if explain {
-		resp["explain"] = explanations
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	batchwire.Write(w, http.StatusOK, bufs.Out)
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
