@@ -23,13 +23,15 @@ shuffle:
 	$(GO) test -shuffle=on ./...
 
 # Coverage-guided fuzzing over the byte decoders — ten seconds on the
-# DIMACS parser, five each on the /batch request decoder and the
-# gateway's reply scanner — a smoke pass catching regressions in input
-# hardening, not a deep campaign.
+# DIMACS parser, five each on the /batch request decoder, the gateway's
+# reply scanner and the model and spatial-index codecs — a smoke pass
+# catching regressions in input hardening, not a deep campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequest$$' -fuzztime=5s ./internal/batchwire
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchReply$$' -fuzztime=5s ./internal/batchwire
+	$(GO) test -run='^$$' -fuzz='^FuzzModelLoad$$' -fuzztime=5s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzTreeLoad$$' -fuzztime=5s ./internal/index
 
 # Known-vulnerability scan; skips gracefully where govulncheck or the
 # vulndb is unavailable (offline CI, hermetic builders).

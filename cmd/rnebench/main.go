@@ -36,13 +36,12 @@ var experiments = map[string]func(io.Writer, bench.Config) error{
 	"fig17":  bench.Fig17,
 
 	// Beyond the paper: ablations of DESIGN.md design choices and the
-	// two extensions (compact float32 model, LT-clamped hybrid).
+	// LT-clamped hybrid extension.
 	"fig16-knn":          bench.Fig16KNN,
 	"suite":              bench.Suite,
 	"ablation-partition": bench.AblationPartition,
 	"ablation-gridk":     bench.AblationGridK,
 	"ablation-landmarks": bench.AblationLandmarks,
-	"ablation-compact":   bench.AblationCompact,
 	"ablation-hybrid":    bench.AblationHybrid,
 	"ablation-optimizer": bench.AblationOptimizer,
 	"ablation-topology":  bench.AblationTopology,

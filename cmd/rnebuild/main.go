@@ -26,7 +26,7 @@
 // published as a new immutable version in a model registry, which
 // rneserver -registry replicas hot-swap to on SIGHUP or /admin/reload:
 //
-//	rnebuild -preset bj-mini -registry ./models -publish bj -publish-compact
+//	rnebuild -preset bj-mini -registry ./models -publish bj
 //
 // Every build is traced: phase durations, the per-unit loss/learning-
 // rate/recovery series and checkpoint accounting are written as JSON
@@ -106,7 +106,6 @@ func main() {
 	altLandmarks := flag.Int("alt-landmarks", 16, "landmark count for -alt-out")
 	registryRoot := flag.String("registry", "", "versioned model registry root (see rneserver -registry)")
 	publishName := flag.String("publish", "", "publish the built artifacts to -registry as a new version under this model name")
-	publishCompact := flag.Bool("publish-compact", false, "with -publish: also store the float32 compact sibling (for rneserver -compact)")
 	publishShards := flag.Bool("publish-shards", false, "with -publish: also cut the model into region shards and store them (for rneserver -shard / rnegate -shard-map)")
 	shardLevel := flag.Int("shard-level", 1, "hierarchy depth to cut shards at (with -publish-shards)")
 	shardCount := flag.Int("shard-count", 0, "shard count K for -publish-shards (0 = one shard per cut-level region)")
@@ -147,9 +146,6 @@ func main() {
 	}
 	if *registryRoot != "" && *publishName == "" {
 		usage("-registry requires -publish (the model name to publish as)")
-	}
-	if *publishCompact && *publishName == "" {
-		usage("-publish-compact requires -publish")
 	}
 	if *publishShards && *publishName == "" {
 		usage("-publish-shards requires -publish")
@@ -316,10 +312,10 @@ func main() {
 
 	// Publishing is additive to the file outputs: the registry version
 	// carries the model plus whatever siblings this run built (-alt-out's
-	// guard index, -index-out's spatial index, the float32 compact
-	// sibling with -publish-compact, and the geo-shard artifacts with
-	// -publish-shards). rneserver -registry replicas pick the new version
-	// up on their next SIGHUP or POST /admin/reload.
+	// guard index, -index-out's spatial index, and the geo-shard
+	// artifacts with -publish-shards). rneserver -registry replicas
+	// pick the new version up on their next SIGHUP or POST
+	// /admin/reload.
 	if *publishName != "" {
 		var split *rne.ShardSplit
 		if *publishShards {
@@ -340,18 +336,17 @@ func main() {
 			fail(err)
 		}
 		version, err := store.Publish(*publishName, rne.RegistryArtifacts{
-			Model:   model,
-			Compact: *publishCompact,
-			ALT:     lt,
-			Index:   idx,
-			Shards:  split,
+			Model:  model,
+			ALT:    lt,
+			Index:  idx,
+			Shards: split,
 		})
 		if err != nil {
 			fail(err)
 		}
 		logger.Info("published to registry", "root", *registryRoot,
 			"name", *publishName, "version", version,
-			"compact", *publishCompact, "guard", lt != nil, "spatial", idx != nil,
+			"guard", lt != nil, "spatial", idx != nil,
 			"shards", *publishShards)
 	}
 }

@@ -11,7 +11,6 @@
 // to a newer one — validated first, with automatic rollback — on
 // SIGHUP or POST /admin/reload, without dropping a request. Corrupt
 // versions are quarantined with fallback to the newest good one.
-// -compact serves the float32 sibling at half the resident memory.
 // -shard k serves geo-shard k of a sharded version (rnebuild
 // -publish-shards): exact answers inside its region, upper-level
 // estimates for cross-shard pairs, and 421 with an owner hint for
@@ -80,7 +79,6 @@ import (
 	"repro/internal/autoheal"
 	"repro/internal/faultinject"
 	"repro/internal/qlog"
-	"repro/internal/registry"
 	"repro/internal/resilience"
 	"repro/internal/server"
 	"repro/internal/telemetry"
@@ -92,7 +90,6 @@ func main() {
 	indexPath := flag.String("index", "", "spatial index saved by rnebuild -index-out (requires -model)")
 	registryRoot := flag.String("registry", "", "versioned model registry root (rnebuild -publish): serve the latest good version of -name and hot-swap it on SIGHUP or POST /admin/reload")
 	regName := flag.String("name", "default", "model name within -registry")
-	compact := flag.Bool("compact", false, "serve the float32 compact model at half the resident memory (/explain answers 501)")
 	shardID := flag.Int("shard", -1, "serve geo-shard k of a sharded registry version (requires -registry; out-of-region sources answer 421, /knn, /range and /explain answer 501)")
 	graphPath := flag.String("graph", "", "graph file: train on startup, full API")
 	preset := flag.String("preset", "", "built-in preset instead of -graph")
@@ -153,9 +150,6 @@ func main() {
 		if *registryRoot == "" {
 			fatal("-shard requires -registry (shards are published by rnebuild -publish-shards)")
 		}
-		if *compact {
-			fatal("-shard is exclusive with -compact (shards already carry only their region's rows)")
-		}
 		if *autoHeal {
 			fatal("-autoheal needs the full model to retrain; run it on a full replica that republishes shards, not on a -shard replica")
 		}
@@ -183,7 +177,7 @@ func main() {
 			if *shardID >= 0 {
 				rs, err = store.LoadLatestShard(*regName, *shardID)
 			} else {
-				rs, err = store.LoadLatest(*regName, rne.RegistryLoadOpts{Compact: *compact})
+				rs, err = store.LoadLatest(*regName, rne.RegistryLoadOpts{})
 			}
 			if err != nil {
 				return server.ModelSet{}, err
@@ -201,7 +195,7 @@ func main() {
 				"owned", set.Shard.OwnedVertices(), "guard", set.Guard != nil)
 		} else {
 			logger.Info("loaded from registry", "name", *regName, "version", set.Version,
-				"compact", *compact, "guard", set.Guard != nil, "spatial", set.Index != nil)
+				"guard", set.Guard != nil, "spatial", set.Index != nil)
 		}
 	case *modelPath != "":
 		var err error
@@ -273,34 +267,11 @@ func main() {
 			logger.Info("loaded ALT index",
 				"landmarks", altIdx.NumLandmarks(), "vertices", altIdx.NumVertices())
 		}
-		set = server.ModelSet{Model: model, Index: idx, Version: "boot"}
-		if *compact {
-			// Swap the float64 model for its float32 sibling before
-			// serving: the full matrix is released and resident model
-			// memory halves. Explain surfaces answer 501 and the spatial
-			// index (which needs the full model) is dropped.
-			cm, err := model.Compact()
-			if err != nil {
-				fatal("compacting model", "error", err)
-			}
-			set = server.ModelSet{Compact: cm, Version: "boot"}
-			if idx != nil {
-				logger.Warn("-compact drops the spatial index: /knn and /range answer 501")
-			}
-			logger.Info("serving the float32 compact model",
-				"bytes", cm.IndexBytes(), "full_bytes", model.IndexBytes())
-			model = nil
+		set, err = registrySet(&rne.RegistrySet{Model: model, Index: idx, ALT: altIdx, Version: "boot"})
+		if err != nil {
+			fatal("enabling guard mode", "error", err)
 		}
-		if altIdx != nil {
-			var err error
-			if set.Model != nil {
-				set.Guard, err = rne.NewBoundedEstimatorFromIndex(set.Model, altIdx)
-			} else {
-				set.Guard, err = rne.NewCompactBoundedEstimator(set.Compact, altIdx)
-			}
-			if err != nil {
-				fatal("enabling guard mode", "error", err)
-			}
+		if set.Guard != nil {
 			logger.Info("guard mode on: estimates clamped into certified landmark bounds, drift monitor active")
 		}
 	}
@@ -371,7 +342,7 @@ func main() {
 		prober := autoheal.NewGraphProber(*healGraphPath, *seed+11, srv.Estimate)
 		ctrl, err := autoheal.New(autoheal.Config{
 			Sample:   prober.Sample,
-			Heal:     newHealer(store, srv, prober, *regName, *compact, *healEpochs, *healRounds, *seed, logger),
+			Heal:     newHealer(store, srv, prober, *regName, *healEpochs, *healRounds, *seed, logger),
 			Version:  srv.ActiveVersion,
 			MaxDist:  srv.Scale,
 			Interval: *healInterval,
@@ -453,15 +424,13 @@ func main() {
 // through the server's validated reload. A version that publishes but
 // fails swap validation is quarantined so later reloads skip it.
 func newHealer(store *rne.ModelRegistry, srv *server.Server, prober *autoheal.GraphProber,
-	name string, compact bool, epochs, rounds int, seed int64, logger *slog.Logger) func(context.Context) (string, error) {
+	name string, epochs, rounds int, seed int64, logger *slog.Logger) func(context.Context) (string, error) {
 	return func(ctx context.Context) (string, error) {
 		g := prober.Graph()
 		if g == nil {
 			return "", fmt.Errorf("heal: no probe graph loaded yet")
 		}
 		serving := srv.ActiveVersion()
-		// Always warm-start from the full model: compact replicas still
-		// fine-tune in float64 and publish both variants.
 		warm, err := store.LoadVersion(name, serving, rne.RegistryLoadOpts{})
 		if err != nil {
 			return "", fmt.Errorf("heal: loading warm-start %s %s: %w", name, serving, err)
@@ -490,7 +459,7 @@ func newHealer(store *rne.ModelRegistry, srv *server.Server, prober *autoheal.Gr
 			"duration", time.Since(start).Round(time.Millisecond),
 			"validation", stats.Validation.String())
 
-		art := rne.RegistryArtifacts{Model: tuned, Compact: compact || versionHasCompact(store, name, serving)}
+		art := rne.RegistryArtifacts{Model: tuned}
 		if warm.ALT != nil {
 			art.ALT, err = rne.BuildALTIndex(g, warm.ALT.NumLandmarks(), seed+2)
 			if err != nil {
@@ -519,47 +488,23 @@ func newHealer(store *rne.ModelRegistry, srv *server.Server, prober *autoheal.Gr
 	}
 }
 
-// versionHasCompact reports whether the named published version carries
-// the float32 compact sibling, so a heal preserves whatever variants
-// the fleet's replicas load.
-func versionHasCompact(store *rne.ModelRegistry, name, version string) bool {
-	vs, err := store.Versions(name)
-	if err != nil {
-		return false
-	}
-	for _, v := range vs {
-		if v.Version != version {
-			continue
-		}
-		for _, f := range v.Files {
-			if f == registry.CompactFile {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// registrySet converts a loaded registry version into the server's
-// swap unit, building the ALT guard over whichever model variant the
-// version was loaded with (the region-restricted guard, on a shard).
+// registrySet converts a registry version (or the -model boot
+// artifacts) into the server's swap unit, building the ALT guard over
+// whichever model kind it carries (the region-restricted guard, on a
+// shard).
 func registrySet(rs *rne.RegistrySet) (server.ModelSet, error) {
 	set := server.ModelSet{
 		Model:   rs.Model,
-		Compact: rs.Compact,
 		Shard:   rs.Shard,
 		Index:   rs.Index,
 		Version: rs.Version,
 	}
 	if rs.ALT != nil {
 		var err error
-		switch {
-		case rs.Shard != nil:
+		if rs.Shard != nil {
 			set.Guard, err = rne.NewShardBoundedEstimator(rs.Shard, rs.ALT)
-		case rs.Model != nil:
+		} else {
 			set.Guard, err = rne.NewBoundedEstimatorFromIndex(rs.Model, rs.ALT)
-		default:
-			set.Guard, err = rne.NewCompactBoundedEstimator(rs.Compact, rs.ALT)
 		}
 		if err != nil {
 			return server.ModelSet{}, err

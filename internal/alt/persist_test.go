@@ -58,12 +58,12 @@ func TestIndexLoadRejectsCorruption(t *testing.T) {
 	}
 
 	cases := map[string]func([]byte) []byte{
-		"bad magic":      func(b []byte) []byte { c := append([]byte(nil), b...); c[0] ^= 0xff; return c },
-		"flipped label":  func(b []byte) []byte { c := append([]byte(nil), b...); c[len(c)-40] ^= 0x01; return c },
-		"truncated":      func(b []byte) []byte { return b[:len(b)-16] },
-		"empty":          func(b []byte) []byte { return nil },
-		"only magic":     func(b []byte) []byte { return b[:len(altMagic)] },
-		"bad trailer":    func(b []byte) []byte { c := append([]byte(nil), b...); c[len(c)-1] ^= 0xff; return c },
+		"bad magic":     func(b []byte) []byte { c := append([]byte(nil), b...); c[0] ^= 0xff; return c },
+		"flipped label": func(b []byte) []byte { c := append([]byte(nil), b...); c[len(c)-40] ^= 0x01; return c },
+		"truncated":     func(b []byte) []byte { return b[:len(b)-16] },
+		"empty":         func(b []byte) []byte { return nil },
+		"only magic":    func(b []byte) []byte { return b[:len(altMagic)] },
+		"bad trailer":   func(b []byte) []byte { c := append([]byte(nil), b...); c[len(c)-1] ^= 0xff; return c },
 		"length tampered": func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[len(altMagic)] ^= 0x01

@@ -126,7 +126,6 @@ func TestExperimentsRun(t *testing.T) {
 		"fig16-knn":          Fig16KNN,
 		"ablation-optimizer": AblationOptimizer,
 		"suite":              Suite,
-		"ablation-compact":   AblationCompact,
 		"ablation-hybrid":    AblationHybrid,
 		"ablation-topology":  AblationTopology,
 	}

@@ -23,8 +23,7 @@ import (
 // The experiments in this file go beyond the paper's exhibits: they
 // ablate the design choices DESIGN.md calls out (partition shape,
 // fine-tuning grid resolution, landmark selection policy) and evaluate
-// the two extensions this repository adds (the float32 compact model
-// and the LT-clamped hybrid estimator).
+// the LT-clamped hybrid estimator this repository adds.
 
 // AblationPartition sweeps the hierarchy fanout κ and leaf threshold δ.
 func AblationPartition(w io.Writer, cfg Config) error {
@@ -92,34 +91,6 @@ func AblationLandmarks(w io.Writer, cfg Config) error {
 		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\n", strat,
 			st.Validation.MeanRel*100, st.Validation.P99Rel*100)
 	}
-	return tw.Flush()
-}
-
-// AblationCompact compares the float64 model against its float32
-// compact form: accuracy, index size and query latency.
-func AblationCompact(w io.Writer, cfg Config) error {
-	g, err := ablationGraph(cfg)
-	if err != nil {
-		return err
-	}
-	m, _, err := core.Build(g, ablationOptions(cfg))
-	if err != nil {
-		return err
-	}
-	c, err := m.Compact()
-	if err != nil {
-		return err
-	}
-	pairs := randomPairs(g, cfg.Queries, cfg.Seed+31)
-	full := metrics.Evaluate(metrics.EstimatorFunc(m.EstimateL1), pairs)
-	comp := metrics.Evaluate(metrics.EstimatorFunc(c.Estimate), pairs)
-
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Model\trel.err(%)\tindex (MB)\tquery")
-	fmt.Fprintf(tw, "RNE float64\t%.4f\t%s\t%s\n", full.MeanRel*100,
-		fmtBytes(m.IndexBytes()), fmtNanos(timeEstimator(m.EstimateL1, pairs)))
-	fmt.Fprintf(tw, "RNE float32\t%.4f\t%s\t%s\n", comp.MeanRel*100,
-		fmtBytes(c.IndexBytes()), fmtNanos(timeEstimator(c.Estimate, pairs)))
 	return tw.Flush()
 }
 

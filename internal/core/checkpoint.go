@@ -174,7 +174,7 @@ func (t *Trainer) readCheckpoint(r io.Reader) (phase, level, epoch int, err erro
 	if err := binary.Read(cr, binary.LittleEndian, &meta); err != nil {
 		return 0, 0, 0, fmt.Errorf("core: reading checkpoint header: %w", err)
 	}
-	mat, err := emb.ReadMatrix(cr)
+	mat, err := emb.ReadMatrix(cr, plen-int64(binary.Size(meta)))
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("core: reading checkpoint matrix: %w", err)
 	}

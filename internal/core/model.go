@@ -74,22 +74,14 @@ func (m *Model) IndexBytes() int64 {
 	return int64(m.m.Rows())*int64(m.m.Dim())*8 + 32
 }
 
-// Model file format versions. Both magics are 10 bytes, so Load can
-// dispatch on a single fixed-size read.
-//
-//   - modelMagicV2 is the legacy format: magic, p, scale, matrix.
-//     Files written before the integrity bump still load.
-//   - modelMagicV3 is the current format: magic, int64 payload length,
-//     payload (p, scale, matrix), uint32 CRC-32 (IEEE) trailer over
-//     the payload. Load rejects truncated, length-mismatched or
-//     bit-flipped files with a precise error instead of constructing
-//     a silently wrong estimator.
-const (
-	modelMagicV2 = "RNEMODEL2\n"
-	modelMagicV3 = "RNEMODEL3\n"
-)
+// modelMagic opens the model file format: magic, int64 payload
+// length, payload (p, scale, matrix), uint32 CRC-32 (IEEE) trailer over
+// the payload. Load rejects truncated, length-mismatched or bit-flipped
+// files with a precise error instead of constructing a silently wrong
+// estimator.
+const modelMagic = "RNEMODEL3\n"
 
-// payloadSize is the exact V3 payload length: p + scale, then the
+// payloadSize is the exact payload length: p + scale, then the
 // serialized matrix.
 func (m *Model) payloadSize() int64 {
 	return 16 + emb.MatrixFileSize(m.m.Rows(), m.m.Dim())
@@ -99,7 +91,7 @@ func (m *Model) payloadSize() int64 {
 // current integrity-checked format.
 func (m *Model) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(modelMagicV3); err != nil {
+	if _, err := bw.WriteString(modelMagic); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, m.payloadSize()); err != nil {
@@ -118,20 +110,15 @@ func (m *Model) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load deserializes a model written by Save, accepting both the
-// current checksummed format and the legacy RNEMODEL2 format. The
-// hierarchy is not persisted; Hier returns nil on loaded models.
+// Load deserializes a model written by Save. The hierarchy is not
+// persisted; Hier returns nil on loaded models.
 func Load(r io.Reader) (*Model, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(modelMagicV3))
+	magic := make([]byte, len(modelMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("core: reading model magic: %w", err)
 	}
-	switch string(magic) {
-	case modelMagicV2:
-		return loadPayload(br)
-	case modelMagicV3:
-	default:
+	if string(magic) != modelMagic {
 		return nil, fmt.Errorf("core: bad model magic %q", magic)
 	}
 	var plen int64
@@ -143,7 +130,14 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("core: implausible model payload length %d", plen)
 	}
 	cr := fsx.NewCRCReader(io.LimitReader(br, plen))
-	m, err := loadPayload(cr)
+	var hdr [2]float64
+	if err := binary.Read(cr, binary.LittleEndian, &hdr); err != nil {
+		return nil, fmt.Errorf("core: reading model header: %w", err)
+	}
+	if hdr[0] <= 0 || hdr[1] <= 0 {
+		return nil, fmt.Errorf("core: implausible model header p=%v scale=%v", hdr[0], hdr[1])
+	}
+	mat, err := emb.ReadMatrix(cr, plen-16)
 	if err != nil {
 		return nil, err
 	}
@@ -154,21 +148,8 @@ func Load(r io.Reader) (*Model, error) {
 	if err := fsx.VerifyTrailer(cr, plen, wantCRC, "core: model"); err != nil {
 		return nil, err
 	}
-	return m, nil
-}
-
-// loadPayload parses the shared payload section (p, scale, matrix).
-func loadPayload(r io.Reader) (*Model, error) {
-	var hdr [2]float64
-	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("core: reading model header: %w", err)
-	}
-	mat, err := emb.ReadMatrix(r)
-	if err != nil {
-		return nil, err
-	}
-	if hdr[0] <= 0 || hdr[1] <= 0 {
-		return nil, fmt.Errorf("core: implausible model header p=%v scale=%v", hdr[0], hdr[1])
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("core: model file continues past its checksum trailer")
 	}
 	return &Model{m: mat, p: hdr[0], scale: hdr[1]}, nil
 }

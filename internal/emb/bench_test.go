@@ -68,22 +68,3 @@ func BenchmarkQueryAncestorSum(b *testing.B) {
 	}
 	_ = sink
 }
-
-func BenchmarkMatrix32L1(b *testing.B) {
-	_, flat, n := benchSetup(b)
-	c := flat.Compact()
-	rng := rand.New(rand.NewSource(3))
-	ss := make([]int32, 1024)
-	ts := make([]int32, 1024)
-	for i := range ss {
-		ss[i] = int32(rng.Intn(n))
-		ts[i] = int32(rng.Intn(n))
-	}
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		j := i & 1023
-		sink += c.L1(ss[j], ts[j])
-	}
-	_ = sink
-}

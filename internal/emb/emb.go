@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 
 	"repro/internal/partition"
@@ -92,9 +93,17 @@ func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
 	return written, bw.Flush()
 }
 
-// ReadMatrix deserializes a matrix written by WriteTo.
-func ReadMatrix(r io.Reader) (*Matrix, error) {
-	br := bufio.NewReader(r)
+// readChunk is how many values ReadMatrix decodes per read.
+const readChunk = 1 << 15
+
+// ReadMatrix deserializes a matrix written by WriteTo from exactly size
+// bytes of r: the container's framing says how many bytes the matrix
+// occupies, and a header whose shape disagrees with that is rejected
+// before anything is allocated. Storage then grows with the bytes
+// actually read, so a framing that overstates the input cannot reserve
+// memory the input never fills.
+func ReadMatrix(r io.Reader, size int64) (*Matrix, error) {
+	br := bufio.NewReader(io.LimitReader(r, size))
 	magic := make([]byte, len(matrixMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, err
@@ -106,15 +115,33 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
 		return nil, err
 	}
-	rows, d := int(hdr[0]), int(hdr[1])
+	rows, d := hdr[0], hdr[1]
 	if rows < 0 || d <= 0 || rows > 1<<31 || d > 1<<20 {
 		return nil, fmt.Errorf("emb: implausible matrix shape %dx%d", rows, d)
 	}
-	m := NewMatrix(rows, d)
-	if err := binary.Read(br, binary.LittleEndian, m.data); err != nil {
-		return nil, err
+	if need := MatrixFileSize(int(rows), int(d)); need != size {
+		return nil, fmt.Errorf("emb: %dx%d matrix needs %d bytes, framing holds %d", rows, d, need, size)
 	}
-	return m, nil
+	// Storage starts at one chunk and doubles only once the input has
+	// filled it, so it stays within twice what the input held.
+	n := int(rows * d)
+	data := make([]float64, min(n, readChunk))
+	buf := make([]byte, 8*len(data))
+	for k := 0; k < n; {
+		if k == len(data) {
+			grown := make([]float64, min(n, 2*k))
+			copy(grown, data)
+			data = grown
+		}
+		b := buf[:8*min(len(data)-k, readChunk)]
+		if _, err := io.ReadFull(br, b); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(b); i, k = i+8, k+1 {
+			data[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))
+		}
+	}
+	return &Matrix{rows: int(rows), d: int(d), data: data}, nil
 }
 
 // Hier couples a partition hierarchy with a local embedding matrix (one

@@ -2,8 +2,10 @@ package emb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -62,7 +64,7 @@ func TestMatrixSerializationRoundTrip(t *testing.T) {
 	if _, err := m.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := ReadMatrix(&buf)
+	m2, err := ReadMatrix(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +79,45 @@ func TestMatrixSerializationRoundTrip(t *testing.T) {
 }
 
 func TestReadMatrixRejectsGarbage(t *testing.T) {
-	if _, err := ReadMatrix(bytes.NewReader([]byte("not a matrix at all"))); err == nil {
+	garbage := []byte("not a matrix at all")
+	if _, err := ReadMatrix(bytes.NewReader(garbage), int64(len(garbage))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := ReadMatrix(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadMatrix(bytes.NewReader(nil), 0); err == nil {
 		t.Fatal("empty accepted")
+	}
+}
+
+// A header whose shape disagrees with the framing's byte count is
+// rejected before the payload is allocated, however large it claims to
+// be; a framing that agrees with a huge header but is not backed by
+// the bytes fails at the end of the input.
+func TestReadMatrixRejectsShapeOutsideFraming(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := NewMatrix(5, 3).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	withShape := func(rows, d uint64) []byte {
+		raw := append([]byte(nil), full...)
+		binary.LittleEndian.PutUint64(raw[len(matrixMagic):], rows)
+		binary.LittleEndian.PutUint64(raw[len(matrixMagic)+8:], d)
+		return raw
+	}
+	for name, c := range map[string]struct {
+		raw  []byte
+		size int64
+		want string
+	}{
+		"short framing":                    {full, int64(len(full)) - 8, "framing holds"},
+		"long framing":                     {full, int64(len(full)) + 8, "framing holds"},
+		"huge framing":                     {full, 1 << 62, "framing holds"},
+		"2^31 x 2^20 header":               {withShape(1<<31, 1<<20), int64(len(full)), "framing holds"},
+		"8 GiB framing, 120 bytes of data": {withShape(1<<20, 1<<10), MatrixFileSize(1<<20, 1<<10), "EOF"},
+	} {
+		if _, err := ReadMatrix(bytes.NewReader(c.raw), c.size); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", name, err, c.want)
+		}
 	}
 }
 
@@ -194,37 +230,8 @@ func TestReadMatrixTruncated(t *testing.T) {
 	full := buf.Bytes()
 	// Every truncation point must fail cleanly, never panic.
 	for _, cut := range []int{0, 3, len(matrixMagic), len(matrixMagic) + 8, len(full) - 9, len(full) - 1} {
-		if _, err := ReadMatrix(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := ReadMatrix(bytes.NewReader(full[:cut]), int64(len(full))); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-}
-
-func TestReadMatrix32Truncated(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := NewMatrix(6, 3)
-	m.RandomInit(rng, 1)
-	c := m.Compact()
-	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, cut := range []int{0, 4, len(full) - 5, len(full) - 1} {
-		if _, err := ReadMatrix32(bytes.NewReader(full[:cut])); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-	// Round trip agrees with the source.
-	c2, err := ReadMatrix32(bytes.NewReader(full))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int32(0); i < int32(c.Rows()); i++ {
-		for j := int32(0); j < int32(c.Rows()); j++ {
-			if c.L1(i, j) != c2.L1(i, j) {
-				t.Fatal("round trip changed distances")
-			}
 		}
 	}
 }

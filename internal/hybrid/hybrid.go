@@ -17,8 +17,8 @@ import (
 )
 
 // Distancer is the model side of the ensemble: any embedding queryable
-// for point estimates. Both core.Model and core.CompactModel satisfy
-// it, so guard mode works unchanged on half-memory compact replicas.
+// for point estimates. Both core.Model and shard.Model satisfy it, so
+// guard mode works unchanged on full and geo-shard replicas.
 type Distancer interface {
 	Estimate(s, t int32) float64
 	NumVertices() int

@@ -3,11 +3,13 @@ package hybrid
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
 	"repro/internal/alt"
 	"repro/internal/core"
+	"repro/internal/emb"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -124,20 +126,25 @@ func pathGraph(t *testing.T) *graph.Graph {
 }
 
 // syntheticModel pins exact embedding rows by round-tripping through
-// the public model codec (the legacy format needs no checksum framing).
+// the public model codec: the RNEMODEL3 framing around a (p, scale,
+// matrix) payload with its CRC-32 trailer.
 func syntheticModel(t *testing.T, rows [][]float64, scale float64) *core.Model {
 	t.Helper()
+	mat := emb.NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(mat.Row(int32(i)), r)
+	}
+	var payload bytes.Buffer
+	if err := binary.Write(&payload, binary.LittleEndian, []float64{1, scale}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mat.WriteTo(&payload); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	buf.WriteString("RNEMODEL2\n")
-	if err := binary.Write(&buf, binary.LittleEndian, []float64{1, scale}); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteString("RNEM1\n")
-	if err := binary.Write(&buf, binary.LittleEndian, []int64{int64(len(rows)), int64(len(rows[0]))}); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if err := binary.Write(&buf, binary.LittleEndian, r); err != nil {
+	buf.WriteString("RNEMODEL3\n")
+	for _, v := range []any{int64(payload.Len()), payload.Bytes(), crc32.ChecksumIEEE(payload.Bytes())} {
+		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
 			t.Fatal(err)
 		}
 	}

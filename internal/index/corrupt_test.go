@@ -1,10 +1,13 @@
 package index
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -12,7 +15,7 @@ import (
 
 // buildSmallTree returns a tree over a few targets plus its serialized
 // bytes, shared by the corruption tests.
-func buildSmallTree(t *testing.T) (*core.Model, *Tree, []byte) {
+func buildSmallTree(t testing.TB) (*core.Model, *Tree, []byte) {
 	t.Helper()
 	m := buildModel(t)
 	tree, err := Build(m, []int32{0, 3, 7, 11, 19, 42, 77, 101})
@@ -26,41 +29,6 @@ func buildSmallTree(t *testing.T) (*core.Model, *Tree, []byte) {
 	return m, tree, buf.Bytes()
 }
 
-// saveLegacyV1 reproduces the pre-integrity RNEIDX1 layout byte for
-// byte, guarding backward compatibility of Load.
-func saveLegacyV1(t *testing.T, tr *Tree) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if _, err := bw.WriteString("RNEIDX1\n"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.writePayload(bw); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func TestTreeLoadAcceptsLegacyV1(t *testing.T) {
-	m, tree, _ := buildSmallTree(t)
-	got, err := Load(bytes.NewReader(saveLegacyV1(t, tree)), m)
-	if err != nil {
-		t.Fatalf("legacy index rejected: %v", err)
-	}
-	if got.Size() != tree.Size() {
-		t.Fatalf("size %d, want %d", got.Size(), tree.Size())
-	}
-	a, b := tree.KNN(5, 3), got.KNN(5, 3)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("knn differs after legacy reload: %v vs %v", a, b)
-		}
-	}
-}
-
 func TestTreeLoadRejectsAllTruncations(t *testing.T) {
 	m, _, raw := buildSmallTree(t)
 	for cut := 0; cut < len(raw); cut++ {
@@ -72,15 +40,98 @@ func TestTreeLoadRejectsAllTruncations(t *testing.T) {
 
 func TestTreeLoadRejectsPayloadFlip(t *testing.T) {
 	m, _, raw := buildSmallTree(t)
-	// Flip one byte in a vector (deep in the payload) and one in the
-	// trailer; both must be caught by the checksum.
-	for _, at := range []int{len(raw) / 2, len(raw) - 2} {
-		mut := append([]byte(nil), raw...)
-		mut[at] ^= 0x01
-		if tr, err := Load(bytes.NewReader(mut), m); err == nil || tr != nil {
-			t.Fatalf("flip at byte %d/%d loaded successfully", at, len(raw))
+	// Every bit of every header byte (magic, payload length, the six
+	// header counts and the metric), of one vector byte deep in the
+	// payload and of one trailer byte must be caught.
+	at := []int{len(raw) / 2, len(raw) - 2}
+	for i := 0; i < len(treeMagic)+8+6*8+16; i++ {
+		at = append(at, i)
+	}
+	for _, i := range at {
+		for bit := 0; bit < 8; bit++ {
+			mut := append([]byte(nil), raw...)
+			mut[i] ^= 1 << bit
+			if tr, err := Load(bytes.NewReader(mut), m); err == nil || tr != nil {
+				t.Fatalf("flip of bit %d at byte %d/%d loaded successfully", bit, i, len(raw))
+			}
 		}
 	}
+}
+
+// dimAt is the offset of the vector dimension in a saved tree: magic,
+// payload length, slot count.
+const dimAt = len(treeMagic) + 8 + 8
+
+// resign recomputes a saved tree's checksum trailer over its payload,
+// so an edited payload reaches the parser instead of failing the
+// checksum.
+func resign(raw []byte) []byte {
+	raw = append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[len(treeMagic)+8:len(raw)-4]))
+	return raw
+}
+
+// negativeDim is a saved tree whose vector dimension reads -1 behind a
+// valid checksum: Load must reject it before sizing any vector.
+func negativeDim(raw []byte) []byte {
+	mut := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(mut[dimAt:], math.MaxUint64)
+	return resign(mut)
+}
+
+func TestTreeLoadRejectsGarbage(t *testing.T) {
+	m, _, raw := buildSmallTree(t)
+	legacy := append([]byte(nil), raw...)
+	copy(legacy, "RNEIDX1\n")
+	cases := map[string]struct {
+		raw  []byte
+		want string
+	}{
+		"empty":                 {nil, "magic"},
+		"wrong magic":           {[]byte("NOTATREE\x00\x00\x00\x00"), "bad magic"},
+		"legacy RNEIDX1 magic":  {legacy, "bad magic"},
+		"vector dimension -1":   {negativeDim(raw), "dimension -1"},
+		"trailing bytes":        {append(append([]byte(nil), raw...), 0), "past its checksum trailer"},
+		"absurd payload length": {append([]byte("RNEIDX2\n"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), "checksum trailer"},
+	}
+	for name, c := range cases {
+		tr, err := Load(bytes.NewReader(c.raw), m)
+		if err == nil || tr != nil {
+			t.Fatalf("%s: loaded successfully", name)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: error %q does not mention %q", name, err, c.want)
+		}
+	}
+}
+
+// FuzzTreeLoad feeds arbitrary bytes to Load against one fixed small
+// model, as they are and re-signed so they get past the checksum: no
+// input may panic, and any input Load accepts must save back to
+// exactly the same bytes.
+func FuzzTreeLoad(f *testing.F) {
+	m, _, raw := buildSmallTree(f)
+	f.Add(raw)
+	f.Add(negativeDim(raw))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		inputs := [][]byte{raw}
+		if len(raw) >= len(treeMagic)+8+4 {
+			inputs = append(inputs, resign(raw))
+		}
+		for _, in := range inputs {
+			tr, err := Load(bytes.NewReader(in), m)
+			if err != nil {
+				continue
+			}
+			var buf bytes.Buffer
+			if err := tr.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), in) {
+				t.Fatalf("accepted %d bytes but saved %d different ones", len(in), buf.Len())
+			}
+		}
+	})
 }
 
 func TestTreeSaveFileAtomic(t *testing.T) {

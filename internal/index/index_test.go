@@ -11,7 +11,7 @@ import (
 	"repro/internal/vecmath"
 )
 
-func buildModel(t *testing.T) *core.Model {
+func buildModel(t testing.TB) *core.Model {
 	t.Helper()
 	g, err := gen.Grid(14, 14, gen.DefaultConfig(1))
 	if err != nil {

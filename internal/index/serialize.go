@@ -2,6 +2,7 @@ package index
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -17,19 +18,12 @@ import (
 // tree's structure, per-slot vectors and radii, and the indexed target
 // lists; the model itself is saved separately (core.Model.Save).
 //
-// Two versions exist, dispatched on an 8-byte magic:
-//
-//   - treeMagicV1 is the legacy format (payload only). Files written
-//     before the integrity bump still load.
-//   - treeMagicV2 is the current format: magic, int64 payload length,
-//     payload, uint32 CRC-32 (IEEE) trailer, so Load rejects
-//     truncated or bit-flipped files with a precise error.
-const (
-	treeMagicV1 = "RNEIDX1\n"
-	treeMagicV2 = "RNEIDX2\n"
-)
+// The format is: magic, int64 payload length, payload, uint32 CRC-32
+// (IEEE) trailer, so Load rejects truncated or bit-flipped files with a
+// precise error.
+const treeMagic = "RNEIDX2\n"
 
-// payloadSize is the exact V2 payload length.
+// payloadSize is the exact payload length.
 func (t *Tree) payloadSize() int64 {
 	n := int64(6*8 + 16) // header ints + p/scale
 	for _, s := range t.children {
@@ -47,7 +41,7 @@ func (t *Tree) payloadSize() int64 {
 	return n
 }
 
-// writePayload emits the version-independent payload section.
+// writePayload emits the payload section.
 func (t *Tree) writePayload(w io.Writer) error {
 	d := 0
 	if len(t.vectors) > 0 {
@@ -92,7 +86,7 @@ func (t *Tree) writePayload(w io.Writer) error {
 // integrity-checked format.
 func (t *Tree) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(treeMagicV2); err != nil {
+	if _, err := bw.WriteString(treeMagic); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, t.payloadSize()); err != nil {
@@ -108,21 +102,16 @@ func (t *Tree) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load deserializes a tree saved with Save (either format version) and
-// attaches it to the given model, which must match the one the tree
-// was built with (dimension, vertex count, metric and scale are
-// verified).
+// Load deserializes a tree saved with Save and attaches it to the given
+// model, which must match the one the tree was built with (dimension,
+// vertex count, metric and scale are verified).
 func Load(r io.Reader, m *core.Model) (*Tree, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(treeMagicV2))
+	magic := make([]byte, len(treeMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("index: reading magic: %w", err)
 	}
-	switch string(magic) {
-	case treeMagicV1:
-		return loadPayload(br, m)
-	case treeMagicV2:
-	default:
+	if string(magic) != treeMagic {
 		return nil, fmt.Errorf("index: bad magic %q", magic)
 	}
 	var plen int64
@@ -132,10 +121,13 @@ func Load(r io.Reader, m *core.Model) (*Tree, error) {
 	if plen < 6*8+16 {
 		return nil, fmt.Errorf("index: implausible payload length %d", plen)
 	}
+	// The payload is read whole before it is parsed, so its length is
+	// the bytes actually present (whatever plen claims) and every size
+	// the header declares can be checked against what is left.
 	cr := fsx.NewCRCReader(io.LimitReader(br, plen))
-	t, err := loadPayload(cr, m)
+	payload, err := io.ReadAll(cr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("index: reading payload: %w", err)
 	}
 	var wantCRC uint32
 	if err := binary.Read(br, binary.LittleEndian, &wantCRC); err != nil {
@@ -144,13 +136,18 @@ func Load(r io.Reader, m *core.Model) (*Tree, error) {
 	if err := fsx.VerifyTrailer(cr, plen, wantCRC, "index: tree"); err != nil {
 		return nil, err
 	}
-	return t, nil
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("index: file continues past its checksum trailer")
+	}
+	return loadPayload(bytes.NewReader(payload), m)
 }
 
-// loadPayload parses the version-independent payload section.
-func loadPayload(br io.Reader, m *core.Model) (*Tree, error) {
+// loadPayload parses the payload section. Each count the header
+// declares is checked against the bytes left in r before anything of
+// that size is allocated.
+func loadPayload(r *bytes.Reader, m *core.Model) (*Tree, error) {
 	var hdr [6]int64
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
 		return nil, fmt.Errorf("index: reading header: %w", err)
 	}
 	nSlots, d, root, size, modelDim, modelVerts := hdr[0], hdr[1], hdr[2], hdr[3], hdr[4], hdr[5]
@@ -161,13 +158,20 @@ func loadPayload(br io.Reader, m *core.Model) (*Tree, error) {
 		return nil, fmt.Errorf("index: tree was built for a %dx%d model, got %dx%d",
 			modelVerts, modelDim, m.NumVertices(), m.Dim())
 	}
+	if d != modelDim {
+		return nil, fmt.Errorf("index: tree vectors have dimension %d, model has %d", d, modelDim)
+	}
 	var pScale [2]float64
-	if err := binary.Read(br, binary.LittleEndian, &pScale); err != nil {
+	if err := binary.Read(r, binary.LittleEndian, &pScale); err != nil {
 		return nil, err
 	}
 	if pScale[0] != m.P() || pScale[1] != m.Scale() {
 		return nil, fmt.Errorf("index: tree metric/scale (%v, %v) do not match model (%v, %v)",
 			pScale[0], pScale[1], m.P(), m.Scale())
+	}
+	// Every slot holds two slice lengths, a vector and a radius.
+	if perSlot := 8 * (3 + d); nSlots > int64(r.Len())/perSlot {
+		return nil, fmt.Errorf("index: header declares %d slots, payload has %d bytes left", nSlots, r.Len())
 	}
 
 	t := &Tree{model: m, p: pScale[0], scale: pScale[1], root: int32(root), size: int(size)}
@@ -175,17 +179,17 @@ func loadPayload(br io.Reader, m *core.Model) (*Tree, error) {
 		out := make([][]int32, n)
 		for i := range out {
 			var l int64
-			if err := binary.Read(br, binary.LittleEndian, &l); err != nil {
+			if err := binary.Read(r, binary.LittleEndian, &l); err != nil {
 				return nil, err
 			}
-			if l < 0 || l > maxID {
+			if l < 0 || l > maxID || l > int64(r.Len())/4 {
 				return nil, fmt.Errorf("index: implausible slice length %d", l)
 			}
 			if l == 0 {
 				continue
 			}
 			s := make([]int32, l)
-			if err := binary.Read(br, binary.LittleEndian, s); err != nil {
+			if err := binary.Read(r, binary.LittleEndian, s); err != nil {
 				return nil, err
 			}
 			for _, v := range s {
@@ -207,14 +211,17 @@ func loadPayload(br io.Reader, m *core.Model) (*Tree, error) {
 	t.vectors = make([][]float64, nSlots)
 	for i := range t.vectors {
 		vec := make([]float64, d)
-		if err := binary.Read(br, binary.LittleEndian, vec); err != nil {
+		if err := binary.Read(r, binary.LittleEndian, vec); err != nil {
 			return nil, err
 		}
 		t.vectors[i] = vec
 	}
 	t.radius = make([]float64, nSlots)
-	if err := binary.Read(br, binary.LittleEndian, t.radius); err != nil {
+	if err := binary.Read(r, binary.LittleEndian, t.radius); err != nil {
 		return nil, err
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("index: %d payload bytes left after the last section", r.Len())
 	}
 	return t, nil
 }

@@ -29,11 +29,11 @@ import (
 // HasBounds distinguishes the two so replay tooling does not mistake
 // a missing interval for a degenerate one.
 type Record struct {
-	TimeUnixNano int64  `json:"ts"`
-	RequestID    string `json:"request_id,omitempty"`
-	Route        string `json:"route,omitempty"`
-	S            int32  `json:"s"`
-	T            int32  `json:"t"`
+	TimeUnixNano int64   `json:"ts"`
+	RequestID    string  `json:"request_id,omitempty"`
+	Route        string  `json:"route,omitempty"`
+	S            int32   `json:"s"`
+	T            int32   `json:"t"`
 	Estimate     float64 `json:"estimate"`
 	Raw          float64 `json:"raw,omitempty"`
 	Lo           float64 `json:"lo,omitempty"`

@@ -7,9 +7,10 @@
 //	<root>/<name>/
 //	    MANIFEST.json            index of versions, pin, quarantine marks
 //	    v1/  model.rne           RNEMODEL3 (CRC-framed) model
-//	         model.compact.rne   optional float32 sibling (RNECOMPACT1)
 //	         alt.rnealt          optional ALT guard index (RNEALT1)
 //	         spatial.rneidx      optional spatial index (RNEIDX2)
+//	         shards/             optional geo-shard cut: shardmap.rnemap,
+//	                             <k>/shard.rne and <k>/alt.rnealt
 //	    v2/  ...
 //
 // Every file is written through fsx.WriteAtomic and versions are staged
@@ -46,7 +47,6 @@ import (
 // Artifact file names within a version directory.
 const (
 	ModelFile   = "model.rne"
-	CompactFile = "model.compact.rne"
 	ALTFile     = "alt.rnealt"
 	SpatialFile = "spatial.rneidx"
 	// ShardMapFile is the vertex→shard routing map of a sharded
@@ -97,15 +97,10 @@ type manifest struct {
 // rest are optional siblings.
 type Artifacts struct {
 	Model *core.Model
-	// Compact additionally stores the float32 sibling (CompactFile),
-	// letting replicas started with -compact serve at half the resident
-	// model memory.
-	Compact bool
 	// ALT, when non-nil, stores the guard index alongside the model so
 	// a swapped-in version carries its own certified-bounds guard.
 	ALT *alt.Index
-	// Index, when non-nil, stores the spatial index (requires the full
-	// model to load, so compact-only replicas skip it).
+	// Index, when non-nil, stores the spatial index.
 	Index *index.Tree
 	// Shards, when non-nil, additionally publishes the version as a
 	// sharded cut (shard.Cut output): the routing map plus one
@@ -120,26 +115,20 @@ type Artifacts struct {
 type Set struct {
 	Name    string
 	Version string
-	Model   *core.Model        // nil when loaded with LoadOpts.Compact
-	Compact *core.CompactModel // nil unless published with Artifacts.Compact
+	Model   *core.Model
 	ALT     *alt.Index
 	Index   *index.Tree
 	// Shard and ShardMap are set only by LoadShard/LoadLatestShard:
-	// one shard's model (Model/Compact stay nil) plus the version's
+	// one shard's model (Model stays nil) plus the version's
 	// routing map, cross-checked against it. ALT then holds the
 	// shard's region-restricted guard rather than the full one.
 	Shard    *shard.Model
 	ShardMap *shard.Map
 }
 
-// LoadOpts tunes version loading.
-type LoadOpts struct {
-	// Compact loads the float32 sibling instead of the full model:
-	// Set.Model stays nil and the spatial index (which needs the full
-	// model) is skipped. Loading fails if the version has no compact
-	// artifact.
-	Compact bool
-}
+// LoadOpts tunes version loading. It has no settings today; the
+// parameter keeps LoadVersion and LoadLatest call sites stable.
+type LoadOpts struct{}
 
 // Store is a registry rooted at one directory. A Store serializes its
 // own manifest read-modify-write cycles; concurrent writers from
@@ -267,16 +256,6 @@ func (s *Store) Publish(name string, art Artifacts) (string, error) {
 	files := []string{ModelFile}
 	if err := art.Model.SaveFile(filepath.Join(stage, ModelFile)); err != nil {
 		return "", fmt.Errorf("registry: staging model: %w", err)
-	}
-	if art.Compact {
-		cm, err := art.Model.Compact()
-		if err != nil {
-			return "", fmt.Errorf("registry: compacting model: %w", err)
-		}
-		if err := cm.SaveFile(filepath.Join(stage, CompactFile)); err != nil {
-			return "", fmt.Errorf("registry: staging compact model: %w", err)
-		}
-		files = append(files, CompactFile)
 	}
 	if art.ALT != nil {
 		if art.ALT.NumVertices() != art.Model.NumVertices() {
@@ -529,42 +508,25 @@ func (s *Store) quarantineLocked(name, version string) error {
 // LoadVersion loads one specific version's artifacts, verifying their
 // integrity framing. It does not quarantine on failure — that policy
 // lives in LoadLatest, where a fallback exists.
-func (s *Store) LoadVersion(name, version string, opts LoadOpts) (*Set, error) {
+func (s *Store) LoadVersion(name, version string, _ LoadOpts) (*Set, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
 	}
-	return s.loadVersion(name, version, opts)
-}
-
-func (s *Store) loadVersion(name, version string, opts LoadOpts) (*Set, error) {
 	dir := s.Path(name, version)
-	set := &Set{Name: name, Version: version}
-
-	if opts.Compact {
-		cm, err := core.LoadCompactFile(filepath.Join(dir, CompactFile))
-		if err != nil {
-			return nil, fmt.Errorf("registry: %s/%s compact model: %w", name, version, err)
-		}
-		set.Compact = cm
-	} else {
-		m, err := core.LoadFile(filepath.Join(dir, ModelFile))
-		if err != nil {
-			return nil, fmt.Errorf("registry: %s/%s model: %w", name, version, err)
-		}
-		set.Model = m
+	m, err := core.LoadFile(filepath.Join(dir, ModelFile))
+	if err != nil {
+		return nil, fmt.Errorf("registry: %s/%s model: %w", name, version, err)
 	}
+	set := &Set{Name: name, Version: version, Model: m}
 	if lt, err := alt.LoadFile(filepath.Join(dir, ALTFile)); err == nil {
 		set.ALT = lt
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("registry: %s/%s ALT index: %w", name, version, err)
 	}
-	// The spatial index needs the full model's embedding rows.
-	if set.Model != nil {
-		if idx, err := index.LoadFile(filepath.Join(dir, SpatialFile), set.Model); err == nil {
-			set.Index = idx
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("registry: %s/%s spatial index: %w", name, version, err)
-		}
+	if idx, err := index.LoadFile(filepath.Join(dir, SpatialFile), m); err == nil {
+		set.Index = idx
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("registry: %s/%s spatial index: %w", name, version, err)
 	}
 	return set, nil
 }
@@ -574,10 +536,13 @@ func (s *Store) loadVersion(name, version string, opts LoadOpts) (*Set, error) {
 // is quarantined and loading falls back to the next-newest good
 // version, repeating until one loads or none remain. The returned
 // error, when every version is corrupt, wraps the first failure.
-func (s *Store) LoadLatest(name string, opts LoadOpts) (*Set, error) {
-	if err := checkName(name); err != nil {
-		return nil, err
-	}
+func (s *Store) LoadLatest(name string, _ LoadOpts) (*Set, error) {
+	return s.loadLatest(name, func(version string) (*Set, error) { return s.LoadVersion(name, version, LoadOpts{}) })
+}
+
+// loadLatest is the quarantine-and-fall-back loop behind LoadLatest and
+// LoadLatestShard: load resolves one version's artifacts.
+func (s *Store) loadLatest(name string, load func(version string) (*Set, error)) (*Set, error) {
 	var firstErr error
 	for {
 		version, err := s.Latest(name)
@@ -587,7 +552,7 @@ func (s *Store) LoadLatest(name string, opts LoadOpts) (*Set, error) {
 			}
 			return nil, err
 		}
-		set, err := s.loadVersion(name, version, opts)
+		set, err := load(version)
 		if err == nil {
 			return set, nil
 		}
@@ -608,10 +573,6 @@ func (s *Store) LoadShard(name, version string, k int) (*Set, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
 	}
-	return s.loadShard(name, version, k)
-}
-
-func (s *Store) loadShard(name, version string, k int) (*Set, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("registry: shard id must be >= 0, got %d", k)
 	}
@@ -650,29 +611,7 @@ func (s *Store) loadShard(name, version string, k int) (*Set, error) {
 // version whose shard artifacts are corrupt (or that is not sharded at
 // all) is quarantined and the next-newest version is tried.
 func (s *Store) LoadLatestShard(name string, k int) (*Set, error) {
-	if err := checkName(name); err != nil {
-		return nil, err
-	}
-	var firstErr error
-	for {
-		version, err := s.Latest(name)
-		if err != nil {
-			if firstErr != nil {
-				return nil, fmt.Errorf("%w (after quarantining corrupt versions, first failure: %v)", err, firstErr)
-			}
-			return nil, err
-		}
-		set, err := s.loadShard(name, version, k)
-		if err == nil {
-			return set, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		if qerr := s.Quarantine(name, version); qerr != nil {
-			return nil, fmt.Errorf("registry: loading %s failed (%v) and quarantine failed: %w", version, err, qerr)
-		}
-	}
+	return s.loadLatest(name, func(version string) (*Set, error) { return s.LoadShard(name, version, k) })
 }
 
 // GC enforces retention for the named model: the newest keep good

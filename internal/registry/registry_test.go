@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -94,7 +96,7 @@ func TestPublishAndLoadLatest(t *testing.T) {
 	}
 }
 
-func TestPublishSiblingsAndCompactLoad(t *testing.T) {
+func TestPublishSiblings(t *testing.T) {
 	s := openStore(t)
 	g, m := quickBuild(t, 3)
 	lt, err := alt.Build(g, 4, 3)
@@ -105,7 +107,7 @@ func TestPublishSiblingsAndCompactLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Publish("demo", Artifacts{Model: m, Compact: true, ALT: lt, Index: idx}); err != nil {
+	if _, err := s.Publish("demo", Artifacts{Model: m, ALT: lt, Index: idx}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -119,32 +121,59 @@ func TestPublishSiblingsAndCompactLoad(t *testing.T) {
 	if full.ALT.NumLandmarks() != 4 || full.Index.Size() != 5 {
 		t.Fatalf("siblings wrong: landmarks=%d targets=%d", full.ALT.NumLandmarks(), full.Index.Size())
 	}
+}
 
-	compact, err := s.LoadLatest("demo", LoadOpts{Compact: true})
+// TestLegacyCompactSiblingStillLoads pins registries published before
+// the float32 compact sibling was dropped: a version with
+// model.compact.rne on disk and in its manifest entry still loads, and
+// GC still removes it as a whole directory.
+func TestLegacyCompactSiblingStillLoads(t *testing.T) {
+	s := openStore(t)
+	_, m1 := quickBuild(t, 1)
+	_, m2 := quickBuild(t, 2)
+	if _, err := s.Publish("demo", Artifacts{Model: m1}); err != nil {
+		t.Fatal(err)
+	}
+	const legacyFile = "model.compact.rne"
+	if err := os.WriteFile(filepath.Join(s.Path("demo", "v1"), legacyFile), []byte("float32 sibling, never read"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, err := s.readManifest("demo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compact.Compact == nil || compact.Model != nil || compact.Index != nil {
-		t.Fatalf("compact load shape wrong: %+v", compact)
-	}
-	if compact.ALT == nil {
-		t.Fatal("compact load dropped the ALT guard")
-	}
-	want := m.Estimate(1, 60)
-	got := compact.Compact.Estimate(1, 60)
-	if rel := (got - want) / want; rel > 1e-5 || rel < -1e-5 {
-		t.Fatalf("compact estimate %v too far from full %v", got, want)
-	}
-}
-
-func TestCompactLoadWithoutSiblingFails(t *testing.T) {
-	s := openStore(t)
-	_, m := quickBuild(t, 4)
-	if _, err := s.Publish("demo", Artifacts{Model: m}); err != nil {
+	man.Versions[0].Files = append(man.Versions[0].Files, legacyFile)
+	if err := s.writeManifest("demo", man); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadLatest("demo", LoadOpts{Compact: true}); err == nil {
-		t.Fatal("compact load succeeded without a compact artifact")
+
+	latest, err := s.LoadLatest("demo", LoadOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byVersion, err := s.LoadVersion("demo", "v1", LoadOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range []*Set{latest, byVersion} {
+		if set.Version != "v1" || set.Model.Estimate(0, 5) != m1.Estimate(0, 5) {
+			t.Fatalf("legacy version loaded as %s with estimate %v, want v1 with %v",
+				set.Version, set.Model.Estimate(0, 5), m1.Estimate(0, 5))
+		}
+	}
+
+	if _, err := s.Publish("demo", Artifacts{Model: m2}); err != nil {
+		t.Fatal(err)
+	}
+	removed, err := s.GC("demo", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(removed) != 1 || removed[0] != "v1" {
+		t.Fatalf("GC removed %v, want [v1]", removed)
+	}
+	if _, err := os.Stat(s.Path("demo", "v1")); !os.IsNotExist(err) {
+		t.Fatal("legacy v1 directory survived GC")
 	}
 }
 
@@ -183,56 +212,76 @@ func TestPinResolution(t *testing.T) {
 // newest version's model file is truncated on disk (as a crash between
 // page writes or silent media corruption would), and serving resolution
 // must quarantine it and fall back to the prior good version.
+// TestCorruptLatestQuarantinedWithFallback corrupts the newest version's
+// model two ways: truncated, and well framed behind a matrix header
+// claiming 2^31 x 2^20 rows. Either way loading fails without taking
+// the process down, the version is quarantined and loading falls back
+// to the older good one.
 func TestCorruptLatestQuarantinedWithFallback(t *testing.T) {
-	s := openStore(t)
-	_, m1 := quickBuild(t, 1)
-	_, m2 := quickBuild(t, 2)
-	if _, err := s.Publish("demo", Artifacts{Model: m1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Publish("demo", Artifacts{Model: m2}); err != nil {
-		t.Fatal(err)
-	}
+	for name, corrupt := range map[string]func(raw []byte) []byte{
+		"truncated": func(raw []byte) []byte { return raw[:len(raw)/2] },
+		"2^31 x 2^20 matrix header": func(raw []byte) []byte {
+			// Model magic and payload length (18 bytes), then p and scale
+			// (16) and the matrix magic (6): the row count and dimension.
+			const payloadAt, rowsAt = 18, 40
+			binary.LittleEndian.PutUint64(raw[rowsAt:], 1<<31)
+			binary.LittleEndian.PutUint64(raw[rowsAt+8:], 1<<20)
+			binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[payloadAt:len(raw)-4]))
+			return raw
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := openStore(t)
+			_, m1 := quickBuild(t, 1)
+			_, m2 := quickBuild(t, 2)
+			if _, err := s.Publish("demo", Artifacts{Model: m1}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Publish("demo", Artifacts{Model: m2}); err != nil {
+				t.Fatal(err)
+			}
 
-	victim := filepath.Join(s.Path("demo", "v2"), ModelFile)
-	info, err := os.Stat(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(victim, info.Size()/2); err != nil {
-		t.Fatal(err)
-	}
+			victim := filepath.Join(s.Path("demo", "v2"), ModelFile)
+			raw, err := os.ReadFile(victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(victim, corrupt(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	set, err := s.LoadLatest("demo", LoadOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Version != "v1" {
-		t.Fatalf("fallback loaded %s, want v1", set.Version)
-	}
-	if set.Model.Scale() != m1.Scale() {
-		t.Fatal("fallback did not load the v1 artifacts")
-	}
+			set, err := s.LoadLatest("demo", LoadOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if set.Version != "v1" {
+				t.Fatalf("fallback loaded %s, want v1", set.Version)
+			}
+			if set.Model.Scale() != m1.Scale() {
+				t.Fatal("fallback did not load the v1 artifacts")
+			}
 
-	vs, err := s.Versions("demo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vs[1].Quarantined {
-		t.Fatalf("v2 not marked quarantined: %+v", vs)
-	}
-	if _, err := os.Stat(s.Path("demo", "v2") + quarantineSuffix); err != nil {
-		t.Fatalf("quarantine directory missing: %v", err)
-	}
-	if latest, _ := s.Latest("demo"); latest != "v1" {
-		t.Fatalf("Latest after quarantine = %s, want v1", latest)
-	}
+			vs, err := s.Versions("demo")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !vs[1].Quarantined {
+				t.Fatalf("v2 not marked quarantined: %+v", vs)
+			}
+			if _, err := os.Stat(s.Path("demo", "v2") + quarantineSuffix); err != nil {
+				t.Fatalf("quarantine directory missing: %v", err)
+			}
+			if latest, _ := s.Latest("demo"); latest != "v1" {
+				t.Fatalf("Latest after quarantine = %s, want v1", latest)
+			}
 
-	// Version numbers are never reused: the next publish is v3.
-	_, m3 := quickBuild(t, 5)
-	v, err := s.Publish("demo", Artifacts{Model: m3})
-	if err != nil || v != "v3" {
-		t.Fatalf("publish after quarantine = %s, %v; want v3", v, err)
+			// Version numbers are never reused: the next publish is v3.
+			_, m3 := quickBuild(t, 5)
+			v, err := s.Publish("demo", Artifacts{Model: m3})
+			if err != nil || v != "v3" {
+				t.Fatalf("publish after quarantine = %s, %v; want v3", v, err)
+			}
+		})
 	}
 }
 

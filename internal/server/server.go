@@ -131,7 +131,7 @@ func NewWithConfig(model *core.Model, idx *index.Tree, cfg Config) (*Server, err
 }
 
 // NewFromSet returns a server booted from an explicit model set — the
-// entry point for registry-resolved and compact serving. cfg.Guard is
+// entry point for registry-resolved and shard serving. cfg.Guard is
 // ignored when set.Guard is non-nil.
 func NewFromSet(set ModelSet, cfg Config) (*Server, error) {
 	if cfg.MaxBatchBytes == 0 {
@@ -242,20 +242,20 @@ func (s *Server) Stats() *resilience.Stats { return s.stats }
 // telemetry.
 func (s *Server) Estimate(src, dst int32) (float64, error) {
 	sn := s.active.Load()
-	n := sn.view.NumVertices()
+	n := sn.model.NumVertices()
 	if src < 0 || int(src) >= n || dst < 0 || int(dst) >= n {
 		return 0, fmt.Errorf("server: pair (%d,%d) outside [0,%d)", src, dst, n)
 	}
 	if sn.guard != nil {
 		return sn.guard.Guard(src, dst).Est, nil
 	}
-	return sn.view.Estimate(src, dst), nil
+	return sn.model.Estimate(src, dst), nil
 }
 
 // Scale returns the active model's distance normalizer (its graph-
 // diameter estimate) — the band scale an external drift monitor over
 // served estimates should be built with.
-func (s *Server) Scale() float64 { return s.active.Load().view.Scale() }
+func (s *Server) Scale() float64 { return s.active.Load().model.Scale() }
 
 // Handler returns the route table wrapped in the resilience stack
 // (panic recovery, per-request deadline, load shedding, request
@@ -334,8 +334,8 @@ func (s *Server) vertexParam(sn *snapshot, r *http.Request, name string) (int32,
 	if err != nil {
 		return 0, fmt.Errorf("parameter %q is not an integer", name)
 	}
-	if v < 0 || v >= sn.view.NumVertices() {
-		return 0, fmt.Errorf("vertex %d outside [0,%d)", v, sn.view.NumVertices())
+	if v < 0 || v >= sn.model.NumVertices() {
+		return 0, fmt.Errorf("vertex %d outside [0,%d)", v, sn.model.NumVertices())
 	}
 	return int32(v), nil
 }
@@ -343,28 +343,26 @@ func (s *Server) vertexParam(sn *snapshot, r *http.Request, name string) (int32,
 // modelMeta is the model-shape block shared by /healthz and /readyz,
 // so probes and dashboards can tell *which* model a replica serves:
 // version label, vertex count, embedding dimension, hierarchy depth
-// (0 for loaded or naive models, which drop the partition tree),
-// whether the ALT guard is active, and whether the replica runs the
-// float32 compact variant.
+// (0 for loaded, naive or shard models, which drop the partition tree)
+// and whether the ALT guard is active.
 func modelMeta(sn *snapshot) map[string]any {
 	levels := 0
-	if sn.view.full != nil {
-		if h := sn.view.full.Hierarchy(); h != nil {
+	if full := sn.full(); full != nil {
+		if h := full.Hierarchy(); h != nil {
 			levels = h.MaxDepth() + 1
 		}
 	}
 	out := map[string]any{
 		"version":  sn.version,
-		"vertices": sn.view.NumVertices(),
-		"dim":      sn.view.Dim(),
+		"vertices": sn.model.NumVertices(),
+		"dim":      sn.model.Dim(),
 		"levels":   levels,
 		"spatial":  sn.idx != nil,
 		"guard":    sn.guard != nil,
-		"compact":  sn.view.full == nil && sn.view.shard == nil,
 	}
 	// Shard identity, so the gateway's probes (and operators) can tell
 	// which region a replica owns without a separate discovery call.
-	if sv := sn.view.shard; sv != nil {
+	if sv := sn.shard(); sv != nil {
 		out["shard"] = map[string]any{
 			"id":        sv.ShardID(),
 			"shards":    sv.NumShards(),
@@ -490,7 +488,7 @@ func (s *Server) logQuery(r *http.Request, route string, src, dst int32, est flo
 // header and the body, so a stale-mapped gateway can re-route instead
 // of serving the wrong region's upper-level approximation as exact.
 func (s *Server) misdirect(w http.ResponseWriter, sn *snapshot, src int32) {
-	sv := sn.view.shard
+	sv := sn.shard()
 	owner := sv.Owner(src)
 	sn.misdirected.Inc()
 	w.Header().Set("Rne-Shard-Owner", strconv.Itoa(owner))
@@ -515,25 +513,26 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if sv := sn.view.shard; sv != nil && !sv.Owns(src) {
+	sv := sn.shard()
+	if sv != nil && !sv.Owns(src) {
 		s.misdirect(w, sn, src)
 		return
 	}
 	explain := wantExplain(r)
+	out := map[string]any{"s": src, "t": dst}
+	if sv != nil && sv.CrossShard(src, dst) {
+		out["cross_shard"] = true
+	}
+	if full := sn.full(); explain && full != nil {
+		out["model"] = full.ExplainEstimate(src, dst)
+	}
 	if sn.guard != nil {
 		var g hybrid.GuardResult
-		out := map[string]any{"s": src, "t": dst}
-		if sv := sn.view.shard; sv != nil && sv.CrossShard(src, dst) {
-			out["cross_shard"] = true
-		}
 		_, gspan := telemetry.StartChild(r.Context(), "guard")
 		if explain {
 			var ge guardExplanation
 			g, ge = s.explainGuard(sn, src, dst)
 			out["guard"] = ge
-			if sn.view.full != nil {
-				out["model"] = sn.view.full.ExplainEstimate(src, dst)
-			}
 		} else {
 			g = s.guardedEstimate(sn, src, dst)
 		}
@@ -548,15 +547,9 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_, kspan := telemetry.StartChild(r.Context(), "kernel")
-	est := sn.view.Estimate(src, dst)
+	est := sn.model.Estimate(src, dst)
 	kspan.End()
-	out := map[string]any{"s": src, "t": dst, "distance": est}
-	if sv := sn.view.shard; sv != nil && sv.CrossShard(src, dst) {
-		out["cross_shard"] = true
-	}
-	if explain && sn.view.full != nil {
-		out["model"] = sn.view.full.ExplainEstimate(src, dst)
-	}
+	out["distance"] = est
 	s.logQuery(r, "/distance", src, dst, est, nil, start)
 	s.writeJSON(w, http.StatusOK, out)
 }
@@ -564,16 +557,13 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 // handleExplain is the dedicated provenance endpoint: the response a
 // /distance?explain=1 call would produce, plus the dominant level, in
 // one place operators can hit when debugging a suspicious estimate.
-// Compact replicas drop the per-level matrix, so they answer 501.
+// Shard replicas drop the per-level matrix, so they answer 501.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	sn := s.active.Load()
-	if sn.view.full == nil {
-		if sv := sn.view.shard; sv != nil {
-			s.fail(w, http.StatusNotImplemented,
-				"explain requires the full per-level model (this replica serves geo-shard %d)", sv.ShardID())
-			return
-		}
-		s.fail(w, http.StatusNotImplemented, "explain requires the full model (this replica serves the compact variant)")
+	full := sn.full()
+	if full == nil {
+		s.fail(w, http.StatusNotImplemented,
+			"explain requires the full per-level model (this replica serves geo-shard %d)", sn.shard().ShardID())
 		return
 	}
 	src, err := s.vertexParam(sn, r, "s")
@@ -586,7 +576,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ex := sn.view.full.ExplainEstimate(src, dst)
+	ex := full.ExplainEstimate(src, dst)
 	out := map[string]any{
 		"s": src, "t": dst,
 		"model":          ex,
@@ -633,9 +623,9 @@ func floats(buf []float64, n int) []float64 {
 }
 
 // batchExplanation is the per-pair provenance attached when /batch is
-// called with ?explain=1: compact (dominant level + clamp provenance)
+// called with ?explain=1: brief (dominant level + clamp provenance)
 // rather than the full per-level table, which at maxBatch pairs would
-// dwarf the distances themselves. DominantLevel is -1 on compact
+// dwarf the distances themselves. DominantLevel is -1 on shard
 // replicas, which drop the per-level decomposition.
 type batchExplanation struct {
 	DominantLevel int               `json:"dominant_level"`
@@ -643,10 +633,11 @@ type batchExplanation struct {
 }
 
 func dominantLevel(sn *snapshot, s, t int32) int {
-	if sn.view.full == nil {
+	full := sn.full()
+	if full == nil {
 		return -1
 	}
-	return sn.view.full.ExplainEstimate(s, t).DominantLevel()
+	return full.ExplainEstimate(s, t).DominantLevel()
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -681,7 +672,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(ss), maxBatch)
 		return
 	}
-	n := int32(sn.view.NumVertices())
+	n := int32(sn.model.NumVertices())
 	for i := range ss {
 		if ss[i] < 0 || ss[i] >= n || ts[i] < 0 || ts[i] >= n {
 			s.fail(w, http.StatusBadRequest, "pair %d references vertex outside [0,%d)", i, n)
@@ -693,8 +684,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// (the gateway splits per-shard, so a mixed batch means its map is
 	// stale) — answering the rest would mislabel upper-level numbers
 	// as exact. Cross-shard *targets* are fine and counted below.
-	ans := batchwire.Answer{Sharded: sn.view.shard != nil}
-	if sv := sn.view.shard; sv != nil {
+	sv := sn.shard()
+	ans := batchwire.Answer{Sharded: sv != nil}
+	if sv != nil {
 		for i := range ss {
 			if !sv.Owns(ss[i]) {
 				s.misdirect(w, sn, ss[i])
@@ -768,8 +760,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		// Evaluate in chunks so an exhausted deadline budget abandons the
 		// batch between chunks instead of computing pairs no one can use
-		// (the resilience layer owns the 503/504 answer).
+		// (the resilience layer owns the 503/504 answer). A full replica
+		// runs the model's parallel batch kernel, a shard its per-pair
+		// estimate.
 		const batchChunk = 4096
+		full := sn.full()
 		_, kspan := telemetry.StartChild(r.Context(), "kernel")
 		kspan.SetAttrInt("pairs", int64(len(ss)))
 		for off := 0; off < len(ss); off += batchChunk {
@@ -779,7 +774,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			end := min(off+batchChunk, len(ss))
-			if err := sn.view.EstimateBatch(ss[off:end], ts[off:end], out[off:end]); err != nil {
+			if full == nil {
+				for i := off; i < end; i++ {
+					out[i] = sv.Estimate(ss[i], ts[i])
+				}
+				continue
+			}
+			if err := full.EstimateBatch(ss[off:end], ts[off:end], out[off:end], 0); err != nil {
 				kspan.SetError(err)
 				kspan.End()
 				s.fail(w, http.StatusInternalServerError, "%v", err)
@@ -833,7 +834,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	_, kspan := telemetry.StartChild(r.Context(), "kernel")
 	dists := make([]float64, len(results))
 	for i, v := range results {
-		dists[i] = sn.view.Estimate(src, v)
+		dists[i] = sn.model.Estimate(src, v)
 	}
 	kspan.End()
 	resp := map[string]any{"targets": results, "distances": dists}

@@ -90,6 +90,9 @@ func TestHealth(t *testing.T) {
 	if out["guard"] != false {
 		t.Fatal("guard flag wrong")
 	}
+	if _, ok := out["compact"]; ok {
+		t.Fatalf("health still reports the removed compact flag: %v", out)
+	}
 }
 
 func TestDistanceEndpoint(t *testing.T) {

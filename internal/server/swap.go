@@ -12,23 +12,19 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ModelSet is the unit of hot swapping: a model (full, compact or one
-// geo-shard), its optional spatial index and ALT guard, and the
-// version tag reported on /healthz and the rne_model_version metric.
-// The set is installed atomically — a request is served entirely by
-// one set, never by a mix of old model and new guard.
+// ModelSet is the unit of hot swapping: a model (full or one
+// geo-shard), its optional spatial index and ALT guard, and the version
+// tag reported on /healthz and the rne_model_version metric. The set is
+// installed atomically — a request is served entirely by one set, never
+// by a mix of old model and new guard.
 type ModelSet struct {
-	// Model is the full float64 model; Compact the float32 deployment
-	// variant (half the resident memory). At least one of Model,
-	// Compact or Shard is required. When only Compact is present the
-	// server serves /distance and /batch (plus guard mode) but not the
-	// explain surfaces, which need the full per-level decomposition.
-	Model   *core.Model
-	Compact *core.CompactModel
-	// Shard is one geo-shard of a split model (mutually exclusive with
-	// Model/Compact): the replica serves only its region's sources —
-	// out-of-region s gets a 421 redirect hint — answering intra-shard
-	// pairs exactly and cross-shard pairs from the shared upper levels.
+	// Model is the full float64 model. Exactly one of Model and Shard
+	// is required.
+	Model *core.Model
+	// Shard is one geo-shard of a split model: the replica serves only
+	// its region's sources — out-of-region s gets a 421 redirect hint —
+	// answering intra-shard pairs exactly and cross-shard pairs from the
+	// shared upper levels.
 	Shard *shard.Model
 	// Index enables /knn and /range; it requires the full model.
 	Index *index.Tree
@@ -40,78 +36,21 @@ type ModelSet struct {
 	Version string
 }
 
-// modelView is the serving-side selector over full vs compact vs shard
-// storage: the hot query path costs one nil check beyond the estimate
-// itself.
-type modelView struct {
-	full    *core.Model
-	compact *core.CompactModel
-	shard   *shard.Model
-}
-
-func (v modelView) ok() bool { return v.full != nil || v.compact != nil || v.shard != nil }
-
-func (v modelView) Estimate(s, t int32) float64 {
-	if v.full != nil {
-		return v.full.Estimate(s, t)
-	}
-	if v.shard != nil {
-		return v.shard.Estimate(s, t)
-	}
-	return v.compact.Estimate(s, t)
-}
-
-func (v modelView) NumVertices() int {
-	if v.full != nil {
-		return v.full.NumVertices()
-	}
-	if v.shard != nil {
-		return v.shard.NumVertices()
-	}
-	return v.compact.NumVertices()
-}
-
-func (v modelView) Dim() int {
-	if v.full != nil {
-		return v.full.Dim()
-	}
-	if v.shard != nil {
-		return v.shard.Dim()
-	}
-	return v.compact.Dim()
-}
-
-func (v modelView) Scale() float64 {
-	if v.full != nil {
-		return v.full.Scale()
-	}
-	if v.shard != nil {
-		return v.shard.Scale()
-	}
-	return v.compact.Scale()
-}
-
-func (v modelView) EstimateBatch(ss, ts []int32, out []float64) error {
-	if v.full != nil {
-		return v.full.EstimateBatch(ss, ts, out, 0)
-	}
-	if v.shard != nil {
-		return v.shard.EstimateBatch(ss, ts, out)
-	}
-	if len(ss) != len(ts) || len(ss) != len(out) {
-		return fmt.Errorf("server: batch slices must share a length")
-	}
-	for i := range ss {
-		out[i] = v.compact.Estimate(ss[i], ts[i])
-	}
-	return nil
+// servedModel is the served model as every handler sees it, whichever
+// kind the set carries (*core.Model or *shard.Model). Features of one
+// kind only are reached through snapshot.full and snapshot.shard.
+type servedModel interface {
+	Estimate(s, t int32) float64
+	NumVertices() int
+	Dim() int
+	Scale() float64
 }
 
 // snapshot is one immutable serving state. Handlers load it once per
 // request from Server.active, so every answer is internally consistent
 // even while a swap is racing in.
 type snapshot struct {
-	view    modelView
+	model   servedModel
 	idx     *index.Tree
 	guard   *hybrid.Estimator
 	drift   *telemetry.DriftMonitor
@@ -130,43 +69,55 @@ type snapshot struct {
 	misdirected *telemetry.Counter
 }
 
+// full returns the served full model, or nil on a shard replica: the
+// per-level decomposition behind explain lives only there.
+func (sn *snapshot) full() *core.Model {
+	m, _ := sn.model.(*core.Model)
+	return m
+}
+
+// shard returns the served geo-shard, or nil on a full replica.
+func (sn *snapshot) shard() *shard.Model {
+	m, _ := sn.model.(*shard.Model)
+	return m
+}
+
 // buildSnapshot validates a ModelSet and assembles the serving state,
 // including a drift monitor rebuilt from the *new* model's scale (a
 // stale monitor would band and score drift against the old model's
 // diameter, silently corrupting the drift signal after every swap).
 func (s *Server) buildSnapshot(set ModelSet) (*snapshot, error) {
-	view := modelView{full: set.Model, compact: set.Compact, shard: set.Shard}
-	if !view.ok() {
-		return nil, fmt.Errorf("server: nil model")
-	}
-	if set.Shard != nil && (set.Model != nil || set.Compact != nil) {
+	var model servedModel
+	switch {
+	case set.Model != nil && set.Shard != nil:
 		return nil, fmt.Errorf("server: a set is either a shard or a whole model, not both")
+	case set.Model != nil:
+		model = set.Model
+	case set.Shard != nil:
+		model = set.Shard
+	default:
+		return nil, fmt.Errorf("server: nil model")
 	}
 	// Region continuity: a shard replica must keep serving the same
 	// region across swaps — a reload that lands shard 2's artifact on
 	// shard 0's replica (or changes the fleet topology under the
 	// gateway's routing map) is rejected like any other bad set.
 	if prev := s.active.Load(); prev != nil {
-		switch {
-		case (prev.view.shard != nil) != (set.Shard != nil):
+		switch ps := prev.shard(); {
+		case (ps != nil) != (set.Shard != nil):
 			return nil, fmt.Errorf("server: swap cannot change shard mode mid-serve")
-		case prev.view.shard != nil && (prev.view.shard.ShardID() != set.Shard.ShardID() ||
-			prev.view.shard.NumShards() != set.Shard.NumShards()):
+		case ps != nil && (ps.ShardID() != set.Shard.ShardID() ||
+			ps.NumShards() != set.Shard.NumShards()):
 			return nil, fmt.Errorf("server: replica serves shard %d/%d, refusing swap to shard %d/%d",
-				prev.view.shard.ShardID(), prev.view.shard.NumShards(),
-				set.Shard.ShardID(), set.Shard.NumShards())
+				ps.ShardID(), ps.NumShards(), set.Shard.ShardID(), set.Shard.NumShards())
 		}
 	}
-	n := view.NumVertices()
+	n := model.NumVertices()
 	if n <= 0 {
 		return nil, fmt.Errorf("server: model covers no vertices")
 	}
-	if sc := view.Scale(); !(sc > 0) || math.IsInf(sc, 0) {
+	if sc := model.Scale(); !(sc > 0) || math.IsInf(sc, 0) {
 		return nil, fmt.Errorf("server: implausible model scale %v", sc)
-	}
-	if set.Model != nil && set.Compact != nil && set.Model.NumVertices() != set.Compact.NumVertices() {
-		return nil, fmt.Errorf("server: full model covers %d vertices but compact covers %d",
-			set.Model.NumVertices(), set.Compact.NumVertices())
 	}
 	if set.Guard != nil && set.Guard.NumVertices() != n {
 		return nil, fmt.Errorf("server: guard estimator covers %d vertices but model covers %d",
@@ -175,11 +126,11 @@ func (s *Server) buildSnapshot(set ModelSet) (*snapshot, error) {
 	if set.Index != nil && set.Model == nil {
 		return nil, fmt.Errorf("server: spatial index requires the full model")
 	}
-	if err := smokeTest(view, set.Guard); err != nil {
+	if err := smokeTest(model, set.Guard); err != nil {
 		return nil, err
 	}
 	sn := &snapshot{
-		view:    view,
+		model:   model,
 		idx:     set.Index,
 		guard:   set.Guard,
 		version: set.Version,
@@ -196,7 +147,7 @@ func (s *Server) buildSnapshot(set ModelSet) (*snapshot, error) {
 		sn.guardClampedHigh = s.stats.Counter("guard_clamped_high")
 		// The model's distance normalizer approximates the graph
 		// diameter, which is exactly the scale the drift bands need.
-		if d, err := telemetry.NewDriftMonitor(s.stats.Registry(), view.Scale(),
+		if d, err := telemetry.NewDriftMonitor(s.stats.Registry(), model.Scale(),
 			s.cfg.DriftBands, s.cfg.DriftWarmup); err == nil {
 			sn.drift = d
 		}
@@ -209,8 +160,8 @@ func (s *Server) buildSnapshot(set ModelSet) (*snapshot, error) {
 // under a guard every probe must respect its certified interval. A
 // model whose embedding rows are NaN-poisoned or whose guard disagrees
 // with it is rejected here, before any request can observe it.
-func smokeTest(view modelView, guard *hybrid.Estimator) error {
-	n := int32(view.NumVertices())
+func smokeTest(model servedModel, guard *hybrid.Estimator) error {
+	n := int32(model.NumVertices())
 	if n < 2 {
 		return nil
 	}
@@ -219,7 +170,7 @@ func smokeTest(view modelView, guard *hybrid.Estimator) error {
 		if p[0] == p[1] {
 			continue
 		}
-		est := view.Estimate(p[0], p[1])
+		est := model.Estimate(p[0], p[1])
 		if math.IsNaN(est) || math.IsInf(est, 0) || est < 0 {
 			return fmt.Errorf("server: smoke query (%d,%d) returned implausible estimate %v", p[0], p[1], est)
 		}
@@ -259,9 +210,8 @@ func (s *Server) Swap(set ModelSet) error {
 	if prev != nil {
 		telemetry.OrNop(s.cfg.Logger).Info("model swapped",
 			"from", prev.version, "to", sn.version,
-			"vertices", sn.view.NumVertices(), "dim", sn.view.Dim(),
-			"guard", sn.guard != nil, "spatial", sn.idx != nil,
-			"compact", sn.view.full == nil)
+			"vertices", sn.model.NumVertices(), "dim", sn.model.Dim(),
+			"guard", sn.guard != nil, "spatial", sn.idx != nil)
 	}
 	return nil
 }
@@ -291,14 +241,10 @@ func (s *Server) setModelGauges(sn *snapshot) {
 		reg.Gauge("rne_model_bytes", help, "component", component).Set(float64(v))
 	}
 	var embBytes, upperBytes int64
-	switch {
-	case sn.view.shard != nil:
-		embBytes = sn.view.shard.EmbeddingBytes()
-		upperBytes = sn.view.shard.UpperBytes()
-	case sn.view.full != nil:
-		embBytes = sn.view.full.IndexBytes()
-	default:
-		embBytes = sn.view.compact.IndexBytes()
+	if sv := sn.shard(); sv != nil {
+		embBytes, upperBytes = sv.EmbeddingBytes(), sv.UpperBytes()
+	} else {
+		embBytes = sn.full().IndexBytes()
 	}
 	set("embeddings", embBytes)
 	set("upper", upperBytes)
@@ -312,10 +258,10 @@ func (s *Server) setModelGauges(sn *snapshot) {
 		idxBytes = sn.idx.IndexBytes()
 	}
 	set("index", idxBytes)
-	if sn.view.shard != nil {
+	if sv := sn.shard(); sv != nil {
 		reg.Gauge("rne_shard_id",
 			"Geo-shard this replica serves (absent on unsharded replicas).").
-			Set(float64(sn.view.shard.ShardID()))
+			Set(float64(sv.ShardID()))
 	}
 }
 

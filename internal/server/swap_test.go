@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -229,57 +228,6 @@ func TestAdminReloadWithoutReloader(t *testing.T) {
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("reload without reloader = %d, want 501", resp.StatusCode)
 	}
-}
-
-func TestCompactServing(t *testing.T) {
-	g := swapGraph(t)
-	m := buildOn(t, g, 1)
-	cm, err := m.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lt, err := alt.Build(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	guard, err := hybrid.New(cm, lt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewFromSet(ModelSet{Compact: cm, Guard: guard, Version: "v1-compact"}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	health := getJSON(t, ts.URL+"/healthz", http.StatusOK)
-	if health["compact"] != true || health["guard"] != true {
-		t.Fatalf("healthz meta %v", health)
-	}
-	out := getJSON(t, ts.URL+"/distance?s=1&t=60", http.StatusOK)
-	want := cm.Estimate(1, 60)
-	got := out["distance"].(float64)
-	if got < out["lo"].(float64)-1e-9 || got > out["hi"].(float64)+1e-9 {
-		t.Fatalf("guarded compact estimate %v outside [%v,%v]", got, out["lo"], out["hi"])
-	}
-	if full := m.Estimate(1, 60); math.Abs(got-want) > 1e-9 || math.Abs(got-full)/full > 1e-3 {
-		t.Fatalf("compact serving estimate %v, compact %v, full %v", got, want, full)
-	}
-
-	var buf bytes.Buffer
-	buf.WriteString(`{"pairs":[[0,10],[3,40]]}`)
-	resp, err := http.Post(ts.URL+"/batch", "application/json", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compact /batch = %d", resp.StatusCode)
-	}
-
-	// The per-level decomposition is gone on compact replicas.
-	getJSON(t, ts.URL+"/explain?s=0&t=10", http.StatusNotImplemented)
 }
 
 func TestSwapRebuildsDriftMonitorFromNewScale(t *testing.T) {

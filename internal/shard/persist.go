@@ -218,6 +218,15 @@ func ReadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("shard: implausible model header: shard %d/%d, cut %d, %d/%d vertices, dim %d",
 			sid, k, cut, owned, n, dim)
 	}
+	// Size every section from the header before allocating any of them:
+	// the fixed part, the owned matrix, and the upper matrix in whatever
+	// the payload has left.
+	fixed := 6*8 + 2*8 + owned*4 + n*4 + n
+	ownedBytes := emb.MatrixFileSize(int(owned), int(dim))
+	upperBytes := plen - fixed - ownedBytes
+	if upperBytes <= 0 {
+		return nil, fmt.Errorf("shard: model payload %d bytes leaves no room for the upper matrix", plen)
+	}
 	m := &Model{
 		shardID:   int(sid),
 		numShards: int(k),
@@ -244,20 +253,11 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if _, err := io.ReadFull(cr, m.owner); err != nil {
 		return nil, fmt.Errorf("shard: reading owner table: %w", err)
 	}
-	// ReadMatrix buffers internally and would read ahead into the next
-	// section; bound each matrix to its exact framed size (the upper
-	// matrix's row count is implied by the remaining payload).
-	fixed := 6*8 + 2*8 + owned*4 + n*4 + n
-	ownedBytes := emb.MatrixFileSize(int(owned), int(dim))
-	upperBytes := plen - fixed - ownedBytes
-	if upperBytes <= 0 {
-		return nil, fmt.Errorf("shard: model payload %d bytes leaves no room for the upper matrix", plen)
-	}
 	var err error
-	if m.owned, err = emb.ReadMatrix(io.LimitReader(cr, ownedBytes)); err != nil {
+	if m.owned, err = emb.ReadMatrix(cr, ownedBytes); err != nil {
 		return nil, fmt.Errorf("shard: reading owned embeddings: %w", err)
 	}
-	if m.upper, err = emb.ReadMatrix(io.LimitReader(cr, upperBytes)); err != nil {
+	if m.upper, err = emb.ReadMatrix(cr, upperBytes); err != nil {
 		return nil, fmt.Errorf("shard: reading upper-level embeddings: %w", err)
 	}
 	var wantCRC uint32

@@ -161,17 +161,6 @@ func (m *Model) CrossShard(s, t int32) bool {
 	return m.localIdx[s] < 0 || m.localIdx[t] < 0
 }
 
-// EstimateBatch fills out[i] = Estimate(ss[i], ts[i]).
-func (m *Model) EstimateBatch(ss, ts []int32, out []float64) error {
-	if len(ss) != len(ts) || len(ss) != len(out) {
-		return fmt.Errorf("shard: batch slices must share a length")
-	}
-	for i := range ss {
-		out[i] = m.Estimate(ss[i], ts[i])
-	}
-	return nil
-}
-
 // EmbeddingBytes reports the resident size of the region's exact
 // embedding rows — the component that must shrink versus the full
 // model for sharding to pay.

@@ -64,7 +64,7 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	bad := []string{
 		"",
 		"00",
-		"01-" + sc.TraceIDString() + "-" + sc.SpanIDString() + "-01",      // unknown version
+		"01-" + sc.TraceIDString() + "-" + sc.SpanIDString() + "-01",       // unknown version
 		"00-00000000000000000000000000000000-" + sc.SpanIDString() + "-01", // zero trace id
 		"00-" + sc.TraceIDString() + "-0000000000000000-01",                // zero span id
 		"00-" + strings.Repeat("z", 32) + "-" + sc.SpanIDString() + "-01",  // non-hex

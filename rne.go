@@ -168,13 +168,6 @@ func ReadDIMACS(grPath, coPath string) (*Graph, error) {
 	return graph.ReadDIMACSFiles(grPath, coPath)
 }
 
-// CompactModel is the float32 deployment variant of Model: half the
-// index size with negligible quantization error.
-type CompactModel = core.CompactModel
-
-// LoadCompactModel reads a compact model saved with CompactModel.Save.
-func LoadCompactModel(path string) (*CompactModel, error) { return core.LoadCompactFile(path) }
-
 // BoundedEstimator clamps RNE estimates into ALT landmark bounds,
 // trading RNE's nanosecond latency for microsecond queries with
 // certified error intervals and much lighter tails.
@@ -212,16 +205,9 @@ func NewBoundedEstimatorFromIndex(m *Model, lt *ALTIndex) (*BoundedEstimator, er
 	return hybrid.New(m, lt)
 }
 
-// NewCompactBoundedEstimator combines a float32 compact model with a
-// prebuilt landmark index, so guard mode also runs on half-memory
-// compact replicas.
-func NewCompactBoundedEstimator(m *CompactModel, lt *ALTIndex) (*BoundedEstimator, error) {
-	return hybrid.New(m, lt)
-}
-
 // ModelRegistry is a versioned on-disk model store: rnebuild publishes
-// immutable versions (model plus optional compact sibling, ALT guard
-// and spatial index), rneserver resolves and hot-swaps the latest good
+// immutable versions (model plus optional ALT guard, spatial index and
+// geo-shard cut), rneserver resolves and hot-swaps the latest good
 // one. Corrupt versions are quarantined with automatic fallback; see
 // internal/registry for the layout and retention semantics.
 type ModelRegistry = registry.Store
@@ -233,8 +219,7 @@ type RegistryArtifacts = registry.Artifacts
 // server hot-swaps.
 type RegistrySet = registry.Set
 
-// RegistryLoadOpts tunes registry version loading (e.g. the float32
-// compact sibling instead of the full model).
+// RegistryLoadOpts tunes registry version loading.
 type RegistryLoadOpts = registry.LoadOpts
 
 // OpenModelRegistry opens (creating if absent) a registry rooted at

@@ -154,27 +154,6 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 	g, m := buildTestModel(t)
 
-	// Compact model through the facade alias.
-	c, err := m.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.IndexBytes() >= m.IndexBytes() {
-		t.Fatal("compact model not smaller")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "c.rne32")
-	if err := c.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := LoadCompactModel(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Estimate(1, 2) != c.Estimate(1, 2) {
-		t.Fatal("compact round trip changed estimates")
-	}
-
 	// Bounded estimator: certified intervals contain the exact distance.
 	be, err := NewBoundedEstimator(g, m, 16, 5)
 	if err != nil {

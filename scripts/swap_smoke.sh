@@ -25,7 +25,7 @@ $GO build -o "$TMP/rnebuild" ./cmd/rnebuild
 $GO build -o "$TMP/rneserver" ./cmd/rneserver
 
 "$TMP/rnebuild" -graph "$TMP/g.txt" -dim 8 -epochs 2 -seed 1 -report "" \
-    -o "$TMP/m1.rne" -registry "$TMP/reg" -publish demo -publish-compact >/dev/null 2>&1
+    -o "$TMP/m1.rne" -registry "$TMP/reg" -publish demo >/dev/null 2>&1
 
 "$TMP/rneserver" -registry "$TMP/reg" -name demo -addr "127.0.0.1:$PORT" \
     >"$TMP/server.log" 2>&1 &
@@ -58,7 +58,7 @@ fi
 HAMMER_PID=$!
 
 "$TMP/rnebuild" -graph "$TMP/g.txt" -dim 8 -epochs 2 -seed 2 -report "" \
-    -o "$TMP/m2.rne" -registry "$TMP/reg" -publish demo -publish-compact >/dev/null 2>&1
+    -o "$TMP/m2.rne" -registry "$TMP/reg" -publish demo >/dev/null 2>&1
 
 kill -HUP "$SRV_PID"
 i=0
