@@ -40,7 +40,7 @@ func AppendAnswer(dst []byte, a *Answer) ([]byte, error) {
 	}
 	var err error
 	dst = append(dst, `"distances":`...)
-	if dst, err = appendFloats(dst, "distances", a.Distances); err != nil {
+	if dst, err = AppendFloats(dst, "distances", a.Distances); err != nil {
 		return dst, err
 	}
 	if a.Explain != nil {
@@ -49,18 +49,21 @@ func AppendAnswer(dst []byte, a *Answer) ([]byte, error) {
 	}
 	if a.Guarded {
 		dst = append(dst, `,"hi":`...)
-		if dst, err = appendFloats(dst, "hi", a.Hi); err != nil {
+		if dst, err = AppendFloats(dst, "hi", a.Hi); err != nil {
 			return dst, err
 		}
 		dst = append(dst, `,"lo":`...)
-		if dst, err = appendFloats(dst, "lo", a.Lo); err != nil {
+		if dst, err = AppendFloats(dst, "lo", a.Lo); err != nil {
 			return dst, err
 		}
 	}
 	return append(dst, "}\n"...), nil
 }
 
-func appendFloats(dst []byte, name string, fs []float64) ([]byte, error) {
+// AppendFloats appends fs as a JSON array. JSON has no form for NaN or
+// an infinity, so a non-finite element is refused with an error naming
+// it as name[i].
+func AppendFloats(dst []byte, name string, fs []float64) ([]byte, error) {
 	dst = append(dst, '[')
 	for i, f := range fs {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
@@ -69,15 +72,15 @@ func appendFloats(dst []byte, name string, fs []float64) ([]byte, error) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendFloat(dst, f)
+		dst = AppendFloat(dst, f)
 	}
 	return append(dst, ']'), nil
 }
 
-// appendFloat writes a finite f as encoding/json does: the shortest
+// AppendFloat writes a finite f as encoding/json does: the shortest
 // decimal that reads back as f, in exponent form only below 1e-6 or
 // from 1e21 up, with a two-digit negative exponent trimmed to one.
-func appendFloat(dst []byte, f float64) []byte {
+func AppendFloat(dst []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

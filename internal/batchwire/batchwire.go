@@ -239,9 +239,10 @@ func readAll(rd io.Reader, size int64, buf []byte) ([]byte, error) {
 	}
 }
 
-// Buffers is one /batch request's reusable memory: the body read in,
-// its pairs, the answer's numbers and the encoded answer. Take one with
-// GetBuffers and Release it once the answer is written.
+// Buffers is one request's reusable memory: for /batch, the body read
+// in, its pairs, the answer's numbers and the encoded answer; the
+// replica's /distance and /knn routes use Out and Dist the same way.
+// Take one with GetBuffers and Release it once the answer is written.
 type Buffers struct {
 	Body, Out    []byte
 	S, T         []int32

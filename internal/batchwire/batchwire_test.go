@@ -250,11 +250,11 @@ func TestAppendAnswerRefusesNonFinite(t *testing.T) {
 func TestMaxNumberLenBoundsEveryFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, f := range testFloats(rng, 100000) {
-		if n := len(appendFloat(nil, f)); n > maxNumberLen {
+		if n := len(AppendFloat(nil, f)); n > maxNumberLen {
 			t.Fatalf("%v encodes in %d bytes, over maxNumberLen %d", f, n, maxNumberLen)
 		}
 	}
-	if n := len(appendFloat(nil, -1.2345678901234567e-06)); n != maxNumberLen {
+	if n := len(AppendFloat(nil, -1.2345678901234567e-06)); n != maxNumberLen {
 		t.Fatalf("longest form takes %d bytes, maxNumberLen says %d", n, maxNumberLen)
 	}
 }

@@ -108,7 +108,7 @@ type Config struct {
 	// disables the margin.
 	BudgetMargin time.Duration
 	// MaxInFlight / RequestTimeout configure the gateway's own
-	// resilience.Wrap stack, with the same semantics as the server's.
+	// resilience.Wrap pass, with the same semantics as the server's.
 	MaxInFlight    int
 	RequestTimeout time.Duration
 	// Admission, when non-nil, replaces the gateway's static MaxInFlight
@@ -384,8 +384,8 @@ func (g *Gateway) HealthyBackends() int {
 	return n
 }
 
-// Handler returns the gateway route table wrapped in the same
-// resilience stack the replicas use:
+// Handler returns the gateway route table behind the same serving pass
+// the replicas use (resilience.Wrap):
 //
 //	GET  /healthz    gateway liveness + per-backend health (and shard ids)
 //	GET  /readyz     ready iff at least one backend is routed to (503 otherwise);
@@ -406,21 +406,14 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /knn", g.handleKNN)
 	mux.HandleFunc("GET /range", g.handleRange)
 	mux.HandleFunc("POST /batch", g.handleBatch)
-	// Same trace layering as the replicas: admission marker just inside
-	// the resilience stack, handler span around the whole of it.
-	var inner http.Handler = mux
-	if g.tracer != nil {
-		inner = telemetry.TraceAdmitted(mux)
-	}
-	h := resilience.Wrap(inner, resilience.Options{
+	return resilience.Wrap(mux, resilience.Options{
 		MaxInFlight: g.cfg.MaxInFlight,
 		Admission:   g.cfg.Admission,
 		Timeout:     g.cfg.RequestTimeout,
 		Logger:      g.cfg.Logger,
 		Stats:       g.stats,
+		Tracer:      g.tracer,
 	})
-	h = telemetry.TraceHTTP(g.tracer, h)
-	return telemetry.RequestID(h)
 }
 
 // pick returns the ring owner for src among healthy, non-excluded

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"fmt"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -285,31 +284,4 @@ func (l *AdaptiveLimiter) maybeAdjust() {
 			}
 		}
 	}
-}
-
-// AdaptiveLimit wraps next with the adaptive limiter: shed requests
-// answer 429 with a jittered Retry-After hint, and every admitted
-// request's latency feeds the AIMD window. Shed requests also increment
-// the shared /statz shed counter so operators keep one saturation view
-// across static and adaptive replicas.
-func AdaptiveLimit(next http.Handler, l *AdaptiveLimiter, retryAfter time.Duration, jitter float64, st *Stats) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		p := PriorityForPath(r.URL.Path)
-		if !l.Acquire(p) {
-			if st != nil {
-				st.shed.Inc()
-			}
-			telemetry.TraceEvent(r.Context(), "shed",
-				fmt.Sprintf("admission limit %d, %s priority", l.Limit(), p))
-			hint := retryAfterHint(retryAfter, jitter)
-			w.Header().Set("Retry-After", hint)
-			writeJSONError(w, http.StatusTooManyRequests,
-				fmt.Sprintf("server saturated (admission limit %d, %s priority); retry after %s s",
-					l.Limit(), p, hint))
-			return
-		}
-		start := time.Now()
-		defer func() { l.Release(time.Since(start)) }()
-		next.ServeHTTP(w, r)
-	})
 }

@@ -1,16 +1,14 @@
 package resilience
 
 import (
-	"bytes"
-	"context"
-	"fmt"
+	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // BudgetHeader carries the remaining deadline budget of a request, in
@@ -25,16 +23,27 @@ const BudgetHeader = "X-Rne-Budget-Ms"
 // ParseBudget extracts the forwarded deadline budget from r, reporting
 // whether a parseable budget header was present. A zero or negative
 // budget is returned as-is (the caller answers 504 without doing work).
+// NaN is not a budget. A budget past the range of time.Duration, +Inf
+// included, saturates at the largest Duration, so the local timeout
+// stays in charge; -Inf saturates at the smallest.
 func ParseBudget(r *http.Request) (time.Duration, bool) {
 	raw := r.Header.Get(BudgetHeader)
 	if raw == "" {
 		return 0, false
 	}
 	ms, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
+	if (err != nil && !errors.Is(err, strconv.ErrRange)) || math.IsNaN(ms) {
 		return 0, false
 	}
-	return time.Duration(ms * float64(time.Millisecond)), true
+	// float64(math.MaxInt64) is 2^63, one past the largest Duration.
+	switch ns := ms * float64(time.Millisecond); {
+	case ns >= math.MaxInt64:
+		return math.MaxInt64, true
+	case ns <= math.MinInt64:
+		return math.MinInt64, true
+	default:
+		return time.Duration(ns), true
+	}
 }
 
 // SetBudget stamps the remaining budget onto an outbound request's
@@ -62,141 +71,96 @@ func retryAfterHint(d time.Duration, jitter float64) string {
 	return strconv.Itoa(int(secs + 0.5))
 }
 
-// deadlineWriter buffers the handler's response so a handler racing its
-// deadline can never interleave a half-written body with the timeout
-// response — the same discipline as http.TimeoutHandler, which this
-// middleware replaces to add budget propagation and 504 semantics.
-type deadlineWriter struct {
-	mu       sync.Mutex
-	h        http.Header
-	buf      bytes.Buffer
-	status   int
-	timedOut bool
+// responseWriter is the pass's view of one response. It records the
+// status sent to the client, and while a deadline is in force it
+// buffers the handler's headers, status and body, so a request whose
+// deadline passed before its handler returned can be answered 503/504
+// instead, never with a late body.
+type responseWriter struct {
+	w        http.ResponseWriter
+	status   int // status sent on w; 0 until one is
+	buffered bool
+	h        http.Header // the handler's headers while buffered
+	code     int         // the handler's status while buffered
+	body     []byte
 }
 
-func (w *deadlineWriter) Header() http.Header { return w.h }
+var responseWriters = sync.Pool{New: func() any { return &responseWriter{h: make(http.Header)} }}
 
-func (w *deadlineWriter) WriteHeader(code int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.timedOut || w.status != 0 {
+// maxPooledBody keeps a rare huge answer from pinning its memory in
+// the pool.
+const maxPooledBody = 1 << 20
+
+func newResponseWriter(w http.ResponseWriter) *responseWriter {
+	rw := responseWriters.Get().(*responseWriter)
+	rw.w = w
+	return rw
+}
+
+// release returns rw to the pool; nothing may use it after.
+func (rw *responseWriter) release() {
+	if cap(rw.body) > maxPooledBody {
 		return
 	}
-	w.status = code
+	clear(rw.h)
+	*rw = responseWriter{h: rw.h, body: rw.body[:0]}
+	responseWriters.Put(rw)
 }
 
-func (w *deadlineWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.timedOut {
-		return 0, http.ErrHandlerTimeout
+func (rw *responseWriter) Header() http.Header {
+	if rw.buffered {
+		return rw.h
 	}
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.buf.Write(p)
+	return rw.w.Header()
 }
 
-// Deadline bounds each request by the tighter of the local timeout and
-// the forwarded deadline budget (BudgetHeader). When the local timeout
-// fires the request is answered 503 (the replica's own limit); when the
-// forwarded budget is exhausted it is answered 504 — the distinction
-// lets a gateway tell "this replica is slow" from "the client's
-// deadline ran out while we worked". Both carry a jittered Retry-After.
-// The handler's context is canceled either way, so cooperative handlers
-// abandon the work instead of computing an answer nobody will read.
-func Deadline(next http.Handler, local time.Duration, jitter float64, retryAfter time.Duration, st *Stats) http.Handler {
-	var exhaustedLocal, exhaustedBudget *counterOrNil
-	if st != nil {
-		exhaustedLocal = &counterOrNil{st.reg.Counter("rne_deadline_exhausted_total",
-			"Requests abandoned at their deadline, by budget source.", "source", "local")}
-		exhaustedBudget = &counterOrNil{st.reg.Counter("rne_deadline_exhausted_total",
-			"Requests abandoned at their deadline, by budget source.", "source", "budget")}
+func (rw *responseWriter) WriteHeader(code int) {
+	if !rw.buffered {
+		rw.writeHeader(code)
+	} else if rw.code == 0 {
+		rw.code = code
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		budget := local
-		fromBudget := false
-		if b, ok := ParseBudget(r); ok {
-			if b <= 0 {
-				exhaustedBudget.inc()
-				telemetry.TraceEvent(r.Context(), "budget_exhausted", "spent before admission")
-				w.Header().Set("Retry-After", retryAfterHint(retryAfter, jitter))
-				writeJSONError(w, http.StatusGatewayTimeout,
-					"deadline budget exhausted before the request was admitted")
-				return
-			}
-			if budget <= 0 || b < budget {
-				budget = b
-				fromBudget = true
-			}
-		}
-		if budget <= 0 {
-			next.ServeHTTP(w, r)
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), budget)
-		defer cancel()
-		r = r.WithContext(ctx)
-		dw := &deadlineWriter{h: make(http.Header)}
-		done := make(chan struct{})
-		panicChan := make(chan any, 1)
-		go func() {
-			defer func() {
-				if p := recover(); p != nil {
-					panicChan <- p
-				}
-			}()
-			next.ServeHTTP(dw, r)
-			close(done)
-		}()
-		select {
-		case p := <-panicChan:
-			panic(p)
-		case <-done:
-			dw.mu.Lock()
-			defer dw.mu.Unlock()
-			dst := w.Header()
-			for k, v := range dw.h {
-				dst[k] = v
-			}
-			if dw.status == 0 {
-				dw.status = http.StatusOK
-			}
-			w.WriteHeader(dw.status)
-			w.Write(dw.buf.Bytes())
-		case <-ctx.Done():
-			dw.mu.Lock()
-			dw.timedOut = true
-			dw.mu.Unlock()
-			if context.Cause(ctx) == context.Canceled {
-				// The client went away (parent context canceled): there is
-				// no one to answer, so write nothing.
-				telemetry.TraceEvent(r.Context(), "client_gone", "canceled before completion")
-				return
-			}
-			status := http.StatusServiceUnavailable
-			msg := fmt.Sprintf("request exceeded %v deadline", budget)
-			if fromBudget {
-				status = http.StatusGatewayTimeout
-				msg = fmt.Sprintf("deadline budget of %v exhausted", budget)
-				exhaustedBudget.inc()
-				telemetry.TraceEvent(r.Context(), "budget_exhausted", msg)
-			} else {
-				exhaustedLocal.inc()
-				telemetry.TraceEvent(r.Context(), "deadline_exceeded", msg)
-			}
-			w.Header().Set("Retry-After", retryAfterHint(retryAfter, jitter))
-			writeJSONError(w, status, msg)
-		}
-	})
 }
 
-// counterOrNil makes the deadline counters optional without nil checks
-// at every increment site.
-type counterOrNil struct{ c interface{ Inc() } }
-
-func (c *counterOrNil) inc() {
-	if c != nil && c.c != nil {
-		c.c.Inc()
+func (rw *responseWriter) Write(p []byte) (int, error) {
+	if !rw.buffered {
+		if rw.status == 0 {
+			rw.status = http.StatusOK
+		}
+		return rw.w.Write(p)
 	}
+	if rw.code == 0 {
+		rw.code = http.StatusOK
+	}
+	rw.body = append(rw.body, p...)
+	return len(p), nil
+}
+
+// writeHeader sends code on the client's writer.
+func (rw *responseWriter) writeHeader(code int) {
+	if rw.status == 0 {
+		rw.status = code
+	}
+	rw.w.WriteHeader(code)
+}
+
+// flush sends the buffered answer in one write.
+func (rw *responseWriter) flush() {
+	dst := rw.w.Header()
+	for k, v := range rw.h {
+		dst[k] = v
+	}
+	if rw.code == 0 {
+		rw.code = http.StatusOK
+	}
+	rw.writeHeader(rw.code)
+	_, _ = rw.w.Write(rw.body) // a failed write means the client is gone
+}
+
+// reply answers on the client's writer itself, bypassing any buffered
+// answer.
+func (rw *responseWriter) reply(status int, msg string) {
+	rw.w.Header().Set("Content-Type", "application/json")
+	rw.writeHeader(status)
+	_ = json.NewEncoder(rw.w).Encode(map[string]string{"error": msg})
 }

@@ -2,10 +2,13 @@ package resilience
 
 import (
 	"context"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -53,9 +56,9 @@ func TestDeadlineBudgetExhaustionIs504(t *testing.T) {
 // the handler at all.
 func TestDeadlineZeroBudgetRejectedImmediately(t *testing.T) {
 	invoked := false
-	h := Deadline(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		invoked = true
-	}), time.Second, 0, time.Second, nil)
+	}), Options{Timeout: time.Second, RetryAfterJitter: -1})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -120,11 +123,11 @@ func TestDeadlineBudgetCannotExtendLocalTimeout(t *testing.T) {
 // A handler finishing in time passes its response through unchanged,
 // headers included.
 func TestDeadlinePassThrough(t *testing.T) {
-	h := Deadline(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Custom", "yes")
 		w.WriteHeader(http.StatusCreated)
 		w.Write([]byte("done"))
-	}), time.Second, 0, time.Second, nil)
+	}), Options{Timeout: time.Second, RetryAfterJitter: -1})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	resp, body := get(t, ts.URL)
@@ -137,10 +140,10 @@ func TestDeadlinePassThrough(t *testing.T) {
 // handlers abandon their work.
 func TestDeadlineCancelsHandlerContext(t *testing.T) {
 	gotCancel := make(chan error, 1)
-	h := Deadline(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done()
 		gotCancel <- r.Context().Err()
-	}), 20*time.Millisecond, 0, time.Second, nil)
+	}), Options{Timeout: 20 * time.Millisecond, RetryAfterJitter: -1})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	resp, _ := get(t, ts.URL)
@@ -200,5 +203,143 @@ func TestRetryAfterHintJitterBounds(t *testing.T) {
 	}
 	if hint := retryAfterHint(30*time.Second, 0); hint != "30" {
 		t.Fatalf("long hint = %q, want whole seconds", hint)
+	}
+}
+
+// A NaN budget is no budget, a huge or infinite one saturates so the
+// local timeout stays in charge, and a negative one is spent: each is
+// answered accordingly before any work is done.
+func TestParseBudgetEdgeCases(t *testing.T) {
+	const maxDur = time.Duration(math.MaxInt64)
+	for _, tc := range []struct {
+		raw    string
+		want   time.Duration
+		ok     bool
+		status int
+	}{
+		{"5", 5 * time.Millisecond, true, http.StatusOK},
+		{"Inf", maxDur, true, http.StatusOK},
+		{"+Inf", maxDur, true, http.StatusOK},
+		{"NaN", 0, false, http.StatusOK},
+		{"1e13", maxDur, true, http.StatusOK},
+		{"9300000000000", maxDur, true, http.StatusOK},
+		{"1e300", maxDur, true, http.StatusOK},
+		{"1e400", maxDur, true, http.StatusOK},
+		{"garbage", 0, false, http.StatusOK},
+		{"0", 0, true, http.StatusGatewayTimeout},
+		{"-5", -5 * time.Millisecond, true, http.StatusGatewayTimeout},
+		{"-Inf", math.MinInt64, true, http.StatusGatewayTimeout},
+		{"-1e300", math.MinInt64, true, http.StatusGatewayTimeout},
+		{"-1e400", math.MinInt64, true, http.StatusGatewayTimeout},
+	} {
+		hdr := http.Header{BudgetHeader: {tc.raw}}
+		got, ok := ParseBudget(&http.Request{Header: hdr})
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("ParseBudget(%q) = %v, %v; want %v, %v", tc.raw, got, ok, tc.want, tc.ok)
+		}
+		h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}), Options{Timeout: time.Second})
+		req := httptest.NewRequest(http.MethodGet, "/distance", nil)
+		req.Header = hdr
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != tc.status {
+			t.Errorf("budget %q answered %d %q, want %d", tc.raw, rec.Code, rec.Body, tc.status)
+		}
+	}
+}
+
+// ParseBudget never panics, never turns a non-negative budget negative,
+// and reads back what SetBudget wrote to within a microsecond, for every
+// budget up to 2^50 ns (about 13 days) either way.
+func FuzzParseBudget(f *testing.F) {
+	for _, raw := range []string{"5", "0", "-5", "0.001", "Inf", "+Inf", "-Inf", "NaN",
+		"1e13", "9300000000000", "1e300", "1e400", "-1e400", "0x1p-2", "1_000", ""} {
+		f.Add(raw, int64(1234567890))
+	}
+	f.Fuzz(func(t *testing.T, raw string, ns int64) {
+		got, ok := ParseBudget(&http.Request{Header: http.Header{BudgetHeader: {raw}}})
+		ms, err := strconv.ParseFloat(raw, 64)
+		if ok && (err == nil || errors.Is(err, strconv.ErrRange)) && ms >= 0 && got < 0 {
+			t.Fatalf("ParseBudget(%q) = %v, negative for a non-negative budget", raw, got)
+		}
+		d := time.Duration(ns % (1 << 50))
+		hdr := make(http.Header)
+		SetBudget(hdr, d)
+		back, ok := ParseBudget(&http.Request{Header: hdr})
+		if diff := back - d; !ok || diff > time.Microsecond || diff < -time.Microsecond {
+			t.Fatalf("SetBudget(%v) read back as %v (%q, ok=%v)", d, back, hdr.Get(BudgetHeader), ok)
+		}
+	})
+}
+
+// At most the cap's worth of handlers run at once, also when their
+// deadline has passed and they keep working: a handler holds its
+// admission slot until it returns, and the adaptive limiter learns the
+// handler's whole latency, not the deadline's.
+func TestInFlightCapHoldsPastDeadline(t *testing.T) {
+	const timeout = 20 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		o    Options
+	}{
+		{"static", Options{MaxInFlight: 1, Timeout: timeout}},
+		{"adaptive", Options{Admission: &AdmissionConfig{TargetP99: time.Hour, Initial: 1, Min: 1, Max: 1}, Timeout: timeout}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var running, peak atomic.Int64
+			entered := make(chan time.Time, 1)
+			release := make(chan struct{})
+			h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				n := running.Add(1)
+				defer running.Add(-1)
+				for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+				}
+				start := time.Now()
+				<-r.Context().Done() // the deadline passes; the work goes on
+				entered <- start
+				<-release
+			}), tc.o)
+			ts := httptest.NewServer(h)
+			defer ts.Close()
+
+			first := make(chan int, 1)
+			go func() {
+				resp, err := http.Get(ts.URL + "/distance")
+				if err != nil {
+					first <- 0
+					return
+				}
+				resp.Body.Close()
+				first <- resp.StatusCode
+			}()
+			var handlerStart time.Time
+			select {
+			case handlerStart = <-entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("handler never saw its deadline")
+			}
+			for i := 0; i < 3; i++ {
+				resp, body := get(t, ts.URL+"/distance")
+				if resp.StatusCode != http.StatusTooManyRequests {
+					t.Fatalf("request %d past the cap: %d %q, want 429", i+2, resp.StatusCode, body)
+				}
+			}
+			time.Sleep(2 * timeout) // hold the slot well past the deadline
+			held := time.Since(handlerStart)
+			close(release)
+			if code := <-first; code != http.StatusServiceUnavailable {
+				t.Fatalf("expired request answered %d, want 503", code)
+			}
+			if p := peak.Load(); p != 1 {
+				t.Fatalf("%d handlers ran at once under a cap of 1", p)
+			}
+			if tc.o.Admission == nil {
+				return
+			}
+			win := h.(*pass).adaptive.window.Snapshot()
+			if win.Count != 1 || win.Sum < held.Seconds() {
+				t.Fatalf("limiter saw %d latencies summing %.3fs, want one of at least %.3fs", win.Count, win.Sum, held.Seconds())
+			}
+		})
 	}
 }

@@ -1,19 +1,20 @@
 // Package resilience is the production-hardening layer for the HTTP
-// serving path: composable net/http middleware that keeps rneserver
-// alive and well-behaved under the paper's motivating high-volume
-// dispatch/range workloads. It provides panic recovery (a crashing
-// handler costs one 500, not the process), per-request deadlines with
+// serving path: one pass around the route table that keeps rneserver
+// and rnegate alive and well-behaved under the paper's motivating
+// high-volume dispatch/range workloads. It assigns request IDs, starts
+// the request's trace span, recovers panics (a crashing handler costs
+// one 500, not the process), bounds each request by a deadline with
 // cross-tier budget propagation (a forwarded BudgetHeader bounds the
 // work a replica will attempt; exhaustion answers 504, local timeouts
-// 503), an in-flight concurrency limiter — either a static cap or the
+// 503), caps in-flight concurrency — either a static cap or the
 // adaptive AIMD limiter that tracks observed p99 latency and sheds by
 // priority (health/admin never, /batch before /distance) — with 429 +
-// jittered Retry-After, and request accounting surfaced on GET /statz
-// (JSON) and GET /metrics (Prometheus text, via internal/telemetry).
+// jittered Retry-After, and accounts each request on GET /statz (JSON)
+// and GET /metrics (Prometheus text, via internal/telemetry).
 package resilience
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -23,9 +24,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Options configures the standard middleware stack assembled by Wrap.
-// Zero values select the documented defaults; Timeout and MaxInFlight
-// can be disabled explicitly with negative values.
+// Options configures the serving pass assembled by Wrap. Zero values
+// select the documented defaults; Timeout and MaxInFlight can be
+// disabled explicitly with negative values.
 type Options struct {
 	// MaxInFlight caps concurrently-served requests; excess requests
 	// are shed with 429 + Retry-After. Default 256; negative disables.
@@ -45,16 +46,20 @@ type Options struct {
 	// retry in lockstep. Negative disables jitter.
 	RetryAfterJitter float64
 	// Timeout bounds each request via its context deadline; requests
-	// that exceed it receive 503 — or 504 when the deadline came from a
-	// forwarded BudgetHeader budget tighter than Timeout. Default 30s;
-	// negative disables the local timeout (forwarded budgets still
-	// apply).
+	// whose deadline passes before the handler returns receive 503 — or
+	// 504 when the deadline came from a forwarded BudgetHeader budget
+	// tighter than Timeout. Default 30s; negative disables the local
+	// timeout (forwarded budgets still apply).
 	Timeout time.Duration
 	// Logger receives panic reports and access logs (nil disables).
 	Logger *slog.Logger
 	// Stats, when non-nil, accumulates request/latency/status counters
 	// for /statz and /metrics.
 	Stats *Stats
+	// Tracer, when non-nil, gives every request a handler span that
+	// continues an inbound traceparent, with an "admission" child span
+	// and the shed and deadline events; nil traces nothing.
+	Tracer *telemetry.RequestTracer
 }
 
 func (o Options) withDefaults() Options {
@@ -73,184 +78,215 @@ func (o Options) withDefaults() Options {
 	if o.Timeout == 0 {
 		o.Timeout = 30 * time.Second
 	}
+	if o.Timeout < 0 {
+		o.Timeout = 0
+	}
+	if o.Stats == nil {
+		o.Stats = NewStats() // counted, but read by no one
+	}
+	o.Logger = telemetry.OrNop(o.Logger)
 	return o
 }
 
-// Wrap assembles the standard production stack around next, outermost
-// first: stats/logging, panic recovery, concurrency limiting (static or
-// adaptive), then the per-request deadline. Recovery sits inside
-// accounting so panics are counted as 500s; the limiter sits inside
-// recovery so even a limiter bug cannot kill the process; the deadline
-// is innermost so shed requests never consume a timer and the latency
-// the adaptive limiter observes includes time spent at the deadline.
+// pass is the one serving pass Wrap returns.
+type pass struct {
+	next http.Handler
+	o    Options
+	// Admission: the adaptive limiter, or else the static cap's
+	// semaphore; both nil when admission is off.
+	adaptive *AdaptiveLimiter
+	sem      chan struct{}
+
+	exhaustedLocal, exhaustedBudget *telemetry.Counter
+}
+
+// Wrap returns next behind the serving pass that replicas and the
+// gateway install. For each request, on the connection's own goroutine,
+// the pass:
+//
+//   - accepts the client's well-formed X-Request-Id or mints one,
+//     echoes it on the response and stores it in the context;
+//   - starts the handler span when Tracer is set;
+//   - admits the request under the static cap or the adaptive limiter,
+//     or sheds it with 429 + Retry-After;
+//   - answers 504 at once when a forwarded budget is already spent;
+//   - runs next under a context deadline, the tighter of Timeout and
+//     the forwarded budget, buffering its answer; when the deadline
+//     passed before next returned it answers 503 (local timeout) or 504
+//     (forwarded budget) instead, and nothing when the client went away;
+//   - turns a panic into a 500, re-panicking http.ErrAbortHandler;
+//   - files the status and latency in Stats, the access log and the span.
+//
+// A handler keeps its admission slot until it returns, so a handler
+// that ignores its context delays its own 503/504 until then.
 func Wrap(next http.Handler, o Options) http.Handler {
 	o = o.withDefaults()
-	h := next
-	timeout := o.Timeout
-	if timeout < 0 {
-		timeout = 0
-	}
-	h = Deadline(h, timeout, o.RetryAfterJitter, o.RetryAfter, o.Stats)
-	limited := false
+	p := &pass{next: next, o: o}
 	if o.Admission != nil {
-		var reg *telemetry.Registry
-		if o.Stats != nil {
-			reg = o.Stats.Registry()
-		}
-		al, err := NewAdaptiveLimiter(*o.Admission, reg)
+		al, err := NewAdaptiveLimiter(*o.Admission, o.Stats.Registry())
 		if err == nil {
-			h = AdaptiveLimit(h, al, o.RetryAfter, o.RetryAfterJitter, o.Stats)
-			limited = true
+			p.adaptive = al
 		} else {
-			telemetry.OrNop(o.Logger).Warn("adaptive admission disabled; using static cap", "error", err)
+			o.Logger.Warn("adaptive admission disabled; using static cap", "error", err)
 		}
 	}
-	if !limited && o.MaxInFlight > 0 {
-		h = limiter(h, o.MaxInFlight, o.RetryAfter, o.RetryAfterJitter, o.Stats)
+	if p.adaptive == nil && o.MaxInFlight > 0 {
+		p.sem = make(chan struct{}, o.MaxInFlight)
 	}
-	h = Recover(h, o.Logger, o.Stats)
-	if o.Stats != nil || o.Logger != nil {
-		h = Observe(h, o.Stats, o.Logger)
+	const help = "Requests abandoned at their deadline, by budget source."
+	p.exhaustedLocal = o.Stats.reg.Counter("rne_deadline_exhausted_total", help, "source", "local")
+	p.exhaustedBudget = o.Stats.reg.Counter("rne_deadline_exhausted_total", help, "source", "budget")
+	return p
+}
+
+func (p *pass) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	id := telemetry.InboundRequestID(r.Header)
+	w.Header().Set(telemetry.RequestIDHeader, id)
+	ctx, span := p.o.Tracer.StartRequestSpan(telemetry.WithRequestID(r.Context(), id), r, id, start)
+	rw := newResponseWriter(w)
+	p.o.Stats.inFlight.Add(1)
+	defer p.finish(rw, r, id, span, start)
+	if !p.admit(rw, r.URL.Path, span) {
+		return
 	}
-	return h
-}
+	defer p.release(start)
 
-// statusRecorder captures the status code a handler wrote so the
-// observing middleware can account for it.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	if sr.status == 0 {
-		sr.status = code
+	budget, fromBudget := p.o.Timeout, false
+	if b, ok := ParseBudget(r); ok {
+		if b <= 0 {
+			p.exhaustedBudget.Inc()
+			span.Event("budget_exhausted", "spent before admission")
+			p.reject(rw, http.StatusGatewayTimeout, "deadline budget exhausted before the request was admitted")
+			return
+		}
+		if budget <= 0 || b < budget {
+			budget, fromBudget = b, true
+		}
 	}
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(p []byte) (int, error) {
-	if sr.status == 0 {
-		sr.status = http.StatusOK
+	if budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
+		rw.buffered = true
 	}
-	return sr.ResponseWriter.Write(p)
+	span.MarkAdmitted()
+	p.next.ServeHTTP(rw, r.WithContext(ctx))
+	if !rw.buffered {
+		return
+	}
+	switch ctx.Err() {
+	case nil:
+		rw.flush()
+	case context.DeadlineExceeded:
+		if fromBudget {
+			msg := fmt.Sprintf("deadline budget of %v exhausted", budget)
+			p.exhaustedBudget.Inc()
+			span.Event("budget_exhausted", msg)
+			p.reject(rw, http.StatusGatewayTimeout, msg)
+		} else {
+			msg := fmt.Sprintf("request exceeded %v deadline", budget)
+			p.exhaustedLocal.Inc()
+			span.Event("deadline_exceeded", msg)
+			p.reject(rw, http.StatusServiceUnavailable, msg)
+		}
+	default:
+		// The client went away: there is no one to answer.
+		span.Event("client_gone", "canceled before completion")
+	}
 }
 
-func writeJSONError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-// Recover converts a handler panic into a 500 response and a stack
-// log, leaving the server alive. The repanic of http.ErrAbortHandler
-// is preserved so deliberate connection aborts keep their stdlib
-// semantics. A nil logger discards the reports.
-func Recover(next http.Handler, logger *slog.Logger, st *Stats) http.Handler {
-	logger = telemetry.OrNop(logger)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sr := &statusRecorder{ResponseWriter: w}
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if rec == http.ErrAbortHandler {
-				panic(rec)
-			}
-			if st != nil {
-				st.panics.Inc()
-			}
-			logger.Error("panic serving request",
-				"method", r.Method, "path", r.URL.Path,
-				"request_id", telemetry.RequestIDFrom(r.Context()),
-				"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
-			// Only answer if the handler had not started a response;
-			// otherwise the connection is already poisoned and closing
-			// it is all we can do.
-			if sr.status == 0 {
-				writeJSONError(w, http.StatusInternalServerError, "internal server error")
-			}
-		}()
-		next.ServeHTTP(sr, r)
-	})
-}
-
-// Timeout attaches a deadline to each request's context and answers
-// 503 if the handler has not finished by then. Response bodies are
-// buffered by the underlying http.TimeoutHandler, so a handler racing
-// its deadline can never interleave a half-written body with the
-// timeout response.
-//
-// Wrap no longer uses this: the Deadline middleware subsumes it, adding
-// forwarded-budget (504) semantics and a Retry-After hint. Timeout is
-// kept for callers composing their own stacks.
-func Timeout(next http.Handler, d time.Duration) http.Handler {
-	body, _ := json.Marshal(map[string]string{"error": fmt.Sprintf("request exceeded %v deadline", d)})
-	return http.TimeoutHandler(next, d, string(body))
-}
-
-// Limiter sheds load once maxInFlight requests are already being
-// served, answering 429 with a Retry-After hint instead of queueing
-// unboundedly. Admission is a non-blocking semaphore acquire, so shed
-// requests cost O(1) regardless of saturation.
-func Limiter(next http.Handler, maxInFlight int, retryAfter time.Duration, st *Stats) http.Handler {
-	return limiter(next, maxInFlight, retryAfter, 0, st)
-}
-
-func limiter(next http.Handler, maxInFlight int, retryAfter time.Duration, jitter float64, st *Stats) http.Handler {
-	sem := make(chan struct{}, maxInFlight)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// admit takes an admission slot for a request to path, or sheds it
+// with 429 and reports false.
+func (p *pass) admit(rw *responseWriter, path string, span *telemetry.ReqSpan) bool {
+	var event, msg string
+	switch {
+	case p.adaptive != nil:
+		prio := PriorityForPath(path)
+		if p.adaptive.Acquire(prio) {
+			return true
+		}
+		event = fmt.Sprintf("admission limit %d, %s priority", p.adaptive.Limit(), prio)
+		msg = fmt.Sprintf("server saturated (admission limit %d, %s priority)", p.adaptive.Limit(), prio)
+	case p.sem != nil:
 		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-			next.ServeHTTP(w, r)
+		case p.sem <- struct{}{}:
+			return true
 		default:
-			if st != nil {
-				st.shed.Inc()
-			}
-			telemetry.TraceEvent(r.Context(), "shed",
-				fmt.Sprintf("static limiter at %d in flight", maxInFlight))
-			hint := retryAfterHint(retryAfter, jitter)
-			w.Header().Set("Retry-After", hint)
-			writeJSONError(w, http.StatusTooManyRequests,
-				fmt.Sprintf("server saturated (%d requests in flight); retry after %s s", maxInFlight, hint))
 		}
-	})
+		event = fmt.Sprintf("static limiter at %d in flight", cap(p.sem))
+		msg = fmt.Sprintf("server saturated (%d requests in flight)", cap(p.sem))
+	default:
+		return true
+	}
+	p.o.Stats.shed.Inc()
+	span.Event("shed", event)
+	hint := p.retryAfter(rw)
+	rw.reply(http.StatusTooManyRequests, msg+"; retry after "+hint+" s")
+	return false
 }
 
-// Observe records per-request status and latency into st (overall and
-// per-route histograms) and emits one structured access-log line per
-// request, tagged with the request ID when the telemetry.RequestID
-// middleware is installed. A nil logger discards the access log.
-func Observe(next http.Handler, st *Stats, logger *slog.Logger) http.Handler {
-	logger = telemetry.OrNop(logger)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		if st != nil {
-			st.inFlight.Add(1)
+// release returns the admission slot of a request that started at
+// start; the adaptive limiter learns its latency.
+func (p *pass) release(start time.Time) {
+	if p.adaptive != nil {
+		p.adaptive.Release(time.Since(start))
+	} else if p.sem != nil {
+		<-p.sem
+	}
+}
+
+// retryAfter sets a jittered Retry-After hint on the response and
+// returns it.
+func (p *pass) retryAfter(rw *responseWriter) string {
+	hint := retryAfterHint(p.o.RetryAfter, p.o.RetryAfterJitter)
+	rw.w.Header().Set("Retry-After", hint)
+	return hint
+}
+
+// reject answers status with a Retry-After hint, discarding any
+// buffered answer.
+func (p *pass) reject(rw *responseWriter, status int, msg string) {
+	p.retryAfter(rw)
+	rw.reply(status, msg)
+}
+
+// finish runs last for every request, deferred: it turns a panic into
+// a 500, then files the status and latency in Stats, the access log and
+// the span, and returns rw to its pool.
+func (p *pass) finish(rw *responseWriter, r *http.Request, id string, span *telemetry.ReqSpan, start time.Time) {
+	rec := recover()
+	if rec != nil && rec != http.ErrAbortHandler {
+		p.o.Stats.panics.Inc()
+		p.o.Logger.Error("panic serving request",
+			"method", r.Method, "path", r.URL.Path, "request_id", id,
+			"panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
+		// Answer only if nothing went out yet (a buffered answer never
+		// has); otherwise the connection is already poisoned and closing
+		// it is all we can do.
+		if rw.status == 0 {
+			rw.reply(http.StatusInternalServerError, "internal server error")
 		}
-		sr := &statusRecorder{ResponseWriter: w}
-		defer func() {
-			elapsed := time.Since(start)
-			status := sr.status
-			if status == 0 {
-				status = http.StatusOK
-			}
-			if st != nil {
-				st.inFlight.Add(-1)
-				// Observe runs inside the trace middleware, so the context
-				// carries the request's span when tracing is on; its trace
-				// ID becomes the latency bucket's exemplar.
-				traceID := telemetry.SpanFromContext(r.Context()).ExemplarID()
-				st.observe(status, elapsed, traceID)
-				st.observeRoute(r.URL.Path, elapsed, traceID)
-			}
-			logger.Info("request",
-				"method", r.Method, "path", r.URL.Path, "status", status,
-				"duration", elapsed.Round(time.Microsecond),
-				"request_id", telemetry.RequestIDFrom(r.Context()))
-		}()
-		next.ServeHTTP(sr, r)
-	})
+	}
+	status := rw.status
+	if status == 0 {
+		status = http.StatusOK
+	}
+	elapsed := time.Since(start)
+	st := p.o.Stats
+	st.inFlight.Add(-1)
+	traceID := span.ExemplarID()
+	st.observe(status, elapsed, traceID)
+	st.observeRoute(r.URL.Path, elapsed, traceID)
+	if p.o.Logger.Enabled(r.Context(), slog.LevelInfo) {
+		p.o.Logger.Info("request",
+			"method", r.Method, "path", r.URL.Path, "status", status,
+			"duration", elapsed.Round(time.Microsecond), "request_id", id)
+	}
+	span.SetStatus(status)
+	span.End()
+	rw.release()
+	if rec == http.ErrAbortHandler {
+		panic(rec) // net/http aborts the connection
+	}
 }

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,11 +10,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // countHandler is a slog.Handler counting the records it receives.
@@ -257,5 +263,169 @@ func TestStatsHandler(t *testing.T) {
 	}
 	if snap.Requests != 1 || snap.ByClass["2xx"] != 1 {
 		t.Fatalf("snapshot %+v", snap)
+	}
+}
+
+func TestRequestIDMintsAndEchoes(t *testing.T) {
+	var seen string
+	h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen = telemetry.RequestIDFrom(r.Context())
+	}), Options{})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	id := rec.Header().Get(telemetry.RequestIDHeader)
+	if id == "" || id != seen {
+		t.Fatalf("header %q, context %q: want one fresh ID in both", id, seen)
+	}
+}
+
+func TestRequestIDPropagatesClientID(t *testing.T) {
+	var seen string
+	h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen = telemetry.RequestIDFrom(r.Context())
+	}), Options{})
+	req := httptest.NewRequest("GET", "/", nil)
+	req.Header.Set(telemetry.RequestIDHeader, "upstream-42.a_b")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if seen != "upstream-42.a_b" || rec.Header().Get(telemetry.RequestIDHeader) != seen {
+		t.Fatalf("client ID not propagated: context %q header %q", seen, rec.Header().Get(telemetry.RequestIDHeader))
+	}
+}
+
+// Hostile header values are replaced, not echoed: no log injection.
+func TestRequestIDSanitizesHostileValues(t *testing.T) {
+	for _, bad := range []string{
+		"evil\nX-Injected: 1", "spaces here", strings.Repeat("a", 65), "quote\"",
+	} {
+		h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}), Options{})
+		req := httptest.NewRequest("GET", "/", nil)
+		req.Header["X-Request-Id"] = []string{bad}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if got := rec.Header().Get(telemetry.RequestIDHeader); got == bad || got == "" {
+			t.Fatalf("hostile ID %q handled as %q, want fresh replacement", bad, got)
+		}
+	}
+}
+
+func readSpans(t *testing.T, path string) []telemetry.SpanRecord {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []telemetry.SpanRecord
+	for _, line := range bytes.Split(raw, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var rec telemetry.SpanRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("bad span line %q: %v", line, err)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// With a tracer, every request gets a handler span that continues the
+// caller's trace and carries the request ID and status, plus an
+// admission child span inside it.
+func TestWrapTracesHandlerSpan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	tr, err := telemetry.NewRequestTracer(telemetry.TraceConfig{Path: path, Service: "server"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The handler sees the span and can hang children off it.
+		span := telemetry.SpanFromContext(r.Context())
+		if span == nil {
+			t.Error("no span in handler context")
+		}
+		span.Event("shed", "test detail")
+		w.WriteHeader(http.StatusTeapot)
+	})
+	srv := httptest.NewServer(Wrap(inner, Options{Tracer: tr}))
+	defer srv.Close()
+
+	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/distance", nil)
+	remote := telemetry.SpanContext{
+		TraceID: [16]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
+		SpanID:  [8]byte{1, 2, 3, 4, 5, 6, 7, 8},
+		Sampled: true,
+	}
+	telemetry.InjectTraceParent(req.Header, remote)
+	req.Header.Set(telemetry.RequestIDHeader, "req-42")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	tr.Close()
+
+	spans := readSpans(t, path)
+	if len(spans) != 2 {
+		t.Fatalf("wrote %d spans, want handler + admission", len(spans))
+	}
+	var handler, admission *telemetry.SpanRecord
+	for i := range spans {
+		switch spans[i].Name {
+		case "GET /distance":
+			handler = &spans[i]
+		case "admission":
+			admission = &spans[i]
+		}
+	}
+	if handler == nil || admission == nil {
+		t.Fatalf("missing spans: %+v", spans)
+	}
+	if handler.TraceID != remote.TraceIDString() || handler.ParentID != remote.SpanIDString() {
+		t.Fatalf("inbound traceparent not honored: %+v", handler)
+	}
+	if handler.Attrs["request_id"] != "req-42" || handler.HTTPStatus != http.StatusTeapot {
+		t.Fatalf("handler span incomplete: %+v", handler)
+	}
+	if len(handler.Events) != 1 || handler.Events[0].Name != "shed" {
+		t.Fatalf("span event lost: %+v", handler.Events)
+	}
+	if admission.ParentID != handler.SpanID {
+		t.Fatalf("admission span not a child of the handler span")
+	}
+	if admission.DurationUS > handler.DurationUS {
+		t.Fatalf("admission (%v) longer than handler (%v)", admission.DurationUS, handler.DurationUS)
+	}
+}
+
+// Without a tracer the handler's context carries no span, and marking
+// admission on the missing span is safe.
+func TestWrapUntracedPlantsNoSpan(t *testing.T) {
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		span := telemetry.SpanFromContext(r.Context())
+		if span != nil {
+			t.Error("untraced request carries a span")
+		}
+		span.MarkAdmitted()
+		fmt.Fprint(w, "ok")
+	})
+	srv := httptest.NewServer(Wrap(inner, Options{}))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("untraced serving broken: %v %v", resp, err)
+	}
+	resp.Body.Close()
+}
+
+// BenchmarkWrap is the serving pass alone, around a handler that does
+// nothing, with the default options and a Stats, as the replicas run it.
+func BenchmarkWrap(b *testing.B) {
+	h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}), Options{Stats: NewStats()})
+	req := httptest.NewRequest(http.MethodGet, "/distance?s=1&t=2", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), req)
 	}
 }

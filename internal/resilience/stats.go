@@ -15,7 +15,7 @@ import (
 // both GET /statz (the backward-compatible JSON snapshot below) and
 // GET /metrics (Prometheus text exposition, including the request
 // latency histograms the JSON view only summarizes). One Stats
-// instance is shared by the whole middleware stack.
+// instance is shared by the whole serving pass.
 type Stats struct {
 	start time.Time
 	reg   *telemetry.Registry

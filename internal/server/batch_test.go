@@ -12,7 +12,7 @@ import (
 	"repro/internal/core"
 )
 
-// A NaN embedding row makes estimates JSON cannot carry. Both routes,
+// A NaN embedding row makes estimates JSON cannot carry. Every route,
 // guarded or not, must answer 500 with a JSON error body rather than a
 // 200 whose body the encoder abandoned.
 func TestNonFiniteEstimateAnswers500(t *testing.T) {
@@ -22,7 +22,7 @@ func TestNonFiniteEstimateAnswers500(t *testing.T) {
 		if guarded {
 			ts, m, _ = newGuardedServer(t)
 		} else {
-			ts, m = newTestServer(t, false)
+			ts, m = newTestServer(t, true)
 		}
 		row := m.Vector(7)
 		for i := range row {
@@ -45,5 +45,9 @@ func TestNonFiniteEstimateAnswers500(t *testing.T) {
 		resp, err = http.Post(ts.URL+"/batch", "application/json",
 			bytes.NewReader([]byte(`{"pairs":[[1,2],[7,3]]}`)))
 		check("/batch", resp, err)
+		if !guarded { // the guarded server has no spatial index
+			resp, err = http.Get(ts.URL + "/knn?s=7&k=3")
+			check("/knn", resp, err)
+		}
 	}
 }

@@ -47,7 +47,7 @@ type Config struct {
 	// RequestTimeout bounds each request (default 30s, negative
 	// disables); over-budget requests receive 503 — or 504 when the
 	// deadline came from a forwarded X-Rne-Budget-Ms budget, which the
-	// resilience stack folds into the request deadline.
+	// serving pass folds into the request deadline.
 	RequestTimeout time.Duration
 	// MaxBatchBytes caps the /batch request body; larger bodies get
 	// 413 (default 8 MiB).
@@ -257,9 +257,9 @@ func (s *Server) Estimate(src, dst int32) (float64, error) {
 // served estimates should be built with.
 func (s *Server) Scale() float64 { return s.active.Load().model.Scale() }
 
-// Handler returns the route table wrapped in the resilience stack
-// (panic recovery, per-request deadline, load shedding, request
-// accounting):
+// Handler returns the route table behind the serving pass,
+// resilience.Wrap (request IDs, tracing, panic recovery, per-request
+// deadline, load shedding, request accounting):
 //
 //	GET  /healthz                    liveness + model shape + version
 //	GET  /readyz                     readiness (degraded without spatial index)
@@ -272,8 +272,8 @@ func (s *Server) Scale() float64 { return s.active.Load().model.Scale() }
 //	GET  /explain?s=<id>&t=<id>      full estimate provenance (per-level + guard)
 //	POST /admin/reload               hot-swap to the Reloader's latest model set
 //
-// Request-ID assignment sits outermost so every log line and error
-// response — including shed and timed-out requests — carries an ID.
+// The pass assigns the request ID first, so every log line and error
+// response — including shed and timed-out requests — carries one.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -286,23 +286,14 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /knn", s.handleKNN)
 	mux.HandleFunc("GET /range", s.handleRange)
 	mux.HandleFunc("POST /admin/reload", s.handleReload)
-	// With tracing on, the admission marker sits just inside the
-	// resilience stack (everything between handler-span start and it is
-	// queueing) and the handler span wraps the whole stack, so sheds and
-	// deadline expiries land inside the span as events.
-	var inner http.Handler = mux
-	if s.tracer != nil {
-		inner = telemetry.TraceAdmitted(mux)
-	}
-	h := resilience.Wrap(inner, resilience.Options{
+	return resilience.Wrap(mux, resilience.Options{
 		MaxInFlight: s.cfg.MaxInFlight,
 		Admission:   s.cfg.Admission,
 		Timeout:     s.cfg.RequestTimeout,
 		Logger:      s.cfg.Logger,
 		Stats:       s.stats,
+		Tracer:      s.tracer,
 	})
-	h = telemetry.TraceHTTP(s.tracer, h)
-	return telemetry.RequestID(h)
 }
 
 // writeJSON encodes v before the status goes out, so a value JSON
@@ -314,19 +305,16 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 		status = http.StatusInternalServerError
 		body, _ = json.Marshal(map[string]string{"error": fmt.Sprintf("cannot encode the answer: %v", err)})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(append(body, '\n')) // a failed write means the client is gone
+	writeBody(w, status, append(body, '\n'))
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...any) {
 	s.writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// vertexParam parses a vertex id query parameter against the snapshot
-// actually serving this request.
-func (s *Server) vertexParam(sn *snapshot, r *http.Request, name string) (int32, error) {
-	raw := r.URL.Query().Get(name)
+// vertexParam parses the raw value of the vertex id query parameter
+// name against the snapshot actually serving this request.
+func (s *Server) vertexParam(sn *snapshot, raw, name string) (int32, error) {
 	if raw == "" {
 		return 0, fmt.Errorf("missing parameter %q", name)
 	}
@@ -404,13 +392,6 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		"targets": sn.idx.Size(),
 		"model":   modelMeta(sn),
 	})
-}
-
-// wantExplain reports whether the request opted into provenance
-// (?explain=1 or any other truthy value strconv accepts).
-func wantExplain(r *http.Request) bool {
-	ok, _ := strconv.ParseBool(r.URL.Query().Get("explain"))
-	return ok
 }
 
 // guardExplanation is the guard-side provenance block attached to
@@ -503,12 +484,13 @@ func (s *Server) misdirect(w http.ResponseWriter, sn *snapshot, src int32) {
 func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sn := s.active.Load()
-	src, err := s.vertexParam(sn, r, "s")
+	q := parseQuery(r.URL.RawQuery)
+	src, err := s.vertexParam(sn, q.s, "s")
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	dst, err := s.vertexParam(sn, r, "t")
+	dst, err := s.vertexParam(sn, q.t, "t")
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -518,13 +500,11 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		s.misdirect(w, sn, src)
 		return
 	}
-	explain := wantExplain(r)
-	out := map[string]any{"s": src, "t": dst}
-	if sv != nil && sv.CrossShard(src, dst) {
-		out["cross_shard"] = true
-	}
+	explain := q.wantExplain()
+	a := distanceAnswer{S: src, T: dst, CrossShard: sv != nil && sv.CrossShard(src, dst)}
+	var model, guardEx any // the provenance blocks of an explained answer
 	if full := sn.full(); explain && full != nil {
-		out["model"] = full.ExplainEstimate(src, dst)
+		model = full.ExplainEstimate(src, dst)
 	}
 	if sn.guard != nil {
 		var g hybrid.GuardResult
@@ -532,7 +512,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		if explain {
 			var ge guardExplanation
 			g, ge = s.explainGuard(sn, src, dst)
-			out["guard"] = ge
+			guardEx = ge
 		} else {
 			g = s.guardedEstimate(sn, src, dst)
 		}
@@ -540,18 +520,33 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 			gspan.SetAttr("clamp", clampDirection(g))
 		}
 		gspan.End()
-		out["distance"], out["lo"], out["hi"] = g.Est, g.Lo, g.Hi
-		out["clamped"] = g.ClampedLow || g.ClampedHigh
+		a.Guarded, a.Distance, a.Lo, a.Hi = true, g.Est, g.Lo, g.Hi
+		a.Clamped = g.ClampedLow || g.ClampedHigh
 		s.logQuery(r, "/distance", src, dst, g.Est, &g, start)
+	} else {
+		_, kspan := telemetry.StartChild(r.Context(), "kernel")
+		a.Distance = sn.model.Estimate(src, dst)
+		kspan.End()
+		s.logQuery(r, "/distance", src, dst, a.Distance, nil, start)
+	}
+	if explain {
+		out := a.fields()
+		if model != nil {
+			out["model"] = model
+		}
+		if guardEx != nil {
+			out["guard"] = guardEx
+		}
 		s.writeJSON(w, http.StatusOK, out)
 		return
 	}
-	_, kspan := telemetry.StartChild(r.Context(), "kernel")
-	est := sn.model.Estimate(src, dst)
-	kspan.End()
-	out["distance"] = est
-	s.logQuery(r, "/distance", src, dst, est, nil, start)
-	s.writeJSON(w, http.StatusOK, out)
+	bufs := batchwire.GetBuffers()
+	defer bufs.Release()
+	if bufs.Out, err = a.appendJSON(bufs.Out[:0]); err != nil {
+		s.fail(w, http.StatusInternalServerError, "cannot encode the answer: %v", err)
+		return
+	}
+	writeBody(w, http.StatusOK, bufs.Out)
 }
 
 // handleExplain is the dedicated provenance endpoint: the response a
@@ -566,12 +561,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			"explain requires the full per-level model (this replica serves geo-shard %d)", sn.shard().ShardID())
 		return
 	}
-	src, err := s.vertexParam(sn, r, "s")
+	q := parseQuery(r.URL.RawQuery)
+	src, err := s.vertexParam(sn, q.s, "s")
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	dst, err := s.vertexParam(sn, r, "t")
+	dst, err := s.vertexParam(sn, q.t, "t")
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -697,7 +693,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	explain := wantExplain(r)
+	q := parseQuery(r.URL.RawQuery)
+	explain := q.wantExplain()
 	var explanations []batchExplanation
 	if explain {
 		explanations = make([]batchExplanation, len(ss))
@@ -817,12 +814,13 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotImplemented, "no spatial index loaded")
 		return
 	}
-	src, err := s.vertexParam(sn, r, "s")
+	q := parseQuery(r.URL.RawQuery)
+	src, err := s.vertexParam(sn, q.s, "s")
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	k, err := strconv.Atoi(r.URL.Query().Get("k"))
+	k, err := strconv.Atoi(q.k)
 	if err != nil || k < 1 || k > sn.idx.Size() {
 		s.fail(w, http.StatusBadRequest, "k must be in [1,%d]", sn.idx.Size())
 		return
@@ -831,17 +829,26 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	results, st := sn.idx.KNNStats(src, k)
 	ispan.SetAttrInt("visited", int64(st.NodesVisited))
 	ispan.End()
+	bufs := batchwire.GetBuffers()
+	defer bufs.Release()
 	_, kspan := telemetry.StartChild(r.Context(), "kernel")
-	dists := make([]float64, len(results))
+	bufs.Dist = floats(bufs.Dist, len(results))
 	for i, v := range results {
-		dists[i] = sn.model.Estimate(src, v)
+		bufs.Dist[i] = sn.model.Estimate(src, v)
 	}
 	kspan.End()
-	resp := map[string]any{"targets": results, "distances": dists}
-	if wantExplain(r) {
-		resp["stats"] = st
+	var stats []byte
+	if q.wantExplain() {
+		if stats, err = json.Marshal(st); err != nil {
+			s.fail(w, http.StatusInternalServerError, "cannot encode the answer: %v", err)
+			return
+		}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	if bufs.Out, err = appendKNN(bufs.Out[:0], results, bufs.Dist, stats); err != nil {
+		s.fail(w, http.StatusInternalServerError, "cannot encode the answer: %v", err)
+		return
+	}
+	writeBody(w, http.StatusOK, bufs.Out)
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
@@ -850,12 +857,13 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotImplemented, "no spatial index loaded")
 		return
 	}
-	src, err := s.vertexParam(sn, r, "s")
+	q := parseQuery(r.URL.RawQuery)
+	src, err := s.vertexParam(sn, q.s, "s")
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	tau, err := strconv.ParseFloat(r.URL.Query().Get("tau"), 64)
+	tau, err := strconv.ParseFloat(q.tau, 64)
 	if err != nil || tau < 0 {
 		s.fail(w, http.StatusBadRequest, "tau must be a non-negative number")
 		return
@@ -868,7 +876,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		results = []int32{}
 	}
 	resp := map[string]any{"targets": results}
-	if wantExplain(r) {
+	if q.wantExplain() {
 		resp["stats"] = st
 	}
 	s.writeJSON(w, http.StatusOK, resp)

@@ -22,7 +22,7 @@ func WithRequestID(ctx context.Context, id string) context.Context {
 }
 
 // RequestIDFrom returns the context's request ID, or "" when none was
-// attached (e.g. the middleware is not installed).
+// attached (e.g. outside the serving pass, resilience.Wrap).
 func RequestIDFrom(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey{}).(string)
 	return id
@@ -36,7 +36,9 @@ func newRequestID() string {
 	if _, err := rand.Read(b[:]); err != nil {
 		return fmt.Sprintf("req-%d", fallbackSeq.Add(1))
 	}
-	return hex.EncodeToString(b[:])
+	var id [16]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // sanitizeRequestID accepts a client-supplied ID only if it is short
@@ -56,16 +58,12 @@ func sanitizeRequestID(s string) string {
 	return s
 }
 
-// RequestID is middleware that accepts a well-formed X-Request-Id from
-// the client (or mints a fresh one), echoes it on the response, and
-// stores it in the request context for access logging.
-func RequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := sanitizeRequestID(r.Header.Get(RequestIDHeader))
-		if id == "" {
-			id = newRequestID()
-		}
-		w.Header().Set(RequestIDHeader, id)
-		next.ServeHTTP(w, r.WithContext(WithRequestID(r.Context(), id)))
-	})
+// InboundRequestID returns the well-formed X-Request-Id a client sent,
+// or a freshly minted ID when it sent none or one that could inject
+// into logs.
+func InboundRequestID(h http.Header) string {
+	if id := sanitizeRequestID(h.Get(RequestIDHeader)); id != "" {
+		return id
+	}
+	return newRequestID()
 }

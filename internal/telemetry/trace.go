@@ -516,8 +516,8 @@ func (s *ReqSpan) ExemplarID() string {
 }
 
 // SetAttr attaches a string attribute. No-op on nil/unsampled/ended
-// spans — a deadline-abandoned handler goroutine may touch its span
-// after the middleware already ended it, and must not race the writer.
+// spans — a goroutine that outlives its request, such as a hedge
+// loser, may touch a span after it ended, and must not race the writer.
 func (s *ReqSpan) SetAttr(k, v string) {
 	if !s.Recording() {
 		return

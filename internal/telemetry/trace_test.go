@@ -5,9 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -273,81 +271,6 @@ func TestMutationAfterEndIsIgnored(t *testing.T) {
 		rec.HTTPStatus != 0 || len(rec.Events) != 0 {
 		t.Fatalf("post-End mutation leaked into the record: %+v", rec)
 	}
-}
-
-func TestTraceHTTPMiddleware(t *testing.T) {
-	tr, path := newTestTracer(t, TraceConfig{Service: "server"})
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// The handler sees the span and can hang children off it.
-		if SpanFromContext(r.Context()) == nil {
-			t.Error("no span in handler context")
-		}
-		TraceEvent(r.Context(), "shed", "test detail")
-		w.WriteHeader(http.StatusTeapot)
-	})
-	h := RequestID(TraceHTTP(tr, TraceAdmitted(inner)))
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/distance", nil)
-	remote := SpanContext{TraceID: newTraceID(), SpanID: newSpanID(), Sampled: true}
-	InjectTraceParent(req.Header, remote)
-	req.Header.Set(RequestIDHeader, "req-42")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	tr.Close()
-
-	spans := readSpanFile(t, path)
-	if len(spans) != 2 {
-		t.Fatalf("wrote %d spans, want handler + admission", len(spans))
-	}
-	var handler, admission *SpanRecord
-	for i := range spans {
-		switch spans[i].Name {
-		case "GET /distance":
-			handler = &spans[i]
-		case "admission":
-			admission = &spans[i]
-		}
-	}
-	if handler == nil || admission == nil {
-		t.Fatalf("missing spans: %+v", spans)
-	}
-	if handler.TraceID != remote.TraceIDString() || handler.ParentID != remote.SpanIDString() {
-		t.Fatalf("inbound traceparent not honored: %+v", handler)
-	}
-	if handler.Attrs["request_id"] != "req-42" || handler.HTTPStatus != http.StatusTeapot {
-		t.Fatalf("handler span incomplete: %+v", handler)
-	}
-	if len(handler.Events) != 1 || handler.Events[0].Name != "shed" {
-		t.Fatalf("TraceEvent lost: %+v", handler.Events)
-	}
-	if admission.ParentID != handler.SpanID {
-		t.Fatalf("admission span not a child of the handler span")
-	}
-	if admission.DurationUS > handler.DurationUS {
-		t.Fatalf("admission (%v) longer than handler (%v)", admission.DurationUS, handler.DurationUS)
-	}
-}
-
-func TestTraceHTTPNilTracerPassthrough(t *testing.T) {
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		MarkAdmitted(r.Context()) // must be safe with no span planted
-		fmt.Fprint(w, "ok")
-	})
-	if h := TraceHTTP(nil, inner); fmt.Sprintf("%p", h) != fmt.Sprintf("%p", inner) {
-		t.Fatal("nil tracer should return next unchanged")
-	}
-	srv := httptest.NewServer(TraceHTTP(nil, TraceAdmitted(inner)))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("untraced serving broken: %v %v", resp, err)
-	}
-	resp.Body.Close()
 }
 
 func TestSanitizeAttempt(t *testing.T) {

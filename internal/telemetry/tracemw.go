@@ -3,117 +3,34 @@ package telemetry
 import (
 	"context"
 	"net/http"
-	"sync/atomic"
 	"time"
 )
 
-// admitMark carries the handler-span start time through the middleware
-// stack so the admission-wait child span can be closed from inside the
-// admission gate (see TraceAdmitted). done latches: the span is
-// emitted once even if the mark is hit twice.
-type admitMark struct {
-	start time.Time
-	done  atomic.Bool
-}
-
-type admitMarkKey struct{}
-
-// TraceHTTP wraps next with the handler span: it extracts an inbound
-// traceparent (continuing the caller's trace), starts a span named
-// "METHOD path", stamps the request ID, and on completion records the
-// response status. It also plants the admission mark consumed by
-// TraceAdmitted. With a nil tracer it returns next unchanged — zero
-// cost when tracing is off.
-//
-// Install it directly under the RequestID middleware and above
-// resilience.Wrap, so admission waits, sheds and deadline expiries all
-// happen inside the handler span.
-func TraceHTTP(t *RequestTracer, next http.Handler) http.Handler {
+// StartRequestSpan starts the handler span of an inbound request at
+// start: named "METHOD path", continuing the caller's trace when r
+// carries a traceparent, and tagged with the request ID. With a nil
+// tracer it returns (ctx, nil) and allocates nothing.
+func (t *RequestTracer) StartRequestSpan(ctx context.Context, r *http.Request, requestID string, start time.Time) (context.Context, *ReqSpan) {
 	if t == nil {
-		return next
+		return ctx, nil
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx := r.Context()
-		if remote, ok := ExtractTraceParent(r.Header); ok {
-			ctx = ContextWithRemoteParent(ctx, remote)
-		}
-		start := time.Now()
-		ctx, span := t.startSpanAt(ctx, r.Method+" "+r.URL.Path, start, false)
-		if id := RequestIDFrom(ctx); id != "" {
-			span.SetAttr("request_id", id)
-		}
-		ctx = context.WithValue(ctx, admitMarkKey{}, &admitMark{start: start})
-		sw := &traceStatusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		span.SetStatus(sw.code())
-		span.End()
-	})
+	if remote, ok := ExtractTraceParent(r.Header); ok {
+		ctx = ContextWithRemoteParent(ctx, remote)
+	}
+	ctx, span := t.startSpanAt(ctx, r.Method+" "+r.URL.Path, start, false)
+	if requestID != "" {
+		span.SetAttr("request_id", requestID)
+	}
+	return ctx, span
 }
 
-// TraceAdmitted marks the admission boundary: everything between the
-// handler-span start and this point was queueing/admission (limiter
-// waits, middleware overhead), emitted as an "admission" child span.
-// Shed requests never reach this point and so never get an admission
-// span — their handler span carries the shed event instead.
-func TraceAdmitted(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		MarkAdmitted(r.Context())
-		next.ServeHTTP(w, r)
-	})
-}
-
-// MarkAdmitted closes the one-shot admission child span for this
-// request, if tracing is on and it has not been closed yet.
-func MarkAdmitted(ctx context.Context) {
-	span := SpanFromContext(ctx)
-	if !span.Recording() {
+// MarkAdmitted records the "admission" child span of a handler span:
+// from the handler span's start to now, the time the request spent
+// before its admission gate let it through. Shed requests never reach
+// the gate, so their handler span carries the shed event instead.
+func (s *ReqSpan) MarkAdmitted() {
+	if !s.Recording() {
 		return
 	}
-	mark, _ := ctx.Value(admitMarkKey{}).(*admitMark)
-	if mark == nil || !mark.done.CompareAndSwap(false, true) {
-		return
-	}
-	admission := span.childAt("admission", mark.start)
-	admission.End()
-}
-
-// TraceEvent annotates the context's span (no-op without one) — the
-// hook resilience middleware uses to stamp sheds and deadline expiries
-// onto the request's trace without importing any tracer handle.
-func TraceEvent(ctx context.Context, name, detail string) {
-	SpanFromContext(ctx).Event(name, detail)
-}
-
-// traceStatusWriter captures the response status for the handler span
-// without disturbing streaming (Flush) writers.
-type traceStatusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *traceStatusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *traceStatusWriter) Write(p []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *traceStatusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (w *traceStatusWriter) code() int {
-	if w.status == 0 {
-		return http.StatusOK
-	}
-	return w.status
+	s.childAt("admission", s.start).End()
 }
