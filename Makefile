@@ -25,9 +25,9 @@ shuffle:
 # Coverage-guided fuzzing over the byte decoders and header parsers —
 # ten seconds on the DIMACS parser, five each on the /batch request
 # decoder, the gateway's reply scanner, the model and spatial-index
-# codecs, the X-Rne-Budget-Ms header and the replica's query-string
-# parser — a smoke pass catching regressions in input hardening, not a
-# deep campaign.
+# codecs, the X-Rne-Budget-Ms header, the replica's query-string parser
+# and the W3C traceparent header — a smoke pass catching regressions in
+# input hardening, not a deep campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequest$$' -fuzztime=5s ./internal/batchwire
@@ -36,6 +36,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTreeLoad$$' -fuzztime=5s ./internal/index
 	$(GO) test -run='^$$' -fuzz='^FuzzParseBudget$$' -fuzztime=5s ./internal/resilience
 	$(GO) test -run='^$$' -fuzz='^FuzzQuery$$' -fuzztime=5s ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceParent$$' -fuzztime=5s ./internal/telemetry
 
 # Known-vulnerability scan; skips gracefully where govulncheck or the
 # vulndb is unavailable (offline CI, hermetic builders).
@@ -103,11 +104,11 @@ bench:
 
 # Telemetry smoke benchmark: quick traced build + timed queries through
 # the telemetry histograms; emits BENCH_telemetry.json with p50/p95/p99.
-# Then 200 iterations each of the in-process handler and serving-pass
-# benchmarks, so they keep compiling and running.
+# Then 200 iterations each of the in-process handler, serving-pass and
+# gateway routing benchmarks, so they keep compiling and running.
 bench-smoke:
 	$(GO) run ./cmd/rnebench -exp telemetry-smoke -quick
-	$(GO) test -run '^$$' -bench 'Handler|Wrap' -benchtime 200x -benchmem ./internal/server ./internal/resilience
+	$(GO) test -run '^$$' -bench 'Handler|Wrap|Route' -benchtime 200x -benchmem ./internal/server ./internal/resilience ./internal/gateway
 
 # Record → replay → diff smoke: generate a grid, score a workload
 # against the exact oracle while recording it as a query log, then

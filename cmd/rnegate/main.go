@@ -1,18 +1,20 @@
 // Command rnegate is the scale-out gateway in front of rneserver
-// replicas: it fans POST /batch out across the backends by consistent
-// hashing on each pair's source vertex, merges the replies preserving
-// request order, and proxies GET /distance to the source vertex's
-// ring owner. Backends are health-checked (active /readyz probes plus
-// passive failure counting); a repeatedly-failing backend is ejected
-// from routing and re-probed on exponential backoff until it recovers.
+// replicas: it fans POST /batch out across the backends by each pair's
+// source vertex, merges the replies preserving request order, and
+// proxies GET /distance, /knn and /range to the source vertex's owner.
 //
-// With -shard-map (the routing table of a version published by
-// rnebuild -publish-shards) the gateway routes by region instead of
-// by hash: each request goes to a replica serving the owning geo-shard
-// of its source vertex (shard identity is discovered from /readyz),
-// /batch is split per shard, GET /knn and /range are proxied to the
-// region owner, and /readyz degrades per region — losing every replica
-// of one shard fails only that region's vertices.
+// One routing rule serves every fleet: a source vertex's owner is the
+// healthy replica of its region with the highest rendezvous hash score
+// for that vertex, and a retry or hedge goes to the next-ranked replica
+// of the same region. Without -shard-map every backend holds the whole
+// model and the fleet is one region. With -shard-map (the routing table
+// of a version published by rnebuild -publish-shards) each backend
+// serves one geo-shard, discovered from its /readyz probe, and /readyz
+// degrades per region: losing every replica of one shard fails only
+// that region's vertices, with 503. Backends are health-checked (active
+// /readyz probes plus passive failure counting); a repeatedly-failing
+// backend is ejected from routing and re-probed on exponential backoff
+// until it recovers.
 //
 // The gateway serves overload-safely: each proxied call forwards the
 // remaining request deadline as an X-Rne-Budget-Ms budget so replicas
@@ -65,15 +67,14 @@ import (
 func main() {
 	addr := flag.String("addr", ":9090", "listen address")
 	backends := flag.String("backends", "", "comma-separated rneserver base URLs (required)")
-	shardMapPath := flag.String("shard-map", "", "vertex→shard routing map from a sharded registry version (models/<name>/<vN>/shards/shardmap.rnemap): route by region instead of consistent hash")
-	vnodes := flag.Int("vnodes", 64, "virtual nodes per backend on the consistent-hash ring (ignored with -shard-map)")
+	shardMapPath := flag.String("shard-map", "", "vertex→shard routing map from a sharded registry version (models/<name>/<vN>/shards/shardmap.rnemap): backends are shard replicas and each source goes to a replica of its shard (empty: backends hold the whole model, one region)")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "active /readyz probe period")
 	ejectAfter := flag.Int("eject-after", 3, "consecutive failures before a backend is ejected")
 	backoffBase := flag.Duration("backoff-base", 500*time.Millisecond, "initial re-probe backoff for an ejected backend")
 	backoffMax := flag.Duration("backoff-max", 15*time.Second, "re-probe backoff cap")
 	backendTimeout := flag.Duration("backend-timeout", 10*time.Second, "per-backend call deadline")
 	retryBudget := flag.Float64("retry-budget", 0.1, "retry/hedge token budget: each primary request earns this many tokens, each retry or hedge spends one (negative disables retries and hedges)")
-	hedge := flag.Bool("hedge", false, "hedge slow /distance calls: fire a second attempt to the next ring owner after the observed p95 backend latency, first answer wins (spends retry-budget tokens)")
+	hedge := flag.Bool("hedge", false, "hedge slow /distance calls: fire a second attempt to the next-ranked replica of the source's region after the observed p95 backend latency, first answer wins (spends retry-budget tokens)")
 	hedgeMinDelay := flag.Duration("hedge-min-delay", time.Millisecond, "with -hedge: floor for the p95-derived hedge delay")
 	hedgeMaxDelay := flag.Duration("hedge-max-delay", 250*time.Millisecond, "with -hedge: ceiling for the p95-derived hedge delay (also the cold-start delay)")
 	budgetMargin := flag.Duration("budget-margin", 5*time.Millisecond, "proxy-hop margin subtracted from the deadline budget forwarded to backends as X-Rne-Budget-Ms (negative disables)")
@@ -123,7 +124,6 @@ func main() {
 	gwCfg := gateway.Config{
 		Backends:       urls,
 		ShardMap:       shardMap,
-		VirtualNodes:   *vnodes,
 		HealthInterval: *healthInterval,
 		EjectAfter:     *ejectAfter,
 		BackoffBase:    *backoffBase,

@@ -2,22 +2,20 @@
 // replicas: one stdlib-only HTTP process that fans a /batch request
 // out across N backends and merges the answers in order, and proxies
 // the single-source routes (/distance, /knn, /range) to their owner.
-// Two routing modes:
 //
-//   - Hash mode (default): pairs are routed by consistent hashing on
-//     the source vertex over replicas that each hold the whole model,
-//     so each backend repeatedly sees the same slice of the vertex
-//     space (its embedding rows stay cache-hot) and adding or ejecting
-//     a replica reassigns one slice instead of reshuffling all keys.
-//   - Region mode (Config.ShardMap): replicas hold geo-shards of one
-//     split model (internal/shard), and the gateway routes each source
-//     vertex to a replica of its owning shard via the compact
-//     vertex→shard map, round-robining across same-shard replicas.
-//     Shard identity is discovered from each replica's /readyz; a
-//     replica answering 421 (stale map, misrouted vertex) is counted
-//     on rne_gateway_stale_routes_total and relayed with its redirect
-//     hint. A shard with no healthy replica degrades only its own
-//     region — other regions keep serving.
+// One routing rule serves every fleet. Each backend belongs to a
+// region: region 0 when the replicas hold the whole model, and its
+// geo-shard (internal/shard) when Config.ShardMap splits the model. A
+// source vertex goes to the healthy replica of its region with the
+// highest rendezvous (highest-random-weight) score for that vertex, so
+// each source keeps one owner, ejecting a replica moves only the
+// sources it owned, and a retry, hedge or failed sub-batch goes to the
+// next-ranked replica of the same region. In a sharded fleet each
+// backend's shard is discovered from its /readyz probe; a replica
+// answering 421 (stale map, misrouted vertex) is counted on
+// rne_gateway_stale_routes_total and relayed with its redirect hint. A
+// region with no healthy replica degrades only its own vertices (503);
+// other regions keep serving.
 //
 // Backends are health-checked actively (periodic /readyz probes) and
 // passively (proxy failures count); a backend that fails repeatedly is
@@ -34,12 +32,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/url"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,15 +57,13 @@ type Config struct {
 	// Backends are the rneserver base URLs to fan out across
 	// (e.g. "http://10.0.0.1:8080"). At least one is required.
 	Backends []string
-	// VirtualNodes per backend on the consistent-hash ring (default 64).
-	// Unused in region mode.
-	VirtualNodes int
-	// ShardMap switches the gateway into region-routing mode: each
-	// source vertex goes to a replica of its owning geo-shard (loaded
-	// from the sharded registry version's shards/shardmap.rnemap).
-	// Backends then must be shard replicas; their shard identity is
-	// discovered from /readyz probes, and a backend reporting a
-	// mismatched topology (wrong shard count) is treated as failing.
+	// ShardMap splits the fleet into regions: each source vertex goes
+	// to a replica of its owning geo-shard (loaded from the sharded
+	// registry version's shards/shardmap.rnemap). Backends then must be
+	// shard replicas, each one's shard discovered from its /readyz
+	// probe. Nil makes the fleet one region of full-model replicas. A
+	// backend reporting a shard count other than the fleet's fails its
+	// probe.
 	ShardMap *shard.Map
 	// HealthInterval is the active /readyz probe period (default 2s).
 	HealthInterval time.Duration
@@ -93,7 +91,8 @@ type Config struct {
 	// Hedge enables hedged /distance requests: once the primary backend
 	// call has been outstanding longer than the observed p95 backend
 	// latency (clamped into [HedgeMinDelay, HedgeMaxDelay]), a second
-	// attempt is sent to the next ring owner and the first answer wins.
+	// attempt is sent to the next-ranked replica of the source's region
+	// and the first answer wins.
 	// Hedges spend retry-budget tokens like retries do.
 	Hedge bool
 	// HedgeMinDelay/HedgeMaxDelay clamp the p95-derived hedge delay
@@ -133,9 +132,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
 	}
@@ -193,9 +189,14 @@ type backend struct {
 
 	healthy atomic.Bool
 
-	// shardID is the geo-shard this backend reported on its last
-	// successful probe (-1 until discovered). Only used in region mode.
+	// shardID is the region this backend serves: 0 from the start in a
+	// one-region fleet; in a sharded fleet the geo-shard its probe
+	// reported, -1 until then. A probe reporting a shard the fleet does
+	// not have resets it to -1, taking the backend out of routing.
 	shardID atomic.Int32
+	// hash is the fixed hash of id that rendezvous scores mix with each
+	// source vertex.
+	hash uint64
 
 	mu        sync.Mutex
 	fails     int           // consecutive failures (active or passive)
@@ -216,7 +217,7 @@ type Gateway struct {
 	stats    *resilience.Stats
 	client   *http.Client
 	backends []*backend
-	ring     ring
+	regions  int // the shard map's shard count, or 1
 
 	ejections      *telemetry.Counter
 	revivals       *telemetry.Counter
@@ -230,10 +231,6 @@ type Gateway struct {
 	retryTokens    *retryBudget
 	tracer         *telemetry.RequestTracer // nil disables tracing
 
-	// shardRR holds one round-robin cursor per geo-shard (region mode
-	// only), spreading a shard's traffic across its replicas.
-	shardRR []atomic.Uint32
-
 	jitterMu  sync.Mutex
 	jitterRng *rand.Rand
 
@@ -242,9 +239,11 @@ type Gateway struct {
 	wg       sync.WaitGroup
 }
 
-// New validates the backend list, builds the hash ring, and starts the
-// active health-probe loop. Backends start healthy (they are probed
-// within one HealthInterval); call Close to stop the probe loop.
+// New validates the backend list and starts the active health-probe
+// loop. Backends start healthy (they are probed within one
+// HealthInterval); in a one-region fleet they are routed to at once,
+// in a sharded fleet once a probe has reported their shard. Call Close
+// to stop the probe loop.
 func New(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
@@ -283,8 +282,13 @@ func New(cfg Config) (*Gateway, error) {
 		"Individual batch pairs answered with an error entry instead of a distance.")
 	g.staleRoutes = reg.Counter("rne_gateway_stale_routes_total",
 		"Backend 421 answers: the replica disowned a vertex this gateway routed to it (stale shard map).")
+	// A one-region fleet routes every backend from the start; a sharded
+	// one routes a backend once a probe has reported its shard.
+	g.regions = 1
+	region := int32(0)
 	if cfg.ShardMap != nil {
-		g.shardRR = make([]atomic.Uint32, cfg.ShardMap.NumShards())
+		g.regions = cfg.ShardMap.NumShards()
+		region = -1
 		reg.Gauge("rne_model_bytes",
 			"Resident bytes of routing state, by component.",
 			"component", "shardmap").Set(float64(cfg.ShardMap.IndexBytes()))
@@ -321,7 +325,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 
 	seen := make(map[string]bool)
-	ids := make([]string, 0, len(cfg.Backends))
 	for _, raw := range cfg.Backends {
 		u, err := url.Parse(strings.TrimRight(strings.TrimSpace(raw), "/"))
 		if err != nil || u.Scheme == "" || u.Host == "" {
@@ -331,9 +334,12 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("gateway: duplicate backend %q", u.Host)
 		}
 		seen[u.Host] = true
+		h := fnv.New64a()
+		h.Write([]byte(u.Host))
 		b := &backend{
 			id:   u.Host,
 			base: u.String(),
+			hash: h.Sum64(),
 			requests: reg.Counter("rne_gateway_backend_requests_total",
 				"Requests proxied, by backend.", "backend", u.Host),
 			failures: reg.Counter("rne_gateway_backend_failures_total",
@@ -347,11 +353,9 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		b.healthy.Store(true)
 		b.healthyG.Set(1)
-		b.shardID.Store(-1)
+		b.shardID.Store(region)
 		g.backends = append(g.backends, b)
-		ids = append(ids, u.Host)
 	}
-	g.ring = newRing(ids, cfg.VirtualNodes)
 
 	g.wg.Add(1)
 	go g.probeLoop()
@@ -387,12 +391,11 @@ func (g *Gateway) HealthyBackends() int {
 // Handler returns the gateway route table behind the same serving pass
 // the replicas use (resilience.Wrap):
 //
-//	GET  /healthz    gateway liveness + per-backend health (and shard ids)
-//	GET  /readyz     ready iff at least one backend is routed to (503 otherwise);
-//	                 region mode additionally reports per-shard coverage
+//	GET  /healthz    gateway liveness + per-backend health and shard
+//	GET  /readyz     per-region coverage; 503 iff no region has a routed replica
 //	GET  /statz      request/latency/status counters (JSON)
 //	GET  /metrics    Prometheus text exposition
-//	GET  /distance   proxied to the source vertex's owner (ring or region)
+//	GET  /distance   proxied to the source vertex's owner
 //	GET  /knn        proxied to the source vertex's owner
 //	GET  /range      proxied to the source vertex's owner
 //	POST /batch      split by source vertex, fanned out, merged in order
@@ -416,70 +419,71 @@ func (g *Gateway) Handler() http.Handler {
 	})
 }
 
-// pick returns the ring owner for src among healthy, non-excluded
-// backends, or nil when none qualify.
-func (g *Gateway) pick(src int32, exclude map[*backend]bool) *backend {
-	i := g.ring.walk(src, func(idx int) bool {
-		b := g.backends[idx]
-		return b.healthy.Load() && !exclude[b]
-	})
-	if i < 0 {
-		return nil
+// regionOf returns the region that owns vertex v: its geo-shard under
+// a shard map, region 0 in a one-region fleet. ok is false for a
+// vertex outside the shard map.
+func (g *Gateway) regionOf(v int32) (int, bool) {
+	if sm := g.cfg.ShardMap; sm != nil {
+		return sm.ShardOf(v)
 	}
-	return g.backends[i]
+	return 0, true
 }
 
-// route returns the backend that owns src: the consistent-hash ring
-// owner in hash mode, or (region mode) a healthy replica of src's
-// shard, round-robined per shard. Returns nil when no owning backend
-// qualifies — in region mode, replicas of *other* shards never do,
-// since they would disown the vertex with a 421.
+// route returns the replica that owns src: of the healthy,
+// non-excluded backends serving src's region, the one with the highest
+// rendezvous score for src. Excluding the owner yields the next-ranked
+// replica of the same region, which is where retries, hedges and
+// failed sub-batches go. Returns nil when no replica of the region
+// qualifies; replicas of other regions never do, since they would
+// disown the vertex with a 421.
 func (g *Gateway) route(src int32, exclude map[*backend]bool) *backend {
-	sm := g.cfg.ShardMap
-	if sm == nil {
-		return g.pick(src, exclude)
-	}
-	owner, ok := sm.ShardOf(src)
+	region, ok := g.regionOf(src)
 	if !ok {
 		return nil
 	}
-	start := int(g.shardRR[owner].Add(1))
-	n := len(g.backends)
-	for i := 0; i < n; i++ {
-		b := g.backends[(start+i)%n]
-		if b.healthy.Load() && !exclude[b] && int(b.shardID.Load()) == owner {
-			return b
+	var best *backend
+	var bestScore uint64
+	for _, b := range g.backends {
+		if b.shardID.Load() != int32(region) || !b.healthy.Load() || exclude[b] {
+			continue
+		}
+		if s := rendezvous(b.hash, src); best == nil || s > bestScore {
+			best, bestScore = b, s
 		}
 	}
-	return nil
+	return best
 }
 
-// noBackendFor answers a request no backend can serve. Hash mode: the
-// classic 502. Region mode: the shard's replicas are all gone while
-// other regions keep serving, so the honest answer is a region-scoped
-// 503 the client can retry after the shard recovers.
+// rendezvous scores the backend whose id hashes to h for vertex v:
+// MurmurHash3's 64-bit finalizer over the two. It depends only on the
+// backend id and the vertex, so every gateway fed the same backend
+// list ranks a vertex's replicas the same way.
+func rendezvous(h uint64, v int32) uint64 {
+	k := h ^ uint64(uint32(v))
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
+}
+
+// noBackendFor answers a request whose region has no routable replica:
+// other regions may still be serving, so the honest answer is a
+// region-scoped 503 the client can retry after the region recovers.
 func (g *Gateway) noBackendFor(w http.ResponseWriter, src int32) {
-	if sm := g.cfg.ShardMap; sm != nil {
-		if owner, ok := sm.ShardOf(src); ok {
-			w.Header().Set("Retry-After", fmt.Sprintf("%.2f", g.jittered(time.Second).Seconds()))
-			g.fail(w, http.StatusServiceUnavailable,
-				"shard %d degraded: no healthy replica for vertex %d", owner, src)
-			return
-		}
-	}
-	g.fail(w, http.StatusBadGateway, "no healthy backend for vertex %d", src)
+	region, _ := g.regionOf(src)
+	w.Header().Set("Retry-After", fmt.Sprintf("%.2f", g.jittered(time.Second).Seconds()))
+	g.fail(w, http.StatusServiceUnavailable,
+		"shard %d degraded: no healthy replica for vertex %d", region, src)
 }
 
 // checkMapped rejects (with 400) a source vertex outside the shard
-// map's range before any routing; a no-op in hash mode, where range
-// validation is the backend's job.
+// map's range before any routing. A one-region fleet maps every
+// vertex; range validation is then the backend's job.
 func (g *Gateway) checkMapped(w http.ResponseWriter, src int32) bool {
-	sm := g.cfg.ShardMap
-	if sm == nil {
-		return true
-	}
-	if _, ok := sm.ShardOf(src); !ok {
-		g.fail(w, http.StatusBadRequest, "vertex %d outside the shard map [0,%d)", src, sm.NumVertices())
+	if _, ok := g.regionOf(src); !ok {
+		g.fail(w, http.StatusBadRequest, "vertex %d outside the shard map [0,%d)", src, g.cfg.ShardMap.NumVertices())
 		return false
 	}
 	return true
@@ -582,12 +586,13 @@ func (g *Gateway) probeLoop() {
 // does a 429: a replica shedding its own probe is saturated, not dead,
 // and ejecting it would shrink the fleet mid-overload.
 //
-// In region mode the probe also discovers which geo-shard the replica
-// serves from the readiness body's model.shard block. A backend that
-// is not a shard replica, or that reports a different fleet topology
-// than the routing map, fails its probe: routing to it would serve the
-// wrong region's answers. A shed (429) probe can't carry the body, so
-// it keeps the previously discovered identity.
+// A 200 also tells the gateway which region the backend serves: the
+// readiness body's model.shard block, or shard 0 of 1 when the block is
+// absent (a full-model replica). A backend reporting a shard count
+// other than the fleet's fails its probe and leaves routing at once:
+// it would serve another region's answers, or disown the vertices
+// routed to it. A shed (429) probe carries no body, so it keeps the
+// region last reported.
 func (g *Gateway) probe(b *backend) error {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.BackendTimeout)
 	defer cancel()
@@ -605,8 +610,7 @@ func (g *Gateway) probe(b *backend) error {
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
 		return fmt.Errorf("readyz returned %d", resp.StatusCode)
 	}
-	sm := g.cfg.ShardMap
-	if sm == nil || resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK {
 		return nil
 	}
 	var ready struct {
@@ -617,19 +621,17 @@ func (g *Gateway) probe(b *backend) error {
 			} `json:"shard"`
 		} `json:"model"`
 	}
-	if err := json.Unmarshal(body, &ready); err != nil {
-		return fmt.Errorf("readyz body unparseable in region mode: %w", err)
+	id, shards := 0, 1
+	if json.Unmarshal(body, &ready) == nil && ready.Model.Shard != nil {
+		id, shards = ready.Model.Shard.ID, ready.Model.Shard.Shards
 	}
-	sh := ready.Model.Shard
-	if sh == nil {
-		return fmt.Errorf("backend is not a shard replica (no model.shard on /readyz) but the gateway routes by region")
+	if shards != g.regions || id < 0 || id >= shards {
+		b.shardID.Store(-1)
+		return fmt.Errorf("backend serves shard %d of %d but the fleet has %d shards",
+			id, shards, g.regions)
 	}
-	if sh.Shards != sm.NumShards() || sh.ID < 0 || sh.ID >= sm.NumShards() {
-		return fmt.Errorf("backend serves shard %d of %d but the routing map has %d shards",
-			sh.ID, sh.Shards, sm.NumShards())
-	}
-	if prev := b.shardID.Swap(int32(sh.ID)); prev >= 0 && prev != int32(sh.ID) {
-		g.log.Warn("backend changed shard identity", "backend", b.id, "from", prev, "to", sh.ID)
+	if prev := b.shardID.Swap(int32(id)); prev >= 0 && prev != int32(id) {
+		g.log.Warn("backend changed shard identity", "backend", b.id, "from", prev, "to", id)
 	}
 	return nil
 }
@@ -647,28 +649,13 @@ func (g *Gateway) fail(w http.ResponseWriter, status int, format string, args ..
 func (g *Gateway) backendStates() []map[string]any {
 	out := make([]map[string]any, len(g.backends))
 	for i, b := range g.backends {
-		st := map[string]any{
+		out[i] = map[string]any{
 			"backend": b.id,
 			"healthy": b.healthy.Load(),
+			"shard":   b.shardID.Load(), // -1 until a probe reports one
 		}
-		if g.cfg.ShardMap != nil {
-			st["shard"] = b.shardID.Load() // -1 until discovered
-		}
-		out[i] = st
 	}
 	return out
-}
-
-// shardCoverage reports, per geo-shard, how many healthy replicas
-// currently serve it (region mode only).
-func (g *Gateway) shardCoverage() []int {
-	cover := make([]int, g.cfg.ShardMap.NumShards())
-	for _, b := range g.backends {
-		if sid := b.shardID.Load(); b.healthy.Load() && sid >= 0 && int(sid) < len(cover) {
-			cover[sid]++
-		}
-	}
-	return cover
 }
 
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -680,58 +667,44 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleReady is what an upstream load balancer gates on: the gateway
-// is ready while at least one backend is routed to, and answers 503
-// once the whole fleet is ejected. In region mode readiness is
-// per-shard: ready when every shard has a routed replica, degraded
-// (still 200 — the surviving regions serve) when some shards are
-// uncovered, 503 only when no shard is routable at all.
+// handleReady is what an upstream load balancer gates on. Readiness is
+// per region: ready when every region has a routed replica and no
+// backend is ejected; degraded (still 200, the covered regions serve)
+// when some region is uncovered, listed in shards_down, or some backend
+// is ejected; 503 only when no region is covered at all.
 func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
-	if g.cfg.ShardMap != nil {
-		g.handleReadyShards(w)
-		return
+	cover := make([]int, g.regions)
+	healthy := 0
+	for _, b := range g.backends {
+		if !b.healthy.Load() {
+			continue
+		}
+		healthy++
+		if sid := b.shardID.Load(); sid >= 0 {
+			cover[sid]++
+		}
 	}
-	healthy := g.HealthyBackends()
-	status := http.StatusOK
-	state := "ready"
-	if healthy == 0 {
-		status = http.StatusServiceUnavailable
-		state = "unavailable"
-	} else if healthy < len(g.backends) {
-		state = "degraded"
-	}
-	g.writeJSON(w, status, map[string]any{
-		"status":   state,
-		"healthy":  healthy,
-		"backends": g.backendStates(),
-	})
-}
-
-func (g *Gateway) handleReadyShards(w http.ResponseWriter) {
-	cover := g.shardCoverage()
 	var down []int
-	covered := 0
 	for sid, n := range cover {
 		if n == 0 {
 			down = append(down, sid)
-		} else {
-			covered++
 		}
 	}
+	covered := g.regions - len(down)
 	status := http.StatusOK
 	state := "ready"
 	switch {
 	case covered == 0:
 		status = http.StatusServiceUnavailable
 		state = "unavailable"
-	case len(down) > 0:
+	case len(down) > 0 || healthy < len(g.backends):
 		state = "degraded"
 	}
 	out := map[string]any{
 		"status":   state,
-		"shards":   len(cover),
+		"shards":   g.regions,
 		"covered":  covered,
-		"healthy":  g.HealthyBackends(),
+		"healthy":  healthy,
 		"backends": g.backendStates(),
 	}
 	if len(down) > 0 {
@@ -750,13 +723,13 @@ func relay(w http.ResponseWriter, status int, body []byte, ct string) {
 }
 
 // handleDistance proxies the single-pair query to the source vertex's
-// owner (ring or region replica), falling over to the next healthy
-// candidate (and recording the failure) if the owner errors. Retries
+// owner, falling over to the next-ranked replica of its region (and
+// recording the failure) if the owner errors. Retries
 // spend retry-budget tokens; when the budget is empty the gateway
 // answers with whatever the backend said (relayed backpressure) or
 // sheds with 429 itself rather than amplifying load. With cfg.Hedge, a
-// slow primary call is hedged to the next owner and the first answer
-// wins.
+// slow primary call is hedged to the next-ranked replica and the first
+// answer wins.
 func (g *Gateway) handleDistance(w http.ResponseWriter, r *http.Request) {
 	src, err := sourceParam(r)
 	if err != nil {
@@ -776,8 +749,7 @@ func (g *Gateway) handleDistance(w http.ResponseWriter, r *http.Request) {
 
 // handleKNN and handleRange proxy the spatial queries to the source
 // vertex's owner exactly like /distance (no hedging — result sets can
-// be large). In region mode shard replicas carry no spatial index and
-// answer 501, which is relayed with its body intact, so clients get a
+// be large). Shard replicas carry no spatial index and answer 501, which is relayed with its body intact, so clients get a
 // clear "not implemented on this deployment" rather than a routing
 // error.
 func (g *Gateway) handleKNN(w http.ResponseWriter, r *http.Request) {
@@ -911,7 +883,7 @@ func (g *Gateway) handleDistanceHedged(w http.ResponseWriter, r *http.Request, s
 	outstanding := 1
 	hedged := false
 
-	// tryHedge fires the one allowed hedge at the next ring owner,
+	// tryHedge fires the one allowed hedge at the next-ranked replica,
 	// budget permitting.
 	tryHedge := func() {
 		if hedged {
@@ -989,15 +961,17 @@ func (g *Gateway) handleDistanceHedged(w http.ResponseWriter, r *http.Request, s
 	g.noBackendFor(w, src)
 }
 
-// sourceParam pulls the source vertex out of a /distance query; full
-// validation (range checks, the t parameter) is the backend's job.
+// sourceParam pulls the source vertex out of a /distance query with
+// the replica's own integer syntax, so a value the replica would
+// reject costs no backend call; the rest of the validation (the upper
+// range bound, the t parameter) is the backend's job.
 func sourceParam(r *http.Request) (int32, error) {
 	raw := r.URL.Query().Get("s")
 	if raw == "" {
 		return 0, fmt.Errorf("missing parameter %q", "s")
 	}
-	var v int64
-	if _, err := fmt.Sscanf(raw, "%d", &v); err != nil || v < 0 || v > 1<<31-1 {
+	v, err := strconv.Atoi(raw)
+	if err != nil || v < 0 || v > 1<<31-1 {
 		return 0, fmt.Errorf("parameter %q is not a vertex id", "s")
 	}
 	return int32(v), nil
@@ -1137,9 +1111,9 @@ type backendBatch struct {
 }
 
 // handleBatch is the fan-out path: split the pairs by their source
-// vertex's ring owner, post every sub-batch concurrently, and scatter
-// the answers back into the original order. A failed sub-batch is
-// retried once on the next healthy backend (budget permitting, with
+// vertex's owner, post every sub-batch concurrently, and scatter the
+// answers back into the original order. A failed sub-batch is retried
+// once on the next-ranked replica of its region (budget permitting, with
 // real failures recorded against the first); a sub-batch that still
 // cannot be served degrades the response instead of failing it: the
 // surviving pairs come back with their distances, the lost ones as
@@ -1177,13 +1151,9 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range ss {
 		b := g.route(ss[i], nil)
 		if b == nil {
-			msg := "no healthy backend"
-			if sm := g.cfg.ShardMap; sm != nil {
-				if owner, ok := sm.ShardOf(ss[i]); ok {
-					msg = fmt.Sprintf("shard %d has no healthy replica", owner)
-				} else {
-					msg = fmt.Sprintf("vertex %d outside the shard map", ss[i])
-				}
+			msg := fmt.Sprintf("vertex %d outside the shard map", ss[i])
+			if region, ok := g.regionOf(ss[i]); ok {
+				msg = fmt.Sprintf("shard %d has no healthy replica", region)
 			}
 			errs = append(errs, batchwire.PairError{Index: i, Error: msg})
 			continue
@@ -1306,8 +1276,8 @@ func sortPairErrors(errs []batchwire.PairError) {
 	slices.SortFunc(errs, func(a, b batchwire.PairError) int { return a.Index - b.Index })
 }
 
-// sendBatch posts one sub-batch, retrying once on the next healthy
-// backend when the owner fails (spending a retry-budget token; a
+// sendBatch posts one sub-batch, retrying once on the next-ranked
+// replica of its region when the owner fails (spending a retry-budget token; a
 // drained budget stops the retry rather than amplifying load).
 // Backend backpressure (429/503) is retryable but never counted
 // toward ejection. Returns either a scanned reply (a malformed one is
@@ -1353,9 +1323,8 @@ func (g *Gateway) sendBatch(ctx context.Context, gr *backendBatch) (*batchwire.R
 				g.markFailure(b, err)
 			}
 			exclude[b] = true
-			// Re-route by the slice's first source so the retry lands on
-			// the next owner: the ring's next backend in hash mode, a
-			// sibling replica of the same geo-shard in region mode.
+			// Every source of the slice is in b's region; re-routing by
+			// the first lands the retry on a sibling replica of it.
 			b = g.route(gr.src[0], exclude)
 			continue
 		}

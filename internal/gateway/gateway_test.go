@@ -21,7 +21,7 @@ import (
 	"repro/internal/server"
 )
 
-func buildModel(t *testing.T) (*graph.Graph, *core.Model) {
+func buildModel(t testing.TB) (*graph.Graph, *core.Model) {
 	t.Helper()
 	g, err := gen.Grid(8, 8, gen.DefaultConfig(1))
 	if err != nil {
@@ -53,7 +53,7 @@ func newBackend(t *testing.T, m *core.Model, guard *hybrid.Estimator, version st
 	return ts
 }
 
-func newGateway(t *testing.T, cfg Config) *Gateway {
+func newGateway(t testing.TB, cfg Config) *Gateway {
 	t.Helper()
 	gw, err := New(cfg)
 	if err != nil {
@@ -94,33 +94,100 @@ func decodeBatch(r *http.Request) ([]int32, []int32, error) {
 	return batchwire.DecodePairs(body, nil, nil)
 }
 
-func TestRingStableAndMinimallyDisruptive(t *testing.T) {
-	ids := []string{"a:1", "b:1", "c:1"}
-	r := newRing(ids, 64)
-	all := func(i int) bool { return true }
-	owners := make([]int, 1000)
-	counts := make([]int, len(ids))
-	for v := int32(0); v < 1000; v++ {
-		owners[v] = r.walk(v, all)
-		if owners[v] != r.walk(v, all) {
-			t.Fatalf("ring not deterministic at key %d", v)
+// Rendezvous routing gives every source one owner, splits the sources
+// evenly, and moves only an excluded backend's sources — to the
+// next-ranked replica, never to the excluded one.
+func TestRouteStableBalancedAndMinimallyDisruptive(t *testing.T) {
+	const n = 8098 // bj-mini's vertex count
+	for _, ids := range [][]string{
+		{"10.0.0.1:8080", "10.0.0.2:8080"},
+		{"replica-a:8080", "replica-b:8080"},
+		{"127.0.0.1:18372", "127.0.0.1:18373"},
+		{"a:1", "b:1", "c:1"},
+	} {
+		urls := make([]string, len(ids))
+		for i, id := range ids {
+			urls[i] = "http://" + id
 		}
-		counts[owners[v]]++
+		gw := newGateway(t, Config{Backends: urls, HealthInterval: time.Hour})
+		owners := make([]*backend, n)
+		counts := make(map[*backend]int)
+		for v := int32(0); v < n; v++ {
+			owners[v] = gw.route(v, nil)
+			if owners[v] == nil || owners[v] != gw.route(v, nil) {
+				t.Fatalf("%v: routing not deterministic at source %d", ids, v)
+			}
+			counts[owners[v]]++
+		}
+		even := float64(n) / float64(len(ids))
+		for _, b := range gw.backends {
+			if c := float64(counts[b]); c < 0.9*even || c > 1.1*even {
+				t.Fatalf("%v: %s owns %d of %d sources, want %.0f ± 10%%", ids, b.id, counts[b], n, even)
+			}
+		}
+		for _, gone := range gw.backends {
+			exclude := map[*backend]bool{gone: true}
+			for v := int32(0); v < n; v++ {
+				moved := gw.route(v, exclude)
+				if moved == nil || moved == gone {
+					t.Fatalf("%v: source %d routed to %v with %s excluded", ids, v, moved, gone.id)
+				}
+				if owners[v] != gone && moved != owners[v] {
+					t.Fatalf("%v: source %d moved from %s to %s though its owner stayed",
+						ids, v, owners[v].id, moved.id)
+				}
+			}
+		}
 	}
-	for i, c := range counts {
-		if c == 0 {
-			t.Fatalf("backend %d owns no keys out of 1000", i)
+}
+
+// routeFleets builds the two fleet shapes routing is measured on: one
+// region of two full-model replicas, and two regions of one shard
+// replica each (the shape of the benchmark's matrix workload). Regions
+// are assigned as a probe would, without any replica running.
+func routeFleets(tb testing.TB) (map[string]*Gateway, int32) {
+	tb.Helper()
+	_, m, sp := cutTestModel(tb)
+	urls := []string{"http://10.0.0.1:8080", "http://10.0.0.2:8080"}
+	full := newGateway(tb, Config{Backends: urls, HealthInterval: time.Hour})
+	sharded := newGateway(tb, Config{Backends: urls, ShardMap: sp.Map, HealthInterval: time.Hour})
+	for k, b := range sharded.backends {
+		b.shardID.Store(int32(k))
+	}
+	return map[string]*Gateway{"one-region-2-replicas": full, "2-regions-1-replica": sharded},
+		int32(m.NumVertices())
+}
+
+// Routing runs once per proxied request and once per /batch pair, so it
+// must not allocate.
+func TestRouteAllocs(t *testing.T) {
+	fleets, n := routeFleets(t)
+	for name, gw := range fleets {
+		exclude := map[*backend]bool{gw.backends[0]: true}
+		v := int32(0)
+		allocs := testing.AllocsPerRun(1000, func() {
+			gw.route(v, nil)
+			gw.route(v, exclude)
+			v = (v + 1) % n
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: route allocates %.1f times per call pair", name, allocs)
 		}
 	}
-	// Ejecting backend 0 must only move backend 0's keys.
-	for v := int32(0); v < 1000; v++ {
-		moved := r.walk(v, func(i int) bool { return i != 0 })
-		if owners[v] != 0 && moved != owners[v] {
-			t.Fatalf("key %d moved from %d to %d though its owner stayed healthy", v, owners[v], moved)
-		}
-		if owners[v] == 0 && moved == 0 {
-			t.Fatalf("key %d still routed to the ejected backend", v)
-		}
+}
+
+var routeSink *backend
+
+func BenchmarkRoute(b *testing.B) {
+	fleets, n := routeFleets(b)
+	for _, name := range []string{"one-region-2-replicas", "2-regions-1-replica"} {
+		gw := fleets[name]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				routeSink = gw.route(int32(i)%n, nil)
+			}
+		})
 	}
 }
 
@@ -343,13 +410,27 @@ func TestAllBackendsDownIs503(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("batch with empty fleet = %d, want 503", resp.StatusCode)
 	}
-	rresp, err := http.Get(ts.URL + "/readyz")
+	// The single-source routes name the fleet's one region and say when
+	// to come back.
+	dresp, err := http.Get(ts.URL + "/distance?s=0&t=5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rresp.Body.Close()
-	if rresp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz with empty fleet = %d, want 503", rresp.StatusCode)
+	var derr map[string]string
+	json.NewDecoder(dresp.Body).Decode(&derr)
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusServiceUnavailable || dresp.Header.Get("Retry-After") == "" ||
+		!strings.Contains(derr["error"], "shard 0 degraded") {
+		t.Fatalf("distance with empty fleet = %d %v (Retry-After %q), want 503 naming shard 0",
+			dresp.StatusCode, derr, dresp.Header.Get("Retry-After"))
+	}
+	code, ready := getBody(t, ts.URL+"/readyz")
+	if code != http.StatusServiceUnavailable || ready["status"] != "unavailable" ||
+		ready["shards"] != 1.0 || ready["covered"] != 0.0 || fmt.Sprint(ready["shards_down"]) != "[0]" {
+		t.Fatalf("readyz with empty fleet = %d %v, want 503 with shard 0 down", code, ready)
+	}
+	if b := ready["backends"].([]any)[0].(map[string]any); b["shard"] != 0.0 {
+		t.Fatalf("readyz backend entry %v lacks shard 0", b)
 	}
 }
 
@@ -394,6 +475,36 @@ func TestDistanceProxyAndBadRequestRelay(t *testing.T) {
 	resp, out = postBatch(t, ts, batchBody([][2]int32{{0, 100000}}))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range batch via gateway = %d %v, want 400", resp.StatusCode, out)
+	}
+}
+
+// A source the replica would reject is rejected at the gateway, with
+// the same 400, before any backend call is spent on it.
+func TestMalformedSourceRejectedWithoutBackendCall(t *testing.T) {
+	_, m := buildModel(t)
+	replica := newBackend(t, m, nil, "v1")
+	gw := newGateway(t, Config{Backends: []string{replica.URL}, HealthInterval: time.Hour})
+	ts := httptest.NewServer(gw.Handler())
+	defer ts.Close()
+
+	b := gw.backends[0]
+	for _, route := range []string{"/distance?t=1&s=", "/knn?k=3&s=", "/range?tau=5&s="} {
+		for _, s := range []string{"", "12abc", "0x10", "1_000", "1e3", "3.0", "%205", "-1", "2147483648"} {
+			before := b.requests.Value()
+			resp, err := http.Get(ts.URL + route + s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out map[string]string
+			json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || out["error"] == "" {
+				t.Fatalf("%s%s answered %d %v, want 400 with an error", route, s, resp.StatusCode, out)
+			}
+			if after := b.requests.Value(); after != before {
+				t.Fatalf("%s%s cost %d backend requests", route, s, after-before)
+			}
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func jsonBackend(t *testing.T, h http.HandlerFunc) *httptest.Server {
 func ownerOf(t *testing.T, gw *Gateway, base string) int32 {
 	t.Helper()
 	for src := int32(0); src < 4096; src++ {
-		if b := gw.pick(src, nil); b != nil && b.base == strings.TrimRight(base, "/") {
+		if b := gw.route(src, nil); b != nil && b.base == strings.TrimRight(base, "/") {
 			return src
 		}
 	}
@@ -39,7 +39,7 @@ func ownerOf(t *testing.T, gw *Gateway, base string) int32 {
 
 // A backend answering 429 is saturated, not dead: the gateway retries
 // the request elsewhere, never counts the shed toward ejection, and
-// the shedding replica keeps its place on the ring.
+// the shedding replica keeps its sources.
 func TestBackpressureNotCountedAgainstHealth(t *testing.T) {
 	_, m := buildModel(t)
 	shedding := jsonBackend(t, func(w http.ResponseWriter, r *http.Request) {
@@ -219,7 +219,7 @@ func TestBatchPartial206(t *testing.T) {
 	// grouping still targets the dead replica afterwards.
 	doomedOwned := make(map[int]bool)
 	for i, p := range pairs {
-		if gw.pick(p[0], nil).base == strings.TrimRight(doomed.URL, "/") {
+		if gw.route(p[0], nil).base == strings.TrimRight(doomed.URL, "/") {
 			doomedOwned[i] = true
 		}
 	}
@@ -294,8 +294,8 @@ func TestBatchPartial206(t *testing.T) {
 	}
 }
 
-// Opt-in hedging: a slow primary is raced against the next ring owner
-// after the hedge delay, the first answer wins, and the win is
+// Opt-in hedging: a slow primary is raced against the next-ranked
+// replica after the hedge delay, the first answer wins, and the win is
 // recorded under rne_hedges_total{won="hedge"}.
 func TestHedgedDistanceFirstAnswerWins(t *testing.T) {
 	slow := jsonBackend(t, func(w http.ResponseWriter, r *http.Request) {

@@ -20,34 +20,47 @@ import (
 	"repro/internal/sssp"
 )
 
+// cutTestModel cuts the test model at level 1 into two shards.
+func cutTestModel(tb testing.TB) (*graph.Graph, *core.Model, *shard.Split) {
+	tb.Helper()
+	g, m := buildModel(tb)
+	lt, err := alt.Build(g, 8, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sp, err := shard.Cut(m, lt, shard.Config{CutLevel: 1, Shards: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, m, sp
+}
+
+// newShardReplica boots one guarded replica of shard k.
+func newShardReplica(t *testing.T, sp *shard.Split, k int) *httptest.Server {
+	t.Helper()
+	guard, err := hybrid.New(sp.Shards[k], sp.Guards[k])
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.NewFromSet(server.ModelSet{
+		Shard: sp.Shards[k], Guard: guard, Version: "v1",
+	}, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
 // buildShardedFleet cuts the test model at level 1 into two shards and
 // boots one guarded replica per shard.
 func buildShardedFleet(t *testing.T) (*graph.Graph, *core.Model, *shard.Split, []*httptest.Server) {
 	t.Helper()
-	g, m := buildModel(t)
-	lt, err := alt.Build(g, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := shard.Cut(m, lt, shard.Config{CutLevel: 1, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, m, sp := cutTestModel(t)
 	replicas := make([]*httptest.Server, len(sp.Shards))
 	for k := range sp.Shards {
-		guard, err := hybrid.New(sp.Shards[k], sp.Guards[k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := server.NewFromSet(server.ModelSet{
-			Shard: sp.Shards[k], Guard: guard, Version: "v1",
-		}, server.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		replicas[k] = ts
+		replicas[k] = newShardReplica(t, sp, k)
 	}
 	return g, m, sp, replicas
 }
@@ -353,8 +366,9 @@ func TestStaleShardMapRelays421(t *testing.T) {
 	_ = gw
 }
 
-// Region mode refuses to route through a backend that has not declared
-// a shard identity yet, and the shard map's resident size is exported.
+// A sharded fleet refuses to route through a backend that has not
+// declared a shard identity yet, and the shard map's resident size is
+// exported.
 func TestRegionModeRequiresDiscovery(t *testing.T) {
 	_, m, sp, replicas := buildShardedFleet(t)
 	urls := make([]string, len(replicas))
@@ -402,4 +416,123 @@ func TestRegionModeRequiresDiscovery(t *testing.T) {
 		t.Fatalf("out-of-map vertex answered %d, want 400", code)
 	}
 	_ = m
+}
+
+// A shard with two replicas gives each of its sources one owner, shares
+// the sources between both, and fails an ejected replica's sources over
+// to its sibling with answers still bit-identical to the full model.
+func TestReplicatedShardStableOwnerAndFailover(t *testing.T) {
+	_, m, sp, replicas := buildShardedFleet(t)
+	replicas = append(replicas, newShardReplica(t, sp, 0))
+	gw, ts := regionGateway(t, sp, replicas)
+
+	var siblings []*backend
+	for _, b := range gw.backends {
+		if b.shardID.Load() == 0 {
+			siblings = append(siblings, b)
+		}
+	}
+	if len(siblings) != 2 {
+		t.Fatalf("%d backends discovered as shard 0, want 2", len(siblings))
+	}
+	owners := make(map[int32]*backend)
+	owned := make(map[*backend]int)
+	for v := int32(0); int(v) < m.NumVertices(); v++ {
+		if region, _ := sp.Map.ShardOf(v); region != 0 {
+			continue
+		}
+		owners[v] = gw.route(v, nil)
+		for i := 0; i < 3; i++ {
+			if b := gw.route(v, nil); b != owners[v] {
+				t.Fatalf("source %d routed to %s, then to %s", v, owners[v].id, b.id)
+			}
+		}
+		owned[owners[v]]++
+	}
+	for _, b := range siblings {
+		if owned[b] == 0 {
+			t.Fatalf("replica %s owns none of shard 0's %d sources", b.id, len(owners))
+		}
+	}
+
+	gone, sibling := siblings[0], siblings[1]
+	for _, r := range replicas {
+		if strings.TrimPrefix(r.URL, "http://") == gone.id {
+			r.Close()
+		}
+	}
+	gw.markFailure(gone, fmt.Errorf("killed")) // EjectAfter=1
+	compared := 0
+	for v, owner := range owners {
+		if b := gw.route(v, nil); b != sibling {
+			t.Fatalf("source %d (owner %s) routed to %v after the ejection, want the sibling", v, owner.id, b)
+		}
+		if owner != gone {
+			continue
+		}
+		for u := int32(0); int(u) < m.NumVertices(); u += 7 {
+			if sp.Shards[0].CrossShard(v, u) {
+				continue
+			}
+			code, out := getBody(t, fmt.Sprintf("%s/distance?s=%d&t=%d", ts.URL, v, u))
+			if code != http.StatusOK {
+				t.Fatalf("(%d,%d) after failover: status %d: %v", v, u, code, out)
+			}
+			if out["clamped"] == false {
+				compared++
+				if out["distance"].(float64) != m.Estimate(v, u) {
+					t.Fatalf("(%d,%d): failover answer %v != full model %v", v, u, out["distance"], m.Estimate(v, u))
+				}
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no unclamped intra-shard answer to compare after the failover")
+	}
+
+	code, ready := getBody(t, ts.URL+"/readyz")
+	if code != http.StatusOK || ready["status"] != "degraded" {
+		t.Fatalf("readyz = %d %v, want 200 degraded", code, ready)
+	}
+	if down, ok := ready["shards_down"]; ok {
+		t.Fatalf("every shard is still covered, yet shards_down = %v", down)
+	}
+}
+
+// A gateway without a shard map is a one-region fleet of full-model
+// replicas: a shard replica behind it fails its probe and is never
+// routed to, so the other region's vertices are answered by the full
+// replica instead of drawing 421s.
+func TestOneRegionFleetRefusesShardReplica(t *testing.T) {
+	_, m, sp, replicas := buildShardedFleet(t)
+	full := newBackend(t, m, nil, "v1")
+	gw := newGateway(t, Config{
+		Backends:       []string{full.URL, replicas[0].URL},
+		HealthInterval: time.Hour, // probes driven by hand
+	})
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(ts.Close)
+
+	fullB, shardB := gw.backends[0], gw.backends[1]
+	if err := gw.probe(fullB); err != nil {
+		t.Fatalf("probe of the full replica: %v", err)
+	}
+	if err := gw.probe(shardB); err == nil {
+		t.Fatal("a one-region gateway accepted a replica serving shard 0 of 2")
+	}
+	for v := int32(0); int(v) < m.NumVertices(); v++ {
+		if b := gw.route(v, nil); b != fullB {
+			t.Fatalf("source %d routed to %v, want the full replica", v, b)
+		}
+		if region, _ := sp.Map.ShardOf(v); region != 1 {
+			continue
+		}
+		code, out := getBody(t, fmt.Sprintf("%s/distance?s=%d&t=0", ts.URL, v))
+		if code != http.StatusOK || out["distance"].(float64) != m.Estimate(v, 0) {
+			t.Fatalf("source %d: %d %v, want the full model's %v", v, code, out, m.Estimate(v, 0))
+		}
+	}
+	if n := shardB.requests.Value(); n != 0 {
+		t.Fatalf("the shard replica was sent %d requests", n)
+	}
 }

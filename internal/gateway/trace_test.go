@@ -103,12 +103,11 @@ func waitSpans(t *testing.T, gw *Gateway, n int64) {
 	}
 }
 
-// srcOwnedBy finds a source vertex whose ring owner is the given
-// backend id, so tests can steer which replica a request lands on.
+// srcOwnedBy finds a source vertex routed to the given backend id, so tests can steer which replica a request lands on.
 func srcOwnedBy(t *testing.T, gw *Gateway, id string) int32 {
 	t.Helper()
 	for src := int32(0); src < 4096; src++ {
-		if b := gw.pick(src, nil); b != nil && b.id == id {
+		if b := gw.route(src, nil); b != nil && b.id == id {
 			return src
 		}
 	}

@@ -91,19 +91,15 @@ func ParseTraceParent(s string) (SpanContext, bool) {
 	if _, err := hex.Decode(sc.SpanID[:], []byte(s[36:52])); err != nil {
 		return SpanContext{}, false
 	}
-	flags := s[53:55]
-	if !isHexByte(flags[0]) || !isHexByte(flags[1]) {
+	var flags [1]byte
+	if _, err := hex.Decode(flags[:], []byte(s[53:55])); err != nil {
 		return SpanContext{}, false
 	}
-	sc.Sampled = flags == "01" || flags[1]&1 == 1
+	sc.Sampled = flags[0]&1 == 1 // bit 0 of trace-flags is "sampled"
 	if !sc.Valid() {
 		return SpanContext{}, false
 	}
 	return sc, true
-}
-
-func isHexByte(c byte) bool {
-	return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }
 
 // ExtractTraceParent reads the traceparent header from h.

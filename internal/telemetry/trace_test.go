@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -59,6 +60,19 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	if !ok || got != sc {
 		t.Fatalf("unsampled round trip: got %+v ok=%v", got, ok)
 	}
+	// Sampled is bit 0 of the flags byte read as hex, whatever the
+	// other bits hold.
+	for flags, sampled := range map[string]bool{
+		"00": false, "01": true, "02": false, "03": true,
+		"0a": false, "0b": true, "0c": false, "0d": true, "0e": false, "0f": true,
+		"10": false, "11": true, "fe": false, "ff": true, "FF": true,
+	} {
+		s := "00-" + sc.TraceIDString() + "-" + sc.SpanIDString() + "-" + flags
+		got, ok := ParseTraceParent(s)
+		if !ok || got.Sampled != sampled {
+			t.Fatalf("flags %q: sampled=%v ok=%v, want sampled=%v", flags, got.Sampled, ok, sampled)
+		}
+	}
 	bad := []string{
 		"",
 		"00",
@@ -67,12 +81,45 @@ func TestTraceParentRoundTrip(t *testing.T) {
 		"00-" + sc.TraceIDString() + "-0000000000000000-01",                // zero span id
 		"00-" + strings.Repeat("z", 32) + "-" + sc.SpanIDString() + "-01",  // non-hex
 		"00-" + sc.TraceIDString() + "-" + sc.SpanIDString() + "-01-extra", // trailing field on v00
+		"00-" + sc.TraceIDString() + "-" + sc.SpanIDString() + "-0g",       // non-hex flags
 	}
 	for _, s := range bad {
 		if _, ok := ParseTraceParent(s); ok {
 			t.Fatalf("accepted malformed traceparent %q", s)
 		}
 	}
+}
+
+// FuzzParseTraceParent checks that no header value panics the parser,
+// that an accepted value formats back to the same ids, and that
+// Sampled is bit 0 of the decoded flags byte.
+func FuzzParseTraceParent(f *testing.F) {
+	sc := SpanContext{TraceID: newTraceID(), SpanID: newSpanID(), Sampled: true}
+	f.Add(FormatTraceParent(sc))
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0b")
+	f.Add("00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-FE")
+	f.Add("00-00000000000000000000000000000000-00f067aa0ba902b7-01")
+	f.Add("ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Fuzz(func(t *testing.T, s string) {
+		got, ok := ParseTraceParent(s)
+		if !ok {
+			return
+		}
+		if got.TraceIDString() != strings.ToLower(s[3:35]) || got.SpanIDString() != strings.ToLower(s[36:52]) {
+			t.Fatalf("%q parsed to ids %s-%s", s, got.TraceIDString(), got.SpanIDString())
+		}
+		again, ok := ParseTraceParent(FormatTraceParent(got))
+		if !ok || again != got {
+			t.Fatalf("%q: formatted %q parses to %+v ok=%v, want %+v", s, FormatTraceParent(got), again, ok, got)
+		}
+		flags, err := strconv.ParseUint(s[53:55], 16, 8)
+		if err != nil {
+			t.Fatalf("%q accepted with flags %q: %v", s, s[53:55], err)
+		}
+		if got.Sampled != (flags&1 == 1) {
+			t.Fatalf("%q: sampled=%v, flags byte %#02x", s, got.Sampled, flags)
+		}
+	})
 }
 
 func TestTraceParentHeaderInjectExtract(t *testing.T) {
