@@ -24,16 +24,21 @@ shuffle:
 
 # Coverage-guided fuzzing over the byte decoders and header parsers —
 # ten seconds on the DIMACS parser, five each on the /batch request
-# decoder, the gateway's reply scanner, the model and spatial-index
-# codecs, the X-Rne-Budget-Ms header, the replica's query-string parser
-# and the W3C traceparent header — a smoke pass catching regressions in
-# input hardening, not a deep campaign.
+# decoder, the gateway's reply scanner, all six artifact codecs (model,
+# build checkpoint, ALT guard, spatial index, shard routing map and
+# shard model), the X-Rne-Budget-Ms header, the replica's query-string
+# parser and the W3C traceparent header — a smoke pass catching
+# regressions in input hardening, not a deep campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequest$$' -fuzztime=5s ./internal/batchwire
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchReply$$' -fuzztime=5s ./internal/batchwire
 	$(GO) test -run='^$$' -fuzz='^FuzzModelLoad$$' -fuzztime=5s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzCheckpointRead$$' -fuzztime=5s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzALTRead$$' -fuzztime=5s ./internal/alt
 	$(GO) test -run='^$$' -fuzz='^FuzzTreeLoad$$' -fuzztime=5s ./internal/index
+	$(GO) test -run='^$$' -fuzz='^FuzzShardMapRead$$' -fuzztime=5s ./internal/shard
+	$(GO) test -run='^$$' -fuzz='^FuzzShardModelRead$$' -fuzztime=5s ./internal/shard
 	$(GO) test -run='^$$' -fuzz='^FuzzParseBudget$$' -fuzztime=5s ./internal/resilience
 	$(GO) test -run='^$$' -fuzz='^FuzzQuery$$' -fuzztime=5s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceParent$$' -fuzztime=5s ./internal/telemetry

@@ -1,7 +1,6 @@
 package alt
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -11,12 +10,11 @@ import (
 	"repro/internal/fsx"
 )
 
-// ALT index persistence. The on-disk format mirrors the model and
-// checkpoint files: a magic string, the little-endian payload length,
-// the payload ({n, |U|} header, landmark ids, label matrix), and a
-// CRC32-IEEE trailer over the payload. Files are written atomically, so
-// a crashed save never leaves a truncated index behind, and every load
-// verifies length and checksum before any data is trusted.
+// ALT index persistence. The file is one fsx section, like every other
+// artifact: its payload is the {n, |U|} header, the landmark ids and
+// the label matrix. Files are written atomically, so a crashed save
+// never leaves a truncated index behind, and every load verifies length
+// and checksum before any data is trusted.
 //
 // A loaded Index carries no graph: Bounds, Estimate and LowerBound are
 // pure label-matrix lookups and keep working, which is exactly what the
@@ -32,33 +30,15 @@ const maxLandmarks = 1 << 16
 // WriteTo streams the index in the RNEALT1 format.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	nU := int64(len(idx.landmarks))
-	plen := 2*8 + nU*4 + int64(len(idx.labels))*8
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(altMagic); err != nil {
-		return 0, err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, plen); err != nil {
-		return 0, err
-	}
-	cw := fsx.NewCRCWriter(bw)
-	for _, v := range []int64{int64(idx.n), nU} {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return 0, err
+	size := 2*8 + nU*4 + int64(len(idx.labels))*8
+	return fsx.WriteSection(w, altMagic, size, func(w io.Writer) error {
+		for _, v := range []any{[]int64{int64(idx.n), nU}, idx.landmarks, idx.labels} {
+			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+				return err
+			}
 		}
-	}
-	if err := binary.Write(cw, binary.LittleEndian, idx.landmarks); err != nil {
-		return 0, err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, idx.labels); err != nil {
-		return 0, err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.Sum32()); err != nil {
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
-	return int64(len(altMagic)) + 8 + plen + 4, nil
+		return nil
+	})
 }
 
 // SaveFile atomically writes the index to path.
@@ -73,47 +53,30 @@ func (idx *Index) SaveFile(path string) error {
 // graph attached: estimation queries (Bounds, Estimate, LowerBound)
 // work; SearchDistance does not.
 func Read(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(altMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("alt: reading index magic: %w", err)
+	sec, err := fsx.ReadSection(r, altMagic, "alt", "index")
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != altMagic {
-		return nil, fmt.Errorf("alt: bad index magic %q", magic)
+	var hdr [2]int64
+	if err := binary.Read(sec, binary.LittleEndian, &hdr); err != nil {
+		return nil, fmt.Errorf("alt: reading index header: %w", err)
 	}
-	var plen int64
-	if err := binary.Read(br, binary.LittleEndian, &plen); err != nil {
-		return nil, fmt.Errorf("alt: reading index payload length: %w", err)
-	}
-	cr := fsx.NewCRCReader(io.LimitReader(br, plen))
-	var n, nU int64
-	for _, p := range []*int64{&n, &nU} {
-		if err := binary.Read(cr, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("alt: reading index header: %w", err)
-		}
-	}
+	n, nU := hdr[0], hdr[1]
 	if n < 1 || nU < 1 || nU > maxLandmarks {
 		return nil, fmt.Errorf("alt: implausible index header: %d vertices, %d landmarks", n, nU)
 	}
-	if want := 2*8 + nU*4 + nU*n*8; plen != want {
-		return nil, fmt.Errorf("alt: index payload is %d bytes, want %d for %d x %d labels", plen, want, nU, n)
+	// n is bounded by the payload before it is multiplied.
+	if left := sec.Left(); n > (left-nU*4)/(nU*8) || nU*4+nU*n*8 != left {
+		return nil, fmt.Errorf("alt: index payload has %d bytes after its header, not %d landmark ids and %d x %d labels", left, nU, nU, n)
 	}
-	idx := &Index{
-		labels:    make([]float64, nU*n),
-		landmarks: make([]int32, nU),
-		n:         int(n),
-	}
-	if err := binary.Read(cr, binary.LittleEndian, idx.landmarks); err != nil {
+	idx := &Index{n: int(n)}
+	if idx.landmarks, err = fsx.ReadSlice[int32](sec, int(nU)); err != nil {
 		return nil, fmt.Errorf("alt: reading landmark ids: %w", err)
 	}
-	if err := binary.Read(cr, binary.LittleEndian, idx.labels); err != nil {
+	if idx.labels, err = fsx.ReadSlice[float64](sec, int(nU*n)); err != nil {
 		return nil, fmt.Errorf("alt: reading label matrix: %w", err)
 	}
-	var wantCRC uint32
-	if err := binary.Read(br, binary.LittleEndian, &wantCRC); err != nil {
-		return nil, fmt.Errorf("alt: reading index checksum trailer: %w", err)
-	}
-	if err := fsx.VerifyTrailer(cr, plen, wantCRC, "alt: index"); err != nil {
+	if err := sec.Close(); err != nil {
 		return nil, err
 	}
 	for _, u := range idx.landmarks {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -92,32 +91,23 @@ func (t *Trainer) ckptMeta(phase, level, epoch int) ckptMeta {
 	return meta
 }
 
-// writeCheckpoint streams the full checkpoint encoding — magic, payload
-// length, meta + embedding matrix payload, CRC trailer — to w. It is
-// shared by on-disk checkpoints and the sentinel's in-memory last-good
-// snapshots, so rollback restores exercise the same codec as -resume.
+// writeCheckpoint streams the checkpoint encoding, one fsx section
+// whose payload is the meta block and the embedding matrix, to w. It
+// is shared by on-disk checkpoints and the sentinel's in-memory
+// last-good snapshots, so rollback restores exercise the same codec as
+// -resume.
 func (t *Trainer) writeCheckpoint(w io.Writer, phase, level, epoch int) error {
 	meta := t.ckptMeta(phase, level, epoch)
 	mat := t.ckptMatrix()
-	plen := int64(binary.Size(meta)) + emb.MatrixFileSize(mat.Rows(), mat.Dim())
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(ckptMagic); err != nil {
+	size := int64(binary.Size(meta)) + emb.MatrixFileSize(mat.Rows(), mat.Dim())
+	_, err := fsx.WriteSection(w, ckptMagic, size, func(w io.Writer) error {
+		if err := binary.Write(w, binary.LittleEndian, meta); err != nil {
+			return err
+		}
+		_, err := mat.WriteTo(w)
 		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, plen); err != nil {
-		return err
-	}
-	cw := fsx.NewCRCWriter(bw)
-	if err := binary.Write(cw, binary.LittleEndian, meta); err != nil {
-		return err
-	}
-	if _, err := mat.WriteTo(cw); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.Sum32()); err != nil {
-		return err
-	}
-	return bw.Flush()
+	})
+	return err
 }
 
 // SaveCheckpoint atomically writes the trainer's current embedding
@@ -154,35 +144,19 @@ func (t *Trainer) RestoreCheckpoint(path string) (phase, level, epoch int, err e
 // writeCheckpoint, validating framing and build-configuration match
 // before any trainer state is touched.
 func (t *Trainer) readCheckpoint(r io.Reader) (phase, level, epoch int, err error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(ckptMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return 0, 0, 0, fmt.Errorf("core: reading checkpoint magic: %w", err)
-	}
-	if string(magic) != ckptMagic {
-		return 0, 0, 0, fmt.Errorf("core: bad checkpoint magic %q", magic)
-	}
-	var plen int64
-	if err := binary.Read(br, binary.LittleEndian, &plen); err != nil {
-		return 0, 0, 0, fmt.Errorf("core: reading checkpoint payload length: %w", err)
+	sec, err := fsx.ReadSection(r, ckptMagic, "core", "checkpoint")
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	var meta ckptMeta
-	if min := int64(binary.Size(meta)) + emb.MatrixFileSize(0, 1); plen < min {
-		return 0, 0, 0, fmt.Errorf("core: implausible checkpoint payload length %d", plen)
-	}
-	cr := fsx.NewCRCReader(io.LimitReader(br, plen))
-	if err := binary.Read(cr, binary.LittleEndian, &meta); err != nil {
+	if err := binary.Read(sec, binary.LittleEndian, &meta); err != nil {
 		return 0, 0, 0, fmt.Errorf("core: reading checkpoint header: %w", err)
 	}
-	mat, err := emb.ReadMatrix(cr, plen-int64(binary.Size(meta)))
+	mat, err := emb.ReadMatrix(sec, sec.Left())
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("core: reading checkpoint matrix: %w", err)
 	}
-	var wantCRC uint32
-	if err := binary.Read(br, binary.LittleEndian, &wantCRC); err != nil {
-		return 0, 0, 0, fmt.Errorf("core: reading checkpoint checksum trailer: %w", err)
-	}
-	if err := fsx.VerifyTrailer(cr, plen, wantCRC, "core: checkpoint"); err != nil {
+	if err := sec.Close(); err != nil {
 		return 0, 0, 0, err
 	}
 

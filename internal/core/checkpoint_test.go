@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/emb"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -197,6 +202,103 @@ func TestCheckpointRejectsMismatchAndCorruption(t *testing.T) {
 	if _, _, _, err := tr.RestoreCheckpoint(trunc); err == nil {
 		t.Fatal("truncated checkpoint accepted")
 	}
+
+	// The intact file with one byte after its checksum trailer.
+	raw[len(raw)-10] ^= 0x01
+	trailing := filepath.Join(dir, "trailing.ckpt")
+	if err := os.WriteFile(trailing, append(raw, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := tr.RestoreCheckpoint(trailing); err == nil || !strings.Contains(err.Error(), "past its checksum trailer") {
+		t.Fatalf("checkpoint with a trailing byte: error %v", err)
+	}
+}
+
+// pinTrainer is a hand-built trainer over a 2-vertex graph, holding
+// just the state a checkpoint records.
+func pinTrainer() *Trainer {
+	b := graph.NewBuilder(2, 1)
+	b.AddVertex(0, 0)
+	b.AddVertex(1, 0)
+	b.AddEdge(0, 1, 1)
+	mat := emb.NewMatrix(2, 2)
+	copy(mat.Data(), []float64{0.5, -1, 2, 0.25})
+	return &Trainer{g: b.Build(), opt: Options{Dim: 2, Seed: 3}, flat: mat, scale: 1.5, samplesUsed: 42}
+}
+
+// ckptPin is pinTrainer checkpointed at phase 2, epoch 2, as written
+// by every RNECKPT1 writer so far.
+const ckptPin = "" +
+	"524e45434b5054310a" + // RNECKPT1\n
+	"8600000000000000" + // payload length 134
+	"0200000000000000" + "0000000000000000" + // 2 vertices, 0 hierarchy nodes
+	"0200000000000000" + "0000000000000000" + // dim 2, flat
+	"0300000000000000" + "2a00000000000000" + // seed 3, 42 samples used
+	"0200000000000000" + "0000000000000000" + // phase 2, level 0
+	"0200000000000000" + "000000000000f83f" + // epoch 2, scale 1.5
+	"524e454d310a" + // RNEM1\n
+	"02000000000000000200000000000000" + // 2 x 2
+	"000000000000e03f000000000000f0bf0000000000000040000000000000d03f" + // 0.5, -1, 2, 0.25
+	"c6e9481c" // CRC-32
+
+// The checkpoint encoding is pinned, so a checkpoint left by an older
+// build still resumes.
+func TestCheckpointFormatPinned(t *testing.T) {
+	pin := mustHex(t, ckptPin)
+	var buf bytes.Buffer
+	if err := pinTrainer().writeCheckpoint(&buf, ckptPhaseVertex, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), pin) {
+		t.Fatalf("checkpoint encoding drifted:\n got %x\nwant %x", buf.Bytes(), pin)
+	}
+	tr := pinTrainer()
+	tr.samplesUsed = 0
+	tr.flat.Data()[0] = 9
+	phase, level, epoch, err := tr.readCheckpoint(bytes.NewReader(pin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if phase != ckptPhaseVertex || level != 0 || epoch != 2 || tr.samplesUsed != 42 || tr.flat.Data()[0] != 0.5 {
+		t.Fatalf("restored cursor (%d,%d,%d), %d samples, first value %v", phase, level, epoch, tr.samplesUsed, tr.flat.Data()[0])
+	}
+}
+
+// resign recomputes the checksum trailer of a section whose magic is
+// magicLen bytes, so an edited payload reaches the parser instead of
+// failing the checksum.
+func resign(raw []byte, magicLen int) []byte {
+	raw = append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[magicLen+8:len(raw)-4]))
+	return raw
+}
+
+// FuzzCheckpointRead feeds arbitrary bytes, as they are and re-signed,
+// to readCheckpoint on a fixed trainer: no input may panic, and any
+// input it accepts must write back to exactly the same bytes.
+func FuzzCheckpointRead(f *testing.F) {
+	f.Add(mustHex(f, ckptPin))
+	f.Add(oversizedCheckpoint())
+	tr := pinTrainer()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		inputs := [][]byte{raw}
+		if len(raw) >= len(ckptMagic)+8+4 {
+			inputs = append(inputs, resign(raw, len(ckptMagic)))
+		}
+		for _, in := range inputs {
+			phase, level, epoch, err := tr.readCheckpoint(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			var buf bytes.Buffer
+			if err := tr.writeCheckpoint(&buf, phase, level, epoch); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), in) {
+				t.Fatalf("accepted %d bytes but wrote %d different ones", len(in), buf.Len())
+			}
+		}
+	})
 }
 
 // Resume with no checkpoint on disk silently starts a fresh build.

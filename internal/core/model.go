@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -74,82 +73,46 @@ func (m *Model) IndexBytes() int64 {
 	return int64(m.m.Rows())*int64(m.m.Dim())*8 + 32
 }
 
-// modelMagic opens the model file format: magic, int64 payload
-// length, payload (p, scale, matrix), uint32 CRC-32 (IEEE) trailer over
-// the payload. Load rejects truncated, length-mismatched or bit-flipped
-// files with a precise error instead of constructing a silently wrong
-// estimator.
+// modelMagic opens the model file: one fsx section whose payload is
+// p, scale and the matrix. Load rejects truncated, length-mismatched
+// or bit-flipped files with a precise error instead of constructing a
+// silently wrong estimator.
 const modelMagic = "RNEMODEL3\n"
-
-// payloadSize is the exact payload length: p + scale, then the
-// serialized matrix.
-func (m *Model) payloadSize() int64 {
-	return 16 + emb.MatrixFileSize(m.m.Rows(), m.m.Dim())
-}
 
 // Save serializes the model (matrix, metric order, scale) in the
 // current integrity-checked format.
 func (m *Model) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(modelMagic); err != nil {
+	size := 16 + emb.MatrixFileSize(m.m.Rows(), m.m.Dim())
+	_, err := fsx.WriteSection(w, modelMagic, size, func(w io.Writer) error {
+		if err := binary.Write(w, binary.LittleEndian, []float64{m.p, m.scale}); err != nil {
+			return err
+		}
+		_, err := m.m.WriteTo(w)
 		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, m.payloadSize()); err != nil {
-		return err
-	}
-	cw := fsx.NewCRCWriter(bw)
-	if err := binary.Write(cw, binary.LittleEndian, []float64{m.p, m.scale}); err != nil {
-		return err
-	}
-	if _, err := m.m.WriteTo(cw); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.Sum32()); err != nil {
-		return err
-	}
-	return bw.Flush()
+	})
+	return err
 }
 
 // Load deserializes a model written by Save. The hierarchy is not
 // persisted; Hier returns nil on loaded models.
 func Load(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(modelMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: reading model magic: %w", err)
+	sec, err := fsx.ReadSection(r, modelMagic, "core", "model")
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != modelMagic {
-		return nil, fmt.Errorf("core: bad model magic %q", magic)
-	}
-	var plen int64
-	if err := binary.Read(br, binary.LittleEndian, &plen); err != nil {
-		return nil, fmt.Errorf("core: reading model payload length: %w", err)
-	}
-	// Minimum payload: p+scale plus an empty matrix.
-	if min := 16 + emb.MatrixFileSize(0, 1); plen < min {
-		return nil, fmt.Errorf("core: implausible model payload length %d", plen)
-	}
-	cr := fsx.NewCRCReader(io.LimitReader(br, plen))
 	var hdr [2]float64
-	if err := binary.Read(cr, binary.LittleEndian, &hdr); err != nil {
+	if err := binary.Read(sec, binary.LittleEndian, &hdr); err != nil {
 		return nil, fmt.Errorf("core: reading model header: %w", err)
 	}
 	if hdr[0] <= 0 || hdr[1] <= 0 {
 		return nil, fmt.Errorf("core: implausible model header p=%v scale=%v", hdr[0], hdr[1])
 	}
-	mat, err := emb.ReadMatrix(cr, plen-16)
+	mat, err := emb.ReadMatrix(sec, sec.Left())
 	if err != nil {
 		return nil, err
 	}
-	var wantCRC uint32
-	if err := binary.Read(br, binary.LittleEndian, &wantCRC); err != nil {
-		return nil, fmt.Errorf("core: reading model checksum trailer: %w", err)
-	}
-	if err := fsx.VerifyTrailer(cr, plen, wantCRC, "core: model"); err != nil {
+	if err := sec.Close(); err != nil {
 		return nil, err
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("core: model file continues past its checksum trailer")
 	}
 	return &Model{m: mat, p: hdr[0], scale: hdr[1]}, nil
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -48,13 +50,47 @@ func modelsEqual(t *testing.T, a, b *Model) {
 	}
 }
 
-func TestModelSaveLoadV3RoundTrip(t *testing.T) {
-	m := tinyModel(t)
-	raw := saveBytes(t, m)
-	if !bytes.HasPrefix(raw, []byte("RNEMODEL3\n")) {
-		t.Fatalf("saved file does not start with the v3 magic: %q", raw[:12])
+// pinModel is a hand-built 2 x 2 model whose encoding is pinned.
+func pinModel() *Model {
+	mat := emb.NewMatrix(2, 2)
+	copy(mat.Data(), []float64{0.5, -1, 2, 0.25})
+	return &Model{m: mat, p: 1, scale: 3}
+}
+
+// modelPin is pinModel as saved by every RNEMODEL3 writer so far.
+const modelPin = "" +
+	"524e454d4f44454c330a" + // RNEMODEL3\n
+	"4600000000000000" + // payload length 70
+	"000000000000f03f0000000000000840" + // p = 1, scale = 3
+	"524e454d310a" + // RNEM1\n
+	"02000000000000000200000000000000" + // 2 x 2
+	"000000000000e03f000000000000f0bf0000000000000040000000000000d03f" + // 0.5, -1, 2, 0.25
+	"82e39744" // CRC-32
+
+func mustHex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, err := Load(bytes.NewReader(raw))
+	return b
+}
+
+// Save writes the pinned bytes, so every stored model keeps loading,
+// and a random model round-trips exactly.
+func TestModelSaveLoadV3RoundTrip(t *testing.T) {
+	pin := mustHex(t, modelPin)
+	if got := saveBytes(t, pinModel()); !bytes.Equal(got, pin) {
+		t.Fatalf("model encoding drifted:\n got %x\nwant %x", got, pin)
+	}
+	loaded, err := Load(bytes.NewReader(pin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelsEqual(t, pinModel(), loaded)
+
+	m := tinyModel(t)
+	got, err := Load(bytes.NewReader(saveBytes(t, m)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +203,48 @@ func TestModelSaveFileAtomicRoundTrip(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("temp files leaked: %d entries in %s", len(entries), dir)
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// oversizedCheckpoint is a checkpoint cut off after its meta block and
+// a matrix header declaring 2^28 x 64 values, with the payload length
+// that header implies.
+func oversizedCheckpoint() []byte {
+	const rows, d = 1 << 28, 64
+	meta := make([]byte, binary.Size(ckptMeta{}))
+	raw := append([]byte(ckptMagic), binary.LittleEndian.AppendUint64(nil, uint64(int64(len(meta))+emb.MatrixFileSize(rows, d)))...)
+	raw = append(append(raw, meta...), "RNEM1\n"...)
+	raw = binary.LittleEndian.AppendUint64(raw, rows)
+	return binary.LittleEndian.AppendUint64(raw, d)
+}
+
+// Headers declaring far more than the file holds are rejected without
+// sizing anything from them: each load fails having allocated under
+// 1 MiB in all.
+func TestCraftedHeadersFailSmall(t *testing.T) {
+	huge, flipped := crashHeaders(t)
+	tr := pinTrainer()
+	for name, load := range map[string]func() error{
+		"model, 2^31 x 2^20 matrix header":  func() error { _, err := Load(bytes.NewReader(huge)); return err },
+		"model, row count bit 3 of byte 43": func() error { _, err := Load(bytes.NewReader(flipped)); return err },
+		"checkpoint, 2^28 x 64 matrix header": func() error {
+			_, _, _, err := tr.readCheckpoint(bytes.NewReader(oversizedCheckpoint()))
+			return err
+		},
+	} {
+		var err error
+		if b := allocated(func() { err = load() }); err == nil || b >= 1<<20 {
+			t.Errorf("%s: error %v after %d bytes allocated", name, err, b)
+		}
 	}
 }
 

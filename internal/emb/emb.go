@@ -10,9 +10,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 
+	"repro/internal/fsx"
 	"repro/internal/partition"
 	"repro/internal/vecmath"
 )
@@ -93,15 +93,12 @@ func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
 	return written, bw.Flush()
 }
 
-// readChunk is how many values ReadMatrix decodes per read.
-const readChunk = 1 << 15
-
 // ReadMatrix deserializes a matrix written by WriteTo from exactly size
 // bytes of r: the container's framing says how many bytes the matrix
 // occupies, and a header whose shape disagrees with that is rejected
 // before anything is allocated. Storage then grows with the bytes
-// actually read, so a framing that overstates the input cannot reserve
-// memory the input never fills.
+// actually read (fsx.ReadSlice), so a framing that overstates the input
+// cannot reserve memory the input never fills.
 func ReadMatrix(r io.Reader, size int64) (*Matrix, error) {
 	br := bufio.NewReader(io.LimitReader(r, size))
 	magic := make([]byte, len(matrixMagic))
@@ -122,24 +119,9 @@ func ReadMatrix(r io.Reader, size int64) (*Matrix, error) {
 	if need := MatrixFileSize(int(rows), int(d)); need != size {
 		return nil, fmt.Errorf("emb: %dx%d matrix needs %d bytes, framing holds %d", rows, d, need, size)
 	}
-	// Storage starts at one chunk and doubles only once the input has
-	// filled it, so it stays within twice what the input held.
-	n := int(rows * d)
-	data := make([]float64, min(n, readChunk))
-	buf := make([]byte, 8*len(data))
-	for k := 0; k < n; {
-		if k == len(data) {
-			grown := make([]float64, min(n, 2*k))
-			copy(grown, data)
-			data = grown
-		}
-		b := buf[:8*min(len(data)-k, readChunk)]
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, err
-		}
-		for i := 0; i < len(b); i, k = i+8, k+1 {
-			data[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))
-		}
+	data, err := fsx.ReadSlice[float64](br, int(rows*d))
+	if err != nil {
+		return nil, err
 	}
 	return &Matrix{rows: int(rows), d: int(d), data: data}, nil
 }

@@ -1,15 +1,16 @@
 // Package fsx holds the small filesystem and integrity primitives
 // shared by every persistence path in the repository: atomic file
-// replacement (so a crash mid-save can never leave a truncated model
-// or index at the target path) and counting CRC32 writers/readers
-// (the building blocks of the versioned, integrity-checked on-disk
-// formats in internal/core and internal/index).
+// replacement (so a crash mid-save can never leave a truncated artifact
+// at the target path), and the one CRC-framed section codec every
+// artifact format is written and read through: the model, the build
+// checkpoint, the ALT guard, the spatial index, the shard model and
+// the shard routing map. ReadSection and ReadSlice size nothing from a
+// header: storage grows only as payload bytes arrive, so a corrupt or
+// hostile header is an error, never an out-of-memory crash.
 package fsx
 
 import (
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -76,73 +77,6 @@ func WriteAtomic(path string, write func(w io.Writer) error) (err error) {
 func Rotate(path string) error {
 	if err := os.Rename(path, path+".1"); err != nil && !os.IsNotExist(err) {
 		return err
-	}
-	return nil
-}
-
-// CRCWriter counts and checksums everything written through it.
-// Wrap the destination while writing a payload section, then store
-// Sum32 as the trailer.
-type CRCWriter struct {
-	w   io.Writer
-	crc hash.Hash32
-	n   int64
-}
-
-// NewCRCWriter returns a CRCWriter over w using CRC-32 (IEEE).
-func NewCRCWriter(w io.Writer) *CRCWriter {
-	return &CRCWriter{w: w, crc: crc32.NewIEEE()}
-}
-
-func (cw *CRCWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc.Write(p[:n])
-	cw.n += int64(n)
-	return n, err
-}
-
-// N returns the number of bytes written so far.
-func (cw *CRCWriter) N() int64 { return cw.n }
-
-// Sum32 returns the CRC-32 (IEEE) of the bytes written so far.
-func (cw *CRCWriter) Sum32() uint32 { return cw.crc.Sum32() }
-
-// CRCReader counts and checksums everything read through it, so a
-// loader can parse a payload section structurally and then verify the
-// stored trailer against Sum32/N.
-type CRCReader struct {
-	r   io.Reader
-	crc hash.Hash32
-	n   int64
-}
-
-// NewCRCReader returns a CRCReader over r using CRC-32 (IEEE).
-func NewCRCReader(r io.Reader) *CRCReader {
-	return &CRCReader{r: r, crc: crc32.NewIEEE()}
-}
-
-func (cr *CRCReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc.Write(p[:n])
-	cr.n += int64(n)
-	return n, err
-}
-
-// N returns the number of bytes read so far.
-func (cr *CRCReader) N() int64 { return cr.n }
-
-// Sum32 returns the CRC-32 (IEEE) of the bytes read so far.
-func (cr *CRCReader) Sum32() uint32 { return cr.crc.Sum32() }
-
-// VerifyTrailer compares the payload length and checksum consumed
-// through cr against the stored trailer values, returning a precise
-// error naming what disagreed.
-func VerifyTrailer(cr *CRCReader, wantLen int64, wantCRC uint32, what string) error {
-	if cr.N() != wantLen {
-		return fmt.Errorf("%s: payload length %d does not match header %d (truncated or corrupt file)", what, cr.N(), wantLen)
-	}
-	if cr.Sum32() != wantCRC {
-		return fmt.Errorf("%s: payload checksum %08x does not match trailer %08x (corrupt file)", what, cr.Sum32(), wantCRC)
 	}
 	return nil
 }

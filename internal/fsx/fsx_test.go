@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -56,48 +55,5 @@ func TestWriteAtomicFailedWriteKeepsOld(t *testing.T) {
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 1 {
 		t.Fatalf("temp file leaked: %d entries", len(entries))
-	}
-}
-
-func TestCRCRoundTrip(t *testing.T) {
-	var sb strings.Builder
-	cw := NewCRCWriter(&sb)
-	payload := []byte("the quick brown fox")
-	if _, err := cw.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	if cw.N() != int64(len(payload)) {
-		t.Fatalf("N = %d", cw.N())
-	}
-	cr := NewCRCReader(strings.NewReader(sb.String()))
-	if _, err := io.ReadAll(cr); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyTrailer(cr, cw.N(), cw.Sum32(), "test"); err != nil {
-		t.Fatal(err)
-	}
-	// Wrong length and wrong CRC both fail with named errors.
-	if err := VerifyTrailer(cr, cw.N()+1, cw.Sum32(), "test"); err == nil || !strings.Contains(err.Error(), "length") {
-		t.Fatalf("length mismatch not detected: %v", err)
-	}
-	if err := VerifyTrailer(cr, cw.N(), cw.Sum32()^1, "test"); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("checksum mismatch not detected: %v", err)
-	}
-}
-
-func TestCRCDetectsFlip(t *testing.T) {
-	payload := []byte("some payload bytes here")
-	var sb strings.Builder
-	cw := NewCRCWriter(&sb)
-	cw.Write(payload)
-	want := cw.Sum32()
-	for i := range payload {
-		flipped := append([]byte(nil), payload...)
-		flipped[i] ^= 0x40
-		cr := NewCRCReader(strings.NewReader(string(flipped)))
-		io.ReadAll(cr)
-		if cr.Sum32() == want {
-			t.Fatalf("flip at %d undetected", i)
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -18,8 +17,8 @@ import (
 // tree's structure, per-slot vectors and radii, and the indexed target
 // lists; the model itself is saved separately (core.Model.Save).
 //
-// The format is: magic, int64 payload length, payload, uint32 CRC-32
-// (IEEE) trailer, so Load rejects truncated or bit-flipped files with a
+// The file is one fsx section (magic, payload length, payload, CRC-32
+// trailer), so Load rejects truncated or bit-flipped files with a
 // precise error.
 const treeMagic = "RNEIDX2\n"
 
@@ -85,59 +84,28 @@ func (t *Tree) writePayload(w io.Writer) error {
 // Save serializes the tree structure (not the model) in the current
 // integrity-checked format.
 func (t *Tree) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(treeMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, t.payloadSize()); err != nil {
-		return err
-	}
-	cw := fsx.NewCRCWriter(bw)
-	if err := t.writePayload(cw); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.Sum32()); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := fsx.WriteSection(w, treeMagic, t.payloadSize(), t.writePayload)
+	return err
 }
 
 // Load deserializes a tree saved with Save and attaches it to the given
 // model, which must match the one the tree was built with (dimension,
 // vertex count, metric and scale are verified).
 func Load(r io.Reader, m *core.Model) (*Tree, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(treeMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("index: reading magic: %w", err)
+	sec, err := fsx.ReadSection(r, treeMagic, "index", "tree")
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != treeMagic {
-		return nil, fmt.Errorf("index: bad magic %q", magic)
-	}
-	var plen int64
-	if err := binary.Read(br, binary.LittleEndian, &plen); err != nil {
-		return nil, fmt.Errorf("index: reading payload length: %w", err)
-	}
-	if plen < 6*8+16 {
-		return nil, fmt.Errorf("index: implausible payload length %d", plen)
-	}
-	// The payload is read whole before it is parsed, so its length is
-	// the bytes actually present (whatever plen claims) and every size
-	// the header declares can be checked against what is left.
-	cr := fsx.NewCRCReader(io.LimitReader(br, plen))
-	payload, err := io.ReadAll(cr)
+	// The payload is read whole and verified before it is parsed, so
+	// its length is the bytes actually present (whatever the header
+	// claims) and every size the payload declares can be checked
+	// against what is left.
+	payload, err := io.ReadAll(sec)
 	if err != nil {
 		return nil, fmt.Errorf("index: reading payload: %w", err)
 	}
-	var wantCRC uint32
-	if err := binary.Read(br, binary.LittleEndian, &wantCRC); err != nil {
-		return nil, fmt.Errorf("index: reading checksum trailer: %w", err)
-	}
-	if err := fsx.VerifyTrailer(cr, plen, wantCRC, "index: tree"); err != nil {
+	if err := sec.Close(); err != nil {
 		return nil, err
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("index: file continues past its checksum trailer")
 	}
 	return loadPayload(bytes.NewReader(payload), m)
 }

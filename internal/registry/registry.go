@@ -6,21 +6,25 @@
 //
 //	<root>/<name>/
 //	    MANIFEST.json            index of versions, pin, quarantine marks
-//	    v1/  model.rne           RNEMODEL3 (CRC-framed) model
+//	    v1/  model.rne           RNEMODEL3 model
 //	         alt.rnealt          optional ALT guard index (RNEALT1)
 //	         spatial.rneidx      optional spatial index (RNEIDX2)
-//	         shards/             optional geo-shard cut: shardmap.rnemap,
-//	                             <k>/shard.rne and <k>/alt.rnealt
+//	         shards/             optional geo-shard cut: shardmap.rnemap
+//	                             (RNESMAP1), <k>/shard.rne (RNESHARD1)
+//	                             and <k>/alt.rnealt
 //	    v2/  ...
 //
-// Every file is written through fsx.WriteAtomic and versions are staged
-// in a hidden directory, renamed into place, and only then recorded in
-// the manifest — a crashed or failed publish can never surface a
-// half-written version as Latest. Loads verify the artifacts' CRC32
-// integrity framing; a version whose artifacts no longer parse is
-// quarantined (directory renamed aside, manifest marked) and resolution
-// falls back to the newest remaining good version. Retention GC bounds
-// disk growth without ever deleting the pinned or newest good version.
+// Every artifact is one CRC-framed fsx section. Every file is written
+// through fsx.WriteAtomic and versions are staged in a hidden
+// directory, renamed into place, and only then recorded in the
+// manifest — a crashed or failed publish can never surface a
+// half-written version as Latest. Loads verify each artifact's length
+// and CRC32, reject bytes after it, and size nothing from a header; a
+// version whose artifacts no longer parse (truncated, bit-rotted, or
+// declaring more than the file holds) is quarantined (directory
+// renamed aside, manifest marked) and resolution falls back to the
+// newest remaining good version. Retention GC bounds disk growth
+// without ever deleting the pinned or newest good version.
 package registry
 
 import (

@@ -40,6 +40,16 @@ func quickBuild(t *testing.T, seed int64) (*graph.Graph, *core.Model) {
 	return g, m
 }
 
+// quickALT builds a small ALT guard over g.
+func quickALT(t *testing.T, g *graph.Graph) *alt.Index {
+	t.Helper()
+	lt, err := alt.Build(g, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lt
+}
+
 func openStore(t *testing.T) *Store {
 	t.Helper()
 	s, err := Open(t.TempDir())
@@ -209,18 +219,18 @@ func TestPinResolution(t *testing.T) {
 }
 
 // TestCorruptLatestQuarantinedWithFallback is the torn-write drill: the
-// newest version's model file is truncated on disk (as a crash between
-// page writes or silent media corruption would), and serving resolution
-// must quarantine it and fall back to the prior good version.
-// TestCorruptLatestQuarantinedWithFallback corrupts the newest version's
-// model two ways: truncated, and well framed behind a matrix header
-// claiming 2^31 x 2^20 rows. Either way loading fails without taking
-// the process down, the version is quarantined and loading falls back
-// to the older good one.
+// newest version's model is truncated, or well framed behind a matrix
+// header claiming 2^31 x 2^20 rows, or its ALT guard is replaced by a
+// 32-byte header declaring 2^40 vertices. Each way loading fails
+// without taking the process down, the version is quarantined and
+// loading falls back to the older good one.
 func TestCorruptLatestQuarantinedWithFallback(t *testing.T) {
-	for name, corrupt := range map[string]func(raw []byte) []byte{
-		"truncated": func(raw []byte) []byte { return raw[:len(raw)/2] },
-		"2^31 x 2^20 matrix header": func(raw []byte) []byte {
+	for name, c := range map[string]struct {
+		file    string
+		corrupt func(raw []byte) []byte
+	}{
+		"truncated": {ModelFile, func(raw []byte) []byte { return raw[:len(raw)/2] }},
+		"2^31 x 2^20 matrix header": {ModelFile, func(raw []byte) []byte {
 			// Model magic and payload length (18 bytes), then p and scale
 			// (16) and the matrix magic (6): the row count and dimension.
 			const payloadAt, rowsAt = 18, 40
@@ -228,25 +238,33 @@ func TestCorruptLatestQuarantinedWithFallback(t *testing.T) {
 			binary.LittleEndian.PutUint64(raw[rowsAt+8:], 1<<20)
 			binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[payloadAt:len(raw)-4]))
 			return raw
-		},
+		}},
+		"2^40 vertex ALT header": {ALTFile, func(raw []byte) []byte {
+			// ALT magic (8 bytes), then the payload length that 2^40
+			// vertices under one landmark imply, and the {n, |U|} header.
+			const n = 1 << 40
+			raw = binary.LittleEndian.AppendUint64(raw[:8], 2*8+4+n*8)
+			raw = binary.LittleEndian.AppendUint64(raw, n)
+			return binary.LittleEndian.AppendUint64(raw, 1)
+		}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := openStore(t)
-			_, m1 := quickBuild(t, 1)
-			_, m2 := quickBuild(t, 2)
-			if _, err := s.Publish("demo", Artifacts{Model: m1}); err != nil {
+			g1, m1 := quickBuild(t, 1)
+			g2, m2 := quickBuild(t, 2)
+			if _, err := s.Publish("demo", Artifacts{Model: m1, ALT: quickALT(t, g1)}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Publish("demo", Artifacts{Model: m2}); err != nil {
+			if _, err := s.Publish("demo", Artifacts{Model: m2, ALT: quickALT(t, g2)}); err != nil {
 				t.Fatal(err)
 			}
 
-			victim := filepath.Join(s.Path("demo", "v2"), ModelFile)
+			victim := filepath.Join(s.Path("demo", "v2"), c.file)
 			raw, err := os.ReadFile(victim)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(victim, corrupt(raw), 0o644); err != nil {
+			if err := os.WriteFile(victim, c.corrupt(raw), 0o644); err != nil {
 				t.Fatal(err)
 			}
 

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,9 +11,8 @@ import (
 	"repro/internal/fsx"
 )
 
-// Shard persistence follows the repo's framed-file convention: a magic
-// string, a little-endian int64 payload length, the payload, and a
-// CRC32-IEEE trailer over the payload, written atomically. Two formats:
+// Shard persistence follows the repo's framed-file convention: each
+// file is one fsx section, written atomically. Two formats:
 //
 //   - RNESMAP1: the compact vertex→shard routing map the gateway loads
 //     ({n, K, cutLevel} header + one owner byte per vertex).
@@ -34,30 +32,14 @@ const maxMapVertices = 1 << 28
 
 // WriteTo streams the routing map in the RNESMAP1 format.
 func (m *Map) WriteTo(w io.Writer) (int64, error) {
-	plen := 3*8 + int64(len(m.owner))
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(mapMagic); err != nil {
-		return 0, err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, plen); err != nil {
-		return 0, err
-	}
-	cw := fsx.NewCRCWriter(bw)
-	for _, v := range []int64{int64(len(m.owner)), int64(m.numShards), int64(m.cutLevel)} {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return 0, err
+	return fsx.WriteSection(w, mapMagic, 3*8+int64(len(m.owner)), func(w io.Writer) error {
+		hdr := []int64{int64(len(m.owner)), int64(m.numShards), int64(m.cutLevel)}
+		if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
+			return err
 		}
-	}
-	if _, err := cw.Write(m.owner); err != nil {
-		return 0, err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.Sum32()); err != nil {
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
-	return int64(len(mapMagic)) + 8 + plen + 4, nil
+		_, err := w.Write(m.owner)
+		return err
+	})
 }
 
 // SaveMapFile atomically writes the routing map to path.
@@ -70,40 +52,26 @@ func (m *Map) SaveMapFile(path string) error {
 
 // ReadMap loads a routing map written by Map.WriteTo.
 func ReadMap(r io.Reader) (*Map, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(mapMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("shard: reading map magic: %w", err)
+	sec, err := fsx.ReadSection(r, mapMagic, "shard", "map")
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != mapMagic {
-		return nil, fmt.Errorf("shard: bad map magic %q", magic)
+	var hdr [3]int64
+	if err := binary.Read(sec, binary.LittleEndian, &hdr); err != nil {
+		return nil, fmt.Errorf("shard: reading map header: %w", err)
 	}
-	var plen int64
-	if err := binary.Read(br, binary.LittleEndian, &plen); err != nil {
-		return nil, fmt.Errorf("shard: reading map payload length: %w", err)
-	}
-	cr := fsx.NewCRCReader(io.LimitReader(br, plen))
-	var n, k, cut int64
-	for _, p := range []*int64{&n, &k, &cut} {
-		if err := binary.Read(cr, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("shard: reading map header: %w", err)
-		}
-	}
+	n, k, cut := hdr[0], hdr[1], hdr[2]
 	if n < 1 || n > maxMapVertices || k < 1 || k > MaxShards || cut < 1 {
 		return nil, fmt.Errorf("shard: implausible map header: %d vertices, %d shards, cut level %d", n, k, cut)
 	}
-	if want := 3*8 + n; plen != want {
-		return nil, fmt.Errorf("shard: map payload is %d bytes, want %d for %d vertices", plen, want, n)
+	if left := sec.Left(); left != n {
+		return nil, fmt.Errorf("shard: map payload has %d owner bytes, want %d for %d vertices", left, n, n)
 	}
-	m := &Map{numShards: int(k), cutLevel: int(cut), owner: make([]uint8, n)}
-	if _, err := io.ReadFull(cr, m.owner); err != nil {
+	m := &Map{numShards: int(k), cutLevel: int(cut)}
+	if m.owner, err = fsx.ReadSlice[uint8](sec, int(n)); err != nil {
 		return nil, fmt.Errorf("shard: reading owner table: %w", err)
 	}
-	var wantCRC uint32
-	if err := binary.Read(br, binary.LittleEndian, &wantCRC); err != nil {
-		return nil, fmt.Errorf("shard: reading map checksum trailer: %w", err)
-	}
-	if err := fsx.VerifyTrailer(cr, plen, wantCRC, "shard: map"); err != nil {
+	if err := sec.Close(); err != nil {
 		return nil, err
 	}
 	for v, o := range m.owner {
@@ -130,57 +98,27 @@ func LoadMapFile(path string) (*Map, error) {
 
 // WriteTo streams the shard model in the RNESHARD1 format.
 func (m *Model) WriteTo(w io.Writer) (int64, error) {
-	matBytes := func(mm *emb.Matrix) int64 {
-		return emb.MatrixFileSize(mm.Rows(), mm.Dim())
-	}
-	plen := 6*8 + // shardID, K, cutLevel, n, numOwned, dim
+	size := 6*8 + // shardID, K, cutLevel, n, numOwned, dim
 		2*8 + // p, scale
 		int64(len(m.ownedIDs))*4 +
 		int64(m.n)*4 + // coverIdx
 		int64(m.n) + // owner
-		matBytes(m.owned) + matBytes(m.upper)
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(shardMagic); err != nil {
-		return 0, err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, plen); err != nil {
-		return 0, err
-	}
-	cw := fsx.NewCRCWriter(bw)
-	hdr := []int64{int64(m.shardID), int64(m.numShards), int64(m.cutLevel),
-		int64(m.n), int64(len(m.ownedIDs)), int64(m.owned.Dim())}
-	for _, v := range hdr {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return 0, err
+		emb.MatrixFileSize(m.owned.Rows(), m.owned.Dim()) +
+		emb.MatrixFileSize(m.upper.Rows(), m.upper.Dim())
+	return fsx.WriteSection(w, shardMagic, size, func(w io.Writer) error {
+		hdr := []int64{int64(m.shardID), int64(m.numShards), int64(m.cutLevel),
+			int64(m.n), int64(len(m.ownedIDs)), int64(m.owned.Dim())}
+		for _, v := range []any{hdr, []float64{m.p, m.scale}, m.ownedIDs, m.coverIdx, m.owner} {
+			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+				return err
+			}
 		}
-	}
-	for _, v := range []float64{m.p, m.scale} {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return 0, err
+		if _, err := m.owned.WriteTo(w); err != nil {
+			return err
 		}
-	}
-	if err := binary.Write(cw, binary.LittleEndian, m.ownedIDs); err != nil {
-		return 0, err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, m.coverIdx); err != nil {
-		return 0, err
-	}
-	if _, err := cw.Write(m.owner); err != nil {
-		return 0, err
-	}
-	if _, err := m.owned.WriteTo(cw); err != nil {
-		return 0, err
-	}
-	if _, err := m.upper.WriteTo(cw); err != nil {
-		return 0, err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.Sum32()); err != nil {
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
-	return int64(len(shardMagic)) + 8 + plen + 4, nil
+		_, err := m.upper.WriteTo(w)
+		return err
+	})
 }
 
 // SaveFile atomically writes the shard model to path.
@@ -194,77 +132,53 @@ func (m *Model) SaveFile(path string) error {
 // ReadModel loads a shard model written by Model.WriteTo, rebuilding
 // and cross-checking the derived global→local row table.
 func ReadModel(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(shardMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("shard: reading model magic: %w", err)
+	sec, err := fsx.ReadSection(r, shardMagic, "shard", "model")
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != shardMagic {
-		return nil, fmt.Errorf("shard: bad model magic %q", magic)
+	var hdr [6]int64
+	if err := binary.Read(sec, binary.LittleEndian, &hdr); err != nil {
+		return nil, fmt.Errorf("shard: reading model header: %w", err)
 	}
-	var plen int64
-	if err := binary.Read(br, binary.LittleEndian, &plen); err != nil {
-		return nil, fmt.Errorf("shard: reading model payload length: %w", err)
-	}
-	cr := fsx.NewCRCReader(io.LimitReader(br, plen))
-	var sid, k, cut, n, owned, dim int64
-	for _, p := range []*int64{&sid, &k, &cut, &n, &owned, &dim} {
-		if err := binary.Read(cr, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("shard: reading model header: %w", err)
-		}
-	}
+	sid, k, cut, n, owned, dim := hdr[0], hdr[1], hdr[2], hdr[3], hdr[4], hdr[5]
 	if k < 1 || k > MaxShards || sid < 0 || sid >= k || cut < 1 ||
 		n < 1 || n > maxMapVertices || owned < 1 || owned > n || dim < 1 {
 		return nil, fmt.Errorf("shard: implausible model header: shard %d/%d, cut %d, %d/%d vertices, dim %d",
 			sid, k, cut, owned, n, dim)
 	}
-	// Size every section from the header before allocating any of them:
-	// the fixed part, the owned matrix, and the upper matrix in whatever
-	// the payload has left.
-	fixed := 6*8 + 2*8 + owned*4 + n*4 + n
-	ownedBytes := emb.MatrixFileSize(int(owned), int(dim))
-	upperBytes := plen - fixed - ownedBytes
-	if upperBytes <= 0 {
-		return nil, fmt.Errorf("shard: model payload %d bytes leaves no room for the upper matrix", plen)
+	m := &Model{shardID: int(sid), numShards: int(k), cutLevel: int(cut), n: int(n)}
+	var pScale [2]float64
+	if err := binary.Read(sec, binary.LittleEndian, &pScale); err != nil {
+		return nil, fmt.Errorf("shard: reading metric parameters: %w", err)
 	}
-	m := &Model{
-		shardID:   int(sid),
-		numShards: int(k),
-		cutLevel:  int(cut),
-		n:         int(n),
-		ownedIDs:  make([]int32, owned),
-		coverIdx:  make([]int32, n),
-		owner:     make([]uint8, n),
-	}
-	for _, p := range []*float64{&m.p, &m.scale} {
-		if err := binary.Read(cr, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("shard: reading metric parameters: %w", err)
-		}
-	}
+	m.p, m.scale = pScale[0], pScale[1]
 	if m.p < 1 || math.IsNaN(m.p) || m.scale <= 0 || math.IsNaN(m.scale) {
 		return nil, fmt.Errorf("shard: implausible metric parameters p=%v scale=%v", m.p, m.scale)
 	}
-	if err := binary.Read(cr, binary.LittleEndian, m.ownedIDs); err != nil {
+	// Past the per-vertex tables the payload holds the owned matrix and
+	// then the upper matrix; dim is bounded by it before it is
+	// multiplied.
+	left := sec.Left() - owned*4 - n*5
+	if left < 0 || dim > left/(owned*8) {
+		return nil, fmt.Errorf("shard: model payload has %d bytes after its header, too few for %d/%d vertices of dim %d",
+			sec.Left(), owned, n, dim)
+	}
+	if m.ownedIDs, err = fsx.ReadSlice[int32](sec, int(owned)); err != nil {
 		return nil, fmt.Errorf("shard: reading owned vertex ids: %w", err)
 	}
-	if err := binary.Read(cr, binary.LittleEndian, m.coverIdx); err != nil {
+	if m.coverIdx, err = fsx.ReadSlice[int32](sec, int(n)); err != nil {
 		return nil, fmt.Errorf("shard: reading cover table: %w", err)
 	}
-	if _, err := io.ReadFull(cr, m.owner); err != nil {
+	if m.owner, err = fsx.ReadSlice[uint8](sec, int(n)); err != nil {
 		return nil, fmt.Errorf("shard: reading owner table: %w", err)
 	}
-	var err error
-	if m.owned, err = emb.ReadMatrix(cr, ownedBytes); err != nil {
+	if m.owned, err = emb.ReadMatrix(sec, emb.MatrixFileSize(int(owned), int(dim))); err != nil {
 		return nil, fmt.Errorf("shard: reading owned embeddings: %w", err)
 	}
-	if m.upper, err = emb.ReadMatrix(cr, upperBytes); err != nil {
+	if m.upper, err = emb.ReadMatrix(sec, sec.Left()); err != nil {
 		return nil, fmt.Errorf("shard: reading upper-level embeddings: %w", err)
 	}
-	var wantCRC uint32
-	if err := binary.Read(br, binary.LittleEndian, &wantCRC); err != nil {
-		return nil, fmt.Errorf("shard: reading model checksum trailer: %w", err)
-	}
-	if err := fsx.VerifyTrailer(cr, plen, wantCRC, "shard: model"); err != nil {
+	if err := sec.Close(); err != nil {
 		return nil, err
 	}
 	if m.owned.Rows() != int(owned) || m.owned.Dim() != int(dim) {

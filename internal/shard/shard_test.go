@@ -329,5 +329,12 @@ func TestCorruptFilesRejected(t *testing.T) {
 		if err := tc.load(badPath); err == nil {
 			t.Fatalf("%s: truncated file loaded cleanly", filepath.Base(tc.path))
 		}
+		// So must a byte after the checksum trailer.
+		if err := os.WriteFile(badPath, append(raw, 0), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.load(badPath); err == nil {
+			t.Fatalf("%s: file with trailing bytes loaded cleanly", filepath.Base(tc.path))
+		}
 	}
 }
