@@ -27,8 +27,9 @@ shuffle:
 # decoder, the gateway's reply scanner, all six artifact codecs (model,
 # build checkpoint, ALT guard, spatial index, shard routing map and
 # shard model), the X-Rne-Budget-Ms header, the replica's query-string
-# parser and the W3C traceparent header — a smoke pass catching
-# regressions in input hardening, not a deep campaign.
+# parser, the W3C traceparent header and the Prometheus exposition
+# parser — a smoke pass catching regressions in input hardening, not a
+# deep campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequest$$' -fuzztime=5s ./internal/batchwire
@@ -42,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseBudget$$' -fuzztime=5s ./internal/resilience
 	$(GO) test -run='^$$' -fuzz='^FuzzQuery$$' -fuzztime=5s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceParent$$' -fuzztime=5s ./internal/telemetry
+	$(GO) test -run='^$$' -fuzz='^FuzzParseExposition$$' -fuzztime=5s ./internal/telemetry
 
 # Known-vulnerability scan; skips gracefully where govulncheck or the
 # vulndb is unavailable (offline CI, hermetic builders).
@@ -107,7 +109,7 @@ shard-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# Telemetry smoke benchmark: quick traced build + timed queries through
+# Telemetry smoke benchmark: quick build + timed queries through
 # the telemetry histograms; emits BENCH_telemetry.json with p50/p95/p99.
 # Then 200 iterations each of the in-process handler, serving-pass and
 # gateway routing benchmarks, so they keep compiling and running.

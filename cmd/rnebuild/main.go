@@ -28,21 +28,23 @@
 //
 //	rnebuild -preset bj-mini -registry ./models -publish bj
 //
-// Every build is traced: phase durations, the per-unit loss/learning-
-// rate/recovery series and checkpoint accounting are written as JSON
-// to -report (build-report.json by default), progress is logged in
-// structured form (-log-level, -log-format), and -metrics-addr serves
-// the live rne_build_* gauges in Prometheus text on /metrics while the
-// build runs.
+// Every build is traced as one span tree rooted at a "build" span:
+// setup and its steps, the hierarchy, vertex and fine-tune phases with
+// one span per training unit (its loss, learning rate and recovery
+// count) and per checkpoint write, and finalize. -report
+// (build-report.json by default) writes the BuildStats figures and
+// those spans, as the same JSON records a span JSONL holds; progress
+// is logged in structured form (-log-level, -log-format), one line per
+// phase and per unit.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"os"
 	"time"
 
@@ -52,9 +54,8 @@ import (
 )
 
 // report is the machine-readable record of one rnebuild run: the build
-// inputs, the BuildStats quantities of Tables III/IV, and the full
-// telemetry trace (phase spans, per-unit loss/LR/recovery series,
-// checkpoint accounting).
+// inputs, the BuildStats quantities of Tables III/IV, and the build's
+// spans.
 type report struct {
 	Graph    string `json:"graph"`
 	Vertices int    `json:"vertices"`
@@ -83,7 +84,7 @@ type report struct {
 	ValidationP99Rel  float64 `json:"validation_p99_rel"`
 	ValidationMaxRel  float64 `json:"validation_max_rel"`
 
-	Trace telemetry.BuildReport `json:"trace"`
+	Trace []telemetry.SpanRecord `json:"trace"`
 }
 
 func main() {
@@ -110,7 +111,6 @@ func main() {
 	shardLevel := flag.Int("shard-level", 1, "hierarchy depth to cut shards at (with -publish-shards)")
 	shardCount := flag.Int("shard-count", 0, "shard count K for -publish-shards (0 = one shard per cut-level region)")
 	reportPath := flag.String("report", "build-report.json", "write the machine-readable build report here (empty disables)")
-	metricsAddr := flag.String("metrics-addr", "", "serve live build metrics on this address at /metrics while training (empty disables)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log encoding: text or json")
 	flag.Parse()
@@ -172,19 +172,6 @@ func main() {
 		usage(err.Error())
 	}
 
-	reg := telemetry.NewRegistry()
-	trace := telemetry.NewTracer(logger, reg)
-	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", reg.Handler())
-		go func() {
-			logger.Info("serving build metrics", "addr", *metricsAddr)
-			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
-				logger.Warn("metrics listener failed", "addr", *metricsAddr, "error", err)
-			}
-		}()
-	}
-
 	opt := rne.DefaultOptions(*seed)
 	opt.Dim = *dim
 	if *epochs > 0 {
@@ -201,10 +188,16 @@ func main() {
 	opt.StrictResume = *strictResume
 	opt.MaxRecoveries = *maxRecoveries
 	opt.Logger = logger
-	opt.Trace = trace
+	tracer, err := telemetry.NewRequestTracer(telemetry.TraceConfig{Service: "rnebuild"})
+	if err != nil {
+		fail(err)
+	}
+	_, opt.Trace = tracer.StartSpanForced(context.Background(), "build")
 
 	logger.Info("training", "dim", opt.Dim, "vertices", g.NumVertices(), "edges", g.NumEdges(), "seed", *seed)
 	model, stats, err := rne.Build(g, opt)
+	opt.Trace.SetError(err)
+	opt.Trace.End()
 	if err != nil {
 		fail(err)
 	}
@@ -219,9 +212,6 @@ func main() {
 	}
 	if stats.Recoveries > 0 {
 		logger.Warn("sentinel recovered", "count", stats.Recoveries, "final_lr", stats.FinalLR)
-		for _, rb := range stats.Rollbacks {
-			logger.Warn("rollback", "at", rb)
-		}
 	}
 	if stats.CheckpointFailures > 0 {
 		logger.Warn("tolerated failed checkpoint writes", "count", stats.CheckpointFailures)
@@ -256,7 +246,7 @@ func main() {
 			ValidationP99Rel:  stats.Validation.P99Rel,
 			ValidationMaxRel:  stats.Validation.MaxRel,
 
-			Trace: trace.Report(),
+			Trace: tracer.Spans(),
 		}
 		err := fsx.WriteAtomic(*reportPath, func(w io.Writer) error {
 			enc := json.NewEncoder(w)

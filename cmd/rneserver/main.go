@@ -448,10 +448,10 @@ func newHealer(store *rne.ModelRegistry, srv *server.Server, prober *autoheal.Gr
 		defer os.Remove(opt.CheckpointPath)
 
 		start := time.Now()
-		_, ftSpan := telemetry.StartChild(ctx, "finetune")
+		_, opt.Trace = telemetry.StartChild(ctx, "finetune")
 		tuned, stats, err := rne.FineTune(g, warm.Model, opt)
-		ftSpan.SetError(err)
-		ftSpan.End()
+		opt.Trace.SetError(err)
+		opt.Trace.End()
 		if err != nil {
 			return "", fmt.Errorf("heal: fine-tune from %s: %w", serving, err)
 		}

@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/registry"
 	"repro/internal/server"
+	"repro/internal/telemetry"
 )
 
 func e2eOptions(seed int64) core.Options {
@@ -133,7 +135,10 @@ func TestChaosDriftRetrainSwapConverges(t *testing.T) {
 		opt.CheckpointPath = filepath.Join(dir, "heal.ckpt")
 		opt.StrictCheckpoints = true
 		defer os.Remove(opt.CheckpointPath)
+		_, opt.Trace = telemetry.StartChild(ctx, "finetune")
 		tuned, _, err := core.FineTune(lg, warm.Model, opt)
+		opt.Trace.SetError(err)
+		opt.Trace.End()
 		if err != nil {
 			return "", err
 		}
@@ -150,7 +155,12 @@ func TestChaosDriftRetrainSwapConverges(t *testing.T) {
 		return srv.ActiveVersion(), nil
 	}
 
+	tracer, err := telemetry.NewRequestTracer(telemetry.TraceConfig{})
+	if err != nil {
+		t.Fatalf("NewRequestTracer: %v", err)
+	}
 	ctrl, err := autoheal.New(autoheal.Config{
+		Tracer:   tracer,
 		Sample:   prober.Sample,
 		Heal:     heal,
 		Version:  srv.ActiveVersion,
@@ -236,6 +246,36 @@ func TestChaosDriftRetrainSwapConverges(t *testing.T) {
 		t.Fatalf("extra heal attempts during convergence: %+v", st)
 	}
 
+	// Each attempt's trace nests the fine-tune's phases under
+	// autoheal.heal → finetune; the killed attempt's failed write is a
+	// checkpoint span with the error.
+	spans := tracer.Spans()
+	var heals []telemetry.SpanRecord
+	for _, s := range spans {
+		if s.Name == "autoheal.heal" {
+			heals = append(heals, s)
+		}
+	}
+	if len(heals) != 2 || heals[0].Error == "" || heals[1].Error != "" {
+		t.Fatalf("heal spans %+v, want one failed then one successful attempt", heals)
+	}
+	var phases []string
+	for _, s := range childrenOf(spans, childNamed(t, spans, heals[1].SpanID, "finetune").SpanID) {
+		phases = append(phases, s.Name)
+	}
+	if got := strings.Join(phases, ","); got != "setup,vertex-phase,finetune-phase,finalize" {
+		t.Fatalf("successful fine-tune phases %s", got)
+	}
+	failedWrite := false
+	for _, s := range spans {
+		if s.TraceID == heals[0].TraceID && s.Name == "checkpoint" && s.Error != "" {
+			failedWrite = true
+		}
+	}
+	if !failedWrite {
+		t.Fatal("killed attempt's trace holds no failed checkpoint span")
+	}
+
 	stopHammer()
 	<-hammerDone
 	if total.Load() == 0 {
@@ -244,4 +284,27 @@ func TestChaosDriftRetrainSwapConverges(t *testing.T) {
 	if n := bad.Load(); n != 0 {
 		t.Fatalf("%d non-2xx responses during the chaos storm (of %d)", n, total.Load())
 	}
+}
+
+// childrenOf returns the spans whose parent is id, in end order.
+func childrenOf(spans []telemetry.SpanRecord, id string) []telemetry.SpanRecord {
+	var out []telemetry.SpanRecord
+	for _, s := range spans {
+		if s.ParentID == id {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// childNamed returns the child of id named name.
+func childNamed(t *testing.T, spans []telemetry.SpanRecord, id, name string) telemetry.SpanRecord {
+	t.Helper()
+	for _, s := range childrenOf(spans, id) {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("span %s has no %q child", id, name)
+	return telemetry.SpanRecord{}
 }

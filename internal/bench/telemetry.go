@@ -30,8 +30,8 @@ type telemetryReport struct {
 }
 
 // TelemetrySmoke exercises the telemetry pipeline end to end: a quick
-// traced build on the BJ stand-in, then cfg.Queries point queries timed
-// and scored through telemetry histograms. Percentiles come from the
+// build on the BJ stand-in, then cfg.Queries point queries timed and
+// scored through telemetry histograms. Percentiles come from the
 // same fixed-bucket quantile estimator the live /metrics endpoint
 // exports, so this doubles as a sanity check of those buckets. Results
 // land in BENCH_telemetry.json.
@@ -40,18 +40,15 @@ func TelemetrySmoke(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	opt := ablationOptions(cfg)
-	reg := telemetry.NewRegistry()
-	opt.Trace = telemetry.NewTracer(nil, reg)
-
 	buildStart := time.Now()
-	m, _, err := core.Build(g, opt)
+	m, _, err := core.Build(g, ablationOptions(cfg))
 	if err != nil {
 		return err
 	}
 	buildSecs := time.Since(buildStart).Seconds()
 
 	pairs := randomPairs(g, cfg.Queries, cfg.Seed+1)
+	reg := telemetry.NewRegistry()
 	lat := reg.Histogram("rne_bench_query_duration_seconds",
 		"Per-query estimate latency.", telemetry.LatencyBuckets)
 	relErr := reg.Histogram("rne_bench_rel_error",

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/telemetry"
 )
 
 // BuildStats records what Build did, mirroring the quantities of
@@ -72,16 +74,34 @@ type BuildStats struct {
 // completed hierarchy level / vertex epoch / fine-tune round instead
 // of from scratch.
 func Build(g *graph.Graph, opt Options) (*Model, BuildStats, error) {
-	var st BuildStats
-	start := time.Now()
+	return run(g, opt, "build", nil)
+}
 
-	t0 := time.Now()
-	sp := opt.Trace.StartSpan("setup")
+// run is the phase loop Build and FineTune share: setup and resume,
+// then the hierarchy, vertex and fine-tune phases under the divergence
+// sentinel and checkpointer, then finalize, each recorded as a child
+// span of opt.Trace and logged when it ends. warmStart, when non-nil,
+// seeds the fresh trainer before any checkpoint is restored; what
+// ("build" or "fine-tune") names the run in resume errors and warnings.
+func run(g *graph.Graph, opt Options, what string, warmStart func(*Trainer)) (_ *Model, st BuildStats, err error) {
+	start := time.Now()
+	root, log := opt.Trace, opt.logger()
+	ph := startPhase(root, "setup", log)
+	defer func() {
+		if err != nil {
+			ph.end(err) // the phase that failed
+		}
+	}()
+
+	opt.Trace = ph.span // NewTrainer's steps nest under setup
 	tr, err := NewTrainer(g, opt)
 	if err != nil {
 		return nil, st, err
 	}
 	opt = tr.Options() // defaults applied
+	if warmStart != nil {
+		warmStart(tr)
+	}
 
 	phase, level, epoch := ckptPhaseNone, 0, 0
 	if opt.Resume {
@@ -91,12 +111,12 @@ func Build(g *graph.Graph, opt Options) (*Model, BuildStats, error) {
 			case err == nil:
 				st.Resumed = true
 			case opt.StrictResume:
-				return nil, st, fmt.Errorf("core: resuming build: %w", err)
+				return nil, st, fmt.Errorf("core: resuming %s: %w", what, err)
 			default:
-				// An unusable checkpoint costs a restart, not the build:
-				// warn, restart from scratch, and let the first healthy
-				// checkpoint write replace the bad file.
-				opt.logger().Warn("discarding unusable checkpoint; training restarts from scratch",
+				// An unusable checkpoint costs a restart, not the run:
+				// warn, restart from the initial state, and let the first
+				// healthy checkpoint write replace the bad file.
+				log.Warn("discarding unusable checkpoint; "+what+" restarts from its initial state",
 					"path", opt.CheckpointPath, "error", err)
 				st.CheckpointDiscarded = true
 				phase, level, epoch = ckptPhaseNone, 0, 0
@@ -112,68 +132,71 @@ func Build(g *graph.Graph, opt Options) (*Model, BuildStats, error) {
 		every:  opt.CheckpointEvery,
 		strict: opt.StrictCheckpoints,
 		logger: opt.Logger,
-		trace:  opt.Trace,
 		stats:  &st,
 	}
-	// guard runs after each completed unit of work: sentinel audit
-	// first (nil, errRetryUnit, or terminal), checkpoint tick only on a
-	// healthy verdict — checkpoints never capture a diverged state. On
-	// a healthy verdict the unit is traced with the validation loss and
-	// learning rate it finished at; unitStart resets either way, so a
-	// retried unit is timed from its rollback, not its first attempt.
-	unitStart := time.Now()
+	// guard runs after each completed unit of work of the current phase:
+	// sentinel audit first (nil, errRetryUnit, or terminal), checkpoint
+	// tick only on a healthy verdict — checkpoints never capture a
+	// diverged state. The unit's span starts where the previous unit (or
+	// its phase) ended, so a retried unit is timed from its rollback, not
+	// its first attempt.
+	var unitStart time.Time
 	guard := func(label string, epochs, phase, level, epoch int) error {
+		u := ph.span.Child(label, unitStart)
 		dur := time.Since(unitStart)
-		unitStart = time.Now()
 		loss, err := sen.check(label, phase, level, epoch)
-		if err != nil {
-			return err
+		switch {
+		case errors.Is(err, errRetryUnit):
+			u.Event("rollback", st.Rollbacks[len(st.Rollbacks)-1])
+		case err == nil:
+			u.SetAttrFloat("loss_mean_rel", loss)
+			u.SetAttrFloat("lr", tr.LR())
+			u.SetAttrInt("recoveries", int64(st.Recoveries))
+			log.Info("training unit done", "phase", ph.name, "unit", label,
+				"loss_mean_rel", loss, "lr", tr.LR(), "recoveries", st.Recoveries, "duration", dur)
+			err = ck.tick(tr, u, epochs, phase, level, epoch)
 		}
-		opt.Trace.Unit(phaseName(phase), label, loss, tr.LR(), st.Recoveries, dur)
-		return ck.tick(tr, epochs, phase, level, epoch)
-	}
-	st.Setup = time.Since(t0)
-	sp.End()
-
-	t0 = time.Now()
-	sp = opt.Trace.StartSpan("hier-phase")
-	if phase <= ckptPhaseHier {
-		fromLevel := 1
-		if phase == ckptPhaseHier {
-			fromLevel = level + 1
-		}
+		u.SetError(err)
+		u.End()
 		unitStart = time.Now()
-		err := tr.RunHierPhaseFrom(fromLevel, func(lev int) error {
-			return guard(fmt.Sprintf("hierarchy level %d", lev), opt.Epochs, ckptPhaseHier, lev, 0)
-		})
-		if err != nil {
-			return nil, st, err
-		}
+		return err
 	}
-	st.HierPhase = time.Since(t0)
-	sp.End()
+	st.Setup = ph.end(nil)
 
-	t0 = time.Now()
-	sp = opt.Trace.StartSpan("vertex-phase")
+	if tr.hier != nil {
+		ph = startPhase(root, "hier-phase", log)
+		if phase <= ckptPhaseHier {
+			fromLevel := 1
+			if phase == ckptPhaseHier {
+				fromLevel = level + 1
+			}
+			unitStart = time.Now()
+			if err := tr.RunHierPhaseFrom(fromLevel, func(lev int) error {
+				return guard(fmt.Sprintf("hierarchy level %d", lev), opt.Epochs, ckptPhaseHier, lev, 0)
+			}); err != nil {
+				return nil, st, err
+			}
+		}
+		st.HierPhase = ph.end(nil)
+	}
+
+	ph = startPhase(root, "vertex-phase", log)
 	if phase <= ckptPhaseVertex {
 		fromEpoch := 0
 		if phase == ckptPhaseVertex {
 			fromEpoch = epoch
 		}
 		unitStart = time.Now()
-		err := tr.RunVertexPhaseFrom(fromEpoch, func(e int) error {
+		if err := tr.RunVertexPhaseFrom(fromEpoch, func(e int) error {
 			return guard(fmt.Sprintf("vertex epoch %d", e), 1, ckptPhaseVertex, 0, e+1)
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, st, err
 		}
 	}
-	st.VertexPhase = time.Since(t0)
-	sp.End()
+	st.VertexPhase = ph.end(nil)
 
 	if opt.ActiveFineTune {
-		t0 = time.Now()
-		sp = opt.Trace.StartSpan("finetune-phase")
+		ph = startPhase(root, "finetune-phase", log)
 		fromRound := 0
 		if phase == ckptPhaseFineTune {
 			fromRound = epoch
@@ -189,31 +212,42 @@ func Build(g *graph.Graph, opt Options) (*Model, BuildStats, error) {
 			}
 			k++
 		}
-		st.FineTune = time.Since(t0)
-		sp.End()
+		st.FineTune = ph.end(nil)
 	}
 
-	sp = opt.Trace.StartSpan("finalize")
+	ph = startPhase(root, "finalize", log)
 	st.SamplesUsed = tr.SamplesUsed()
 	st.SamplesSkipped = tr.SamplesSkipped()
 	st.FinalLR = tr.LR()
 	st.Validation = tr.Validate()
 	m := tr.Finalize()
-	sp.End()
+	ph.end(nil)
 	st.Total = time.Since(start)
 	return m, st, nil
 }
 
-// phaseName maps a checkpoint phase cursor to the build-report label.
-func phaseName(phase int) string {
-	switch phase {
-	case ckptPhaseHier:
-		return "hier"
-	case ckptPhaseVertex:
-		return "vertex"
-	case ckptPhaseFineTune:
-		return "finetune"
-	default:
-		return "setup"
+// phaseSpan is one timed child of a run's span: setup, a training
+// phase or finalize.
+type phaseSpan struct {
+	name  string
+	span  *telemetry.ReqSpan
+	start time.Time
+	log   *slog.Logger
+}
+
+func startPhase(parent *telemetry.ReqSpan, name string, log *slog.Logger) phaseSpan {
+	start := time.Now()
+	return phaseSpan{name: name, span: parent.Child(name, start), start: start, log: log}
+}
+
+// end closes the phase, failed when err is non-nil, logs it when it
+// succeeded, and returns its duration.
+func (p phaseSpan) end(err error) time.Duration {
+	d := time.Since(p.start)
+	p.span.SetError(err)
+	p.span.End()
+	if err == nil {
+		p.log.Info("phase done", "phase", p.name, "duration", d)
 	}
+	return d
 }

@@ -208,13 +208,13 @@ type checkpointer struct {
 	since  int
 	strict bool
 	logger *slog.Logger
-	trace  *telemetry.Tracer
 	stats  *BuildStats
 }
 
 // tick records that epochs more training epochs completed, leaving the
 // trainer at the given cursor, and checkpoints if the budget is due.
-func (c *checkpointer) tick(tr *Trainer, epochs, phase, level, epoch int) error {
+// Each write is a "checkpoint" child span of unit, the unit's span.
+func (c *checkpointer) tick(tr *Trainer, unit *telemetry.ReqSpan, epochs, phase, level, epoch int) error {
 	if c.path == "" {
 		return nil
 	}
@@ -222,9 +222,10 @@ func (c *checkpointer) tick(tr *Trainer, epochs, phase, level, epoch int) error 
 	if c.since < c.every {
 		return nil
 	}
-	t0 := time.Now()
+	sp := unit.Child("checkpoint", time.Now())
 	err := tr.SaveCheckpoint(c.path, phase, level, epoch)
-	c.trace.CheckpointWrite(time.Since(t0), err == nil)
+	sp.SetError(err)
+	sp.End()
 	if err != nil {
 		if c.strict {
 			return fmt.Errorf("core: writing checkpoint: %w", err)

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"time"
 
 	"repro/internal/graph"
 )
@@ -24,131 +21,30 @@ import (
 // Dim and P are inherited from the warm model. A vertex-count mismatch
 // between warm and g is an error — topology changes need Build.
 //
-// Training runs under the same divergence sentinel and checkpointer as
-// Build: Options.CheckpointPath/StrictCheckpoints/Resume behave
-// identically, so an interrupted fine-tune resumes, and chaos tests
-// can kill the first attempt through the checkpoint-save failpoint.
+// Training runs through Build's phase loop, under the same divergence
+// sentinel, checkpointer and Options.Trace spans:
+// Options.CheckpointPath/StrictCheckpoints/Resume behave identically,
+// so an interrupted fine-tune resumes, and chaos tests can kill the
+// first attempt through the checkpoint-save failpoint.
 func FineTune(g *graph.Graph, warm *Model, opt Options) (*Model, BuildStats, error) {
-	var st BuildStats
-	start := time.Now()
 	if warm == nil {
-		return nil, st, fmt.Errorf("core: fine-tune needs a warm-start model")
+		return nil, BuildStats{}, fmt.Errorf("core: fine-tune needs a warm-start model")
 	}
 	if warm.NumVertices() != g.NumVertices() {
-		return nil, st, fmt.Errorf(
+		return nil, BuildStats{}, fmt.Errorf(
 			"core: warm model covers %d vertices but graph has %d — topology changed, run a full build",
 			warm.NumVertices(), g.NumVertices())
 	}
 	opt.Hierarchical = false
 	opt.Dim = warm.Dim()
 	opt.P = warm.P()
-
-	t0 := time.Now()
-	sp := opt.Trace.StartSpan("setup")
-	tr, err := NewTrainer(g, opt)
-	if err != nil {
-		return nil, st, err
-	}
-	opt = tr.Options() // defaults applied
-	// Warm start: adopt the previous model's embedding and its distance
-	// normalizer. The matrix entries are distances over warm's scale, so
-	// the scale must travel with them — re-normalizing by the perturbed
-	// graph's diameter would silently stretch every estimate.
-	copy(tr.flat.Data(), warm.Matrix().Data())
-	tr.scale = warm.Scale()
-
-	phase, epoch := ckptPhaseNone, 0
-	if opt.Resume {
-		if _, statErr := os.Stat(opt.CheckpointPath); statErr == nil {
-			var lvl int
-			phase, lvl, epoch, err = tr.RestoreCheckpoint(opt.CheckpointPath)
-			_ = lvl // fine-tune has no hierarchy levels
-			switch {
-			case err == nil:
-				st.Resumed = true
-			case opt.StrictResume:
-				return nil, st, fmt.Errorf("core: resuming fine-tune: %w", err)
-			default:
-				opt.logger().Warn("discarding unusable checkpoint; fine-tune restarts from the warm model",
-					"path", opt.CheckpointPath, "error", err)
-				st.CheckpointDiscarded = true
-				phase, epoch = ckptPhaseNone, 0
-			}
-		}
-	}
-	sen, err := newSentinel(tr, opt, &st)
-	if err != nil {
-		return nil, st, err
-	}
-	ck := &checkpointer{
-		path:   opt.CheckpointPath,
-		every:  opt.CheckpointEvery,
-		strict: opt.StrictCheckpoints,
-		logger: opt.Logger,
-		trace:  opt.Trace,
-		stats:  &st,
-	}
-	unitStart := time.Now()
-	guard := func(label string, epochs, phase, level, epoch int) error {
-		dur := time.Since(unitStart)
-		unitStart = time.Now()
-		loss, err := sen.check(label, phase, level, epoch)
-		if err != nil {
-			return err
-		}
-		opt.Trace.Unit(phaseName(phase), label, loss, tr.LR(), st.Recoveries, dur)
-		return ck.tick(tr, epochs, phase, level, epoch)
-	}
-	st.Setup = time.Since(t0)
-	sp.End()
-
-	t0 = time.Now()
-	sp = opt.Trace.StartSpan("vertex-phase")
-	if phase <= ckptPhaseVertex {
-		fromEpoch := 0
-		if phase == ckptPhaseVertex {
-			fromEpoch = epoch
-		}
-		unitStart = time.Now()
-		err := tr.RunVertexPhaseFrom(fromEpoch, func(e int) error {
-			return guard(fmt.Sprintf("vertex epoch %d", e), 1, ckptPhaseVertex, 0, e+1)
-		})
-		if err != nil {
-			return nil, st, err
-		}
-	}
-	st.VertexPhase = time.Since(t0)
-	sp.End()
-
-	if opt.ActiveFineTune {
-		t0 = time.Now()
-		sp = opt.Trace.StartSpan("finetune-phase")
-		fromRound := 0
-		if phase == ckptPhaseFineTune {
-			fromRound = epoch
-		}
-		unitStart = time.Now()
-		for k := fromRound; k < opt.FineTuneRounds; {
-			tr.RunFineTuneRound(k)
-			switch err := guard(fmt.Sprintf("fine-tune round %d", k), 1, ckptPhaseFineTune, 0, k+1); {
-			case errors.Is(err, errRetryUnit):
-				continue // rolled back: redo this round at the reduced rate
-			case err != nil:
-				return nil, st, err
-			}
-			k++
-		}
-		st.FineTune = time.Since(t0)
-		sp.End()
-	}
-
-	sp = opt.Trace.StartSpan("finalize")
-	st.SamplesUsed = tr.SamplesUsed()
-	st.SamplesSkipped = tr.SamplesSkipped()
-	st.FinalLR = tr.LR()
-	st.Validation = tr.Validate()
-	m := tr.Finalize()
-	sp.End()
-	st.Total = time.Since(start)
-	return m, st, nil
+	return run(g, opt, "fine-tune", func(tr *Trainer) {
+		// Warm start: adopt the previous model's embedding and its
+		// distance normalizer. The matrix entries are distances over
+		// warm's scale, so the scale must travel with them —
+		// re-normalizing by the perturbed graph's diameter would
+		// silently stretch every estimate.
+		copy(tr.flat.Data(), warm.Matrix().Data())
+		tr.scale = warm.Scale()
+	})
 }

@@ -129,17 +129,22 @@ type Options struct {
 	// triggers a rollback (default 4; must be > 1 when set).
 	DivergenceFactor float64
 
-	// Logger, when non-nil, receives structured build-progress
-	// warnings: sentinel rollbacks, tolerated checkpoint-write
-	// failures, discarded resume checkpoints. The build itself never
-	// logs on the happy path (the Trace does, at phase granularity).
+	// Logger, when non-nil, receives structured build progress: one
+	// Info line per phase and per training unit, and a Warn line for
+	// each sentinel rollback, tolerated checkpoint-write failure and
+	// discarded resume checkpoint.
 	Logger *slog.Logger
 
-	// Trace, when non-nil, records build telemetry: a span per build
-	// phase, the per-unit loss/learning-rate/recovery series, and
-	// checkpoint-write accounting — the data behind rnebuild's
-	// build-report.json and the rne_build_* metrics.
-	Trace *telemetry.Tracer
+	// Trace, when non-nil, is the span the build or fine-tune records
+	// under. Its children are setup (with partition, landmarks, grid
+	// and validation-set under it), hier-phase, vertex-phase,
+	// finetune-phase and finalize. Each training unit ("hierarchy level
+	// N", "vertex epoch N", "fine-tune round k") is a child of its phase
+	// carrying loss_mean_rel, lr and recoveries; a rolled-back unit
+	// instead has a rollback event and an error. Each checkpoint write
+	// is a "checkpoint" child of its unit. rnebuild's build-report.json
+	// holds these spans.
+	Trace *telemetry.ReqSpan
 
 	// Seed makes the build deterministic.
 	Seed int64

@@ -128,7 +128,6 @@ func (s *sentinel) rollback(label, reason string) error {
 	s.tr.resetAdam()
 	s.st.Recoveries++
 	s.st.Rollbacks = append(s.st.Rollbacks, label+": "+reason)
-	s.opt.Trace.Recovery(label, reason)
 	s.opt.logger().Warn("sentinel rollback: restored last good state, lr halved",
 		"unit", label, "reason", reason, "lr", s.tr.LR(),
 		"recovery", s.st.Recoveries, "max_recoveries", s.opt.MaxRecoveries)

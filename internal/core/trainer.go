@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"repro/internal/emb"
 	"repro/internal/graph"
@@ -74,7 +75,7 @@ func NewTrainer(g *graph.Graph, opt Options) (*Trainer, error) {
 	}
 
 	if opt.Hierarchical {
-		sp := opt.Trace.StartSpan("partition")
+		sp := opt.Trace.Child("partition", time.Now())
 		h, err := partition.BuildHierarchy(g, partition.HierConfig{
 			Fanout: opt.Fanout, Leaf: opt.Leaf, Seed: opt.Seed,
 		})
@@ -112,20 +113,20 @@ func NewTrainer(g *graph.Graph, opt Options) (*Trainer, error) {
 	case "degree":
 		selectLandmarks = landmark.ByDegree
 	}
-	sp := opt.Trace.StartSpan("landmarks")
+	sp := opt.Trace.Child("landmarks", time.Now())
 	t.landmarks, err = selectLandmarks(g, nLandmarks, opt.Seed+1)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	sp = opt.Trace.StartSpan("grid")
+	sp = opt.Trace.Child("grid", time.Now())
 	t.gb, err = sample.NewGridBuckets(g, opt.GridK)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 
-	sp = opt.Trace.StartSpan("validation-set")
+	sp = opt.Trace.Child("validation-set", time.Now())
 	valSamples := sample.RandomPairs(g, opt.ValidationPairs, opt.PerSource, t.oracle, t.rng)
 	t.val = make([]metrics.Pair, len(valSamples))
 	for i, s := range valSamples {

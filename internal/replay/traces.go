@@ -133,8 +133,9 @@ type TraceOverhead struct {
 type TraceReport struct {
 	Spans  int `json:"spans"`
 	Traces int `json:"traces"`
-	// CompleteTraces have a root span (no parent): only those can be
-	// attributed, since the root's duration is the request wall time.
+	// CompleteTraces have a request root span (no parent, an HTTP
+	// status): only those can be attributed, since the root's duration
+	// is the request wall time.
 	CompleteTraces int            `json:"complete_traces"`
 	Services       map[string]int `json:"services,omitempty"`
 	Request        PhaseQuantiles `json:"request"`
@@ -159,7 +160,10 @@ func phaseOf(name string) string {
 }
 
 // AggregateTraces groups spans by trace ID and attributes each
-// complete trace's wall time to phases. Network time is derived, not
+// complete trace's wall time to phases. Only traces rooted at a
+// request span, the one that carries http_status, are complete: an
+// autoheal or build trace shares the span stream but is no request.
+// Network time is derived, not
 // measured: each backend-attempt span's duration minus the replica
 // handler span(s) that ran inside it (children by parent ID), clamped
 // at zero — what is left after the replica accounted for itself is
@@ -192,7 +196,7 @@ func AggregateTraces(spans []telemetry.SpanRecord) (*TraceReport, error) {
 		childSum := make(map[string]float64, len(ts))
 		var root *telemetry.SpanRecord
 		for _, s := range ts {
-			if s.ParentID == "" && (root == nil || s.DurationUS > root.DurationUS) {
+			if s.ParentID == "" && s.HTTPStatus != 0 && (root == nil || s.DurationUS > root.DurationUS) {
 				root = s
 			}
 			if s.ParentID != "" {
@@ -200,9 +204,10 @@ func AggregateTraces(spans []telemetry.SpanRecord) (*TraceReport, error) {
 			}
 		}
 		if root == nil {
-			// Orphaned fragment: e.g. a replica traced a request whose
-			// gateway-side root was dropped by a full queue. Not
-			// attributable against a request wall time.
+			// Orphaned fragment (e.g. a replica traced a request whose
+			// gateway-side root was dropped by a full queue) or no
+			// request at all: not attributable against a request wall
+			// time.
 			continue
 		}
 		rep.CompleteTraces++
@@ -242,7 +247,7 @@ func AggregateTraces(spans []telemetry.SpanRecord) (*TraceReport, error) {
 		})
 	}
 	if rep.CompleteTraces == 0 {
-		return nil, fmt.Errorf("replay: %d traces but none has a root span (gateway trace file missing?)", rep.Traces)
+		return nil, fmt.Errorf("replay: %d traces but none has a request root span (gateway trace file missing?)", rep.Traces)
 	}
 
 	rep.Request = quantiles(totals)

@@ -9,12 +9,17 @@ import (
 	"repro/internal/telemetry"
 )
 
-// span builds a synthetic SpanRecord tersely.
+// span builds a synthetic SpanRecord tersely. Handler spans ("GET
+// ...", "POST ...") carry the HTTP status every served request records.
 func span(trace, id, parent, service, name string, durUS float64) telemetry.SpanRecord {
-	return telemetry.SpanRecord{
+	rec := telemetry.SpanRecord{
 		TraceID: trace, SpanID: id, ParentID: parent,
 		Service: service, Name: name, DurationUS: durUS,
 	}
+	if strings.HasPrefix(name, "GET ") || strings.HasPrefix(name, "POST ") {
+		rec.HTTPStatus = 200
+	}
+	return rec
 }
 
 // One gateway trace with a replica handler inside the backend attempt:
@@ -105,6 +110,29 @@ func TestAggregateTracesNetworkClampsAtZero(t *testing.T) {
 	}
 }
 
+// A heal trace shares the span stream with requests but is no
+// request: only the trace rooted at a request span is attributed.
+func TestAggregateTracesSkipsNonRequestRoots(t *testing.T) {
+	spans := []telemetry.SpanRecord{
+		span("aaaa", "01", "", "server", "GET /distance", 200),
+		span("bbbb", "02", "", "server", "autoheal.heal", 7.8e6),
+		span("bbbb", "03", "02", "server", "finetune", 7.7e6),
+	}
+	rep, err := AggregateTraces(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Traces != 2 || rep.CompleteTraces != 1 {
+		t.Fatalf("traces %d, complete %d; want 2, 1", rep.Traces, rep.CompleteTraces)
+	}
+	if rep.Request.P95US != 200 || rep.Request.MaxUS != 200 {
+		t.Fatalf("request quantiles %+v include the heal", rep.Request)
+	}
+	if len(rep.Slowest) != 1 || rep.Slowest[0].TraceID != "aaaa" {
+		t.Fatalf("slowest %+v", rep.Slowest)
+	}
+}
+
 func TestAggregateTracesNoRootFails(t *testing.T) {
 	spans := []telemetry.SpanRecord{
 		span("eeee", "01", "99", "server", "GET /distance", 100),
@@ -120,14 +148,14 @@ func TestAggregateTracesNoRootFails(t *testing.T) {
 func TestReadSpanFilesAndOverhead(t *testing.T) {
 	dir := t.TempDir()
 	gw := filepath.Join(dir, "gw.jsonl")
-	content := `{"trace_id":"aaaa","span_id":"01","name":"GET /distance","start":1,"duration_us":100}
+	content := `{"trace_id":"aaaa","span_id":"01","name":"GET /distance","start":1,"duration_us":100,"http_status":200}
 {"trace_id":"aaaa","span_id":"02","parent_id":"01","name":"kernel","start":1,"duration_us":60}
 `
 	if err := os.WriteFile(gw, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// A rotated generation is read too.
-	if err := os.WriteFile(gw+".1", []byte(`{"trace_id":"ffff","span_id":"03","name":"GET /distance","start":1,"duration_us":50}`+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(gw+".1", []byte(`{"trace_id":"ffff","span_id":"03","name":"GET /distance","start":1,"duration_us":50,"http_status":200}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	spans, err := ReadSpanFiles([]string{gw})

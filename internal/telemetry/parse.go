@@ -11,11 +11,12 @@ import (
 )
 
 // parseSampleRe matches the prefix of one exposition sample line —
-// name, optional label block, value — without anchoring the end, so
-// lines carrying an OpenMetrics exemplar suffix (` # {...} v ts`)
-// parse the same as plain ones.
+// name, optional label block, value — up to the end of the line or the
+// space before whatever follows the value (a timestamp, or an
+// OpenMetrics exemplar suffix ` # {...} v ts`), so those lines parse
+// the same as plain ones while a value with junk glued on does not.
 var parseSampleRe = regexp.MustCompile(
-	`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (NaN|[+-]Inf|[0-9eE.+-]+)`)
+	`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (NaN|[+-]Inf|[0-9eE.+-]+)(?: |$)`)
 
 // ParseExposition parses Prometheus text exposition output into a flat
 // sample map keyed by `name{labels}` exactly as rendered (bare `name`

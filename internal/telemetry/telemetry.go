@@ -1,9 +1,10 @@
 // Package telemetry is the unified runtime-instrumentation layer: a
 // stdlib-only metrics registry (atomic counters, gauges, fixed-bucket
 // histograms) exposed in Prometheus text exposition format, structured
-// leveled logging via log/slog with per-request IDs, a lightweight span
-// API tracing the build pipeline into a machine-readable report, and an
-// online accuracy-drift monitor for the guarded serving path.
+// leveled logging via log/slog with per-request IDs, one span tracer
+// for requests, autoheal attempts and builds (persisted as JSONL, or
+// kept in memory for a bounded run such as a build), and an online
+// accuracy-drift monitor for the guarded serving path.
 //
 // The paper's methodology is measurement-heavy — per-bucket error
 // distributions drive active fine-tuning (Algorithm 2) and the whole

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,8 +187,10 @@ type SpanRecord struct {
 // TraceConfig tunes a RequestTracer. Zero values select the documented
 // defaults.
 type TraceConfig struct {
-	// Path is the span JSONL file appended to (required). Rotation
-	// moves it to Path+".1".
+	// Path is the span JSONL file appended to. Rotation moves it to
+	// Path+".1". Empty keeps ended spans in memory for Spans instead;
+	// nothing evicts them, so that mode is for bounded runs such as a
+	// build.
 	Path string
 	// Service names this process in every span record (e.g. "gateway",
 	// "server"), so multi-process traces can be read without guessing.
@@ -220,27 +223,29 @@ const approxSpanBytes = 320
 // on "is tracing on".
 type RequestTracer struct {
 	cfg   TraceConfig
-	queue chan SpanRecord
+	queue chan SpanRecord // nil in memory mode (no Path)
 
 	roots   atomic.Int64 // root-span creations, sampled or not
 	dropped atomic.Int64
 	written atomic.Int64
 
-	// mu serialises sends against Close, exactly as in qlog.Logger.
+	// mu serialises sends against Close, exactly as in qlog.Logger,
+	// and guards kept.
 	mu        sync.RWMutex
 	closed    bool
+	kept      []SpanRecord // memory mode's ended spans, in end order
 	closeOnce sync.Once
 	done      chan struct{}
 }
 
 // NewRequestTracer opens (appending) the span file and starts the
-// writer goroutine.
+// writer goroutine; with no Path it keeps spans in memory.
 func NewRequestTracer(cfg TraceConfig) (*RequestTracer, error) {
-	if cfg.Path == "" {
-		return nil, fmt.Errorf("telemetry: trace output needs a file path")
-	}
 	if cfg.SampleEvery < 1 {
 		cfg.SampleEvery = 1
+	}
+	if cfg.Path == "" {
+		return &RequestTracer{cfg: cfg}, nil
 	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 1024
@@ -290,10 +295,22 @@ func (t *RequestTracer) Written() int64 {
 	return t.written.Load()
 }
 
-// Close stops accepting spans, flushes the queue to disk and closes
-// the file. Spans ended after Close are counted as drops. Nil-safe.
-func (t *RequestTracer) Close() error {
+// Spans returns the spans a memory-mode tracer has kept, in the order
+// they ended; nil for a file-backed tracer.
+func (t *RequestTracer) Spans() []SpanRecord {
 	if t == nil {
+		return nil
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return append([]SpanRecord(nil), t.kept...)
+}
+
+// Close stops accepting spans, flushes the queue to disk and closes
+// the file. Spans ended after Close are counted as drops. Nil-safe,
+// and a no-op in memory mode.
+func (t *RequestTracer) Close() error {
+	if t == nil || t.queue == nil {
 		return nil
 	}
 	t.closeOnce.Do(func() {
@@ -314,6 +331,12 @@ func (t *RequestTracer) drop() {
 }
 
 func (t *RequestTracer) enqueue(rec SpanRecord) {
+	if t.queue == nil {
+		t.mu.Lock()
+		t.kept = append(t.kept, rec)
+		t.mu.Unlock()
+		return
+	}
 	t.mu.RLock()
 	if t.closed {
 		t.mu.RUnlock()
@@ -467,9 +490,11 @@ func StartChild(ctx context.Context, name string) (context.Context, *ReqSpan) {
 	return p.tracer.startSpanAt(ctx, name, time.Now(), false)
 }
 
-// childAt starts a child of s with an explicit start time (used for
-// the admission span, whose wait began before the span could be made).
-func (s *ReqSpan) childAt(name string, start time.Time) *ReqSpan {
+// Child starts a child of s that began at start. start may lie in the
+// past, for work whose span can only be made once it ran: an admission
+// wait, or a training unit checked after it finished. A nil s gives a
+// nil child.
+func (s *ReqSpan) Child(name string, start time.Time) *ReqSpan {
 	if s == nil {
 		return nil
 	}
@@ -534,6 +559,14 @@ func (s *ReqSpan) SetAttrInt(k string, v int64) {
 		return
 	}
 	s.SetAttr(k, fmt.Sprintf("%d", v))
+}
+
+// SetAttrFloat attaches a float attribute in its shortest exact form.
+func (s *ReqSpan) SetAttrFloat(k string, v float64) {
+	if !s.Recording() {
+		return
+	}
+	s.SetAttr(k, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
 // Event records a point-in-time annotation.

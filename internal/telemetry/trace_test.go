@@ -160,6 +160,48 @@ func TestNilTracerAndNilSpanAreNoOps(t *testing.T) {
 	}
 }
 
+// With no Path the tracer keeps ended sampled spans in memory, in the
+// order they ended; Close has nothing to flush.
+func TestMemoryTracerKeepsEndedSpans(t *testing.T) {
+	tr, err := NewRequestTracer(TraceConfig{Service: "rnebuild", SampleEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, unsampled := tr.StartSpan(context.Background(), "unsampled") // root 1 of every 2
+	_, root := tr.StartSpan(context.Background(), "build")
+	setup := root.Child("setup", time.Now())
+	setup.Child("partition", time.Now()).End()
+	setup.End()
+	unsampled.End()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	root.End() // after Close: still kept
+
+	spans := tr.Spans()
+	var names []string
+	for _, s := range spans {
+		names = append(names, s.Name)
+		if s.Service != "rnebuild" || s.TraceID != root.TraceID() {
+			t.Fatalf("span %+v not in the build's trace", s)
+		}
+	}
+	if strings.Join(names, ",") != "partition,setup,build" {
+		t.Fatalf("kept %v, want partition,setup,build in end order", names)
+	}
+	if spans[0].ParentID != spans[1].SpanID || spans[1].ParentID != spans[2].SpanID || spans[2].ParentID != "" {
+		t.Fatalf("spans not linked child to parent: %+v", spans)
+	}
+	spans[0].Name = "mutated"
+	if tr.Spans()[0].Name != "partition" {
+		t.Fatal("Spans returned the tracer's own slice")
+	}
+	var none *ReqSpan
+	if none.Child("x", time.Now()) != nil {
+		t.Fatal("Child of a nil span is not nil")
+	}
+}
+
 func TestTracerWritesLinkedSpans(t *testing.T) {
 	tr, path := newTestTracer(t, TraceConfig{Service: "test"})
 	ctx, root := tr.StartSpan(context.Background(), "GET /distance")

@@ -32,5 +32,5 @@ func (s *ReqSpan) MarkAdmitted() {
 	if !s.Recording() {
 		return
 	}
-	s.childAt("admission", s.start).End()
+	s.Child("admission", s.start).End()
 }

@@ -24,8 +24,22 @@ $GO run ./cmd/genroad -rows 10 -cols 10 -seed 7 -o "$TMP/g.txt"
 $GO build -o "$TMP/rnebuild" ./cmd/rnebuild
 $GO build -o "$TMP/rneserver" ./cmd/rneserver
 
-"$TMP/rnebuild" -graph "$TMP/g.txt" -dim 8 -epochs 2 -seed 1 -report "" \
+"$TMP/rnebuild" -graph "$TMP/g.txt" -dim 8 -epochs 2 -seed 1 -report "$TMP/report.json" \
     -o "$TMP/m1.rne" -registry "$TMP/reg" -publish demo >/dev/null 2>&1
+
+# The build report's trace is the build's span tree: the root, setup,
+# the three training phases, finalize, and units carrying their loss.
+for name in build setup hier-phase vertex-phase finetune-phase finalize; do
+    if ! grep -q "\"name\": \"$name\"" "$TMP/report.json"; then
+        echo "swap-smoke: build report has no $name span"
+        cat "$TMP/report.json"
+        exit 1
+    fi
+done
+if ! grep -q '"loss_mean_rel"' "$TMP/report.json"; then
+    echo "swap-smoke: build report has no unit span with loss_mean_rel"
+    exit 1
+fi
 
 "$TMP/rneserver" -registry "$TMP/reg" -name demo -addr "127.0.0.1:$PORT" \
     >"$TMP/server.log" 2>&1 &
