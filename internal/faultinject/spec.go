@@ -8,7 +8,8 @@ import (
 
 // EnableSpec arms failpoints described by a comma-separated spec
 // string, the form the real binaries accept via flags/environment so
-// chaos smoke scripts can inject failures into an unmodified server:
+// chaos drills (internal/smoke) can inject failures into an unmodified
+// server:
 //
 //	name[:after=N][:count=M][,name2...]
 //

@@ -780,7 +780,7 @@ func (g *Gateway) proxySpatial(w http.ResponseWriter, r *http.Request, route str
 func (g *Gateway) proxyBySource(w http.ResponseWriter, r *http.Request, src int32, route string) {
 	exclude := make(map[*backend]bool)
 	var lastBP *backpressureError
-	denied := false
+	denied, budgetOut := false, false
 	for attempt := 0; attempt < 2; attempt++ {
 		b := g.route(src, exclude)
 		if b == nil {
@@ -808,8 +808,8 @@ func (g *Gateway) proxyBySource(w http.ResponseWriter, r *http.Request, src int3
 				return
 			}
 			if errors.Is(err, errBudgetExhausted) {
-				g.fail(w, http.StatusGatewayTimeout, "deadline budget exhausted before backend call")
-				return
+				budgetOut = true
+				break
 			}
 			var bp *backpressureError
 			if errors.As(err, &bp) {
@@ -827,22 +827,32 @@ func (g *Gateway) proxyBySource(w http.ResponseWriter, r *http.Request, src int3
 		relay(w, status, body, ct)
 		return
 	}
-	if lastBP != nil {
-		// Every reachable owner shed the request; relay the backend's own
-		// shed response (with its Retry-After context) instead of
-		// inventing a 502 for a fleet that is alive but saturated.
+	g.unserved(w, src, budgetOut, lastBP, denied)
+}
+
+// unserved is the failure tail shared by proxyBySource and
+// handleDistanceHedged, answering a single-source request that no
+// attempt served. A deadline budget spent before a backend call is
+// 504. Otherwise, when every reachable owner shed the request, the
+// backend's own shed response (with its Retry-After context) is
+// relayed rather than inventing an outage for a fleet that is alive
+// but saturated. A retry or hedge denied by an enabled retry budget
+// means failures already dominate the traffic mix: the fleet is
+// drowning, not dead, so the gateway sheds with 429 and Retry-After
+// and the client backs off. Only then is src's region reported
+// degraded (503).
+func (g *Gateway) unserved(w http.ResponseWriter, src int32, budgetOut bool, lastBP *backpressureError, denied bool) {
+	switch {
+	case budgetOut:
+		g.fail(w, http.StatusGatewayTimeout, "deadline budget exhausted before backend call")
+	case lastBP != nil:
 		lastBP.relayTo(w)
-		return
-	}
-	if denied && g.retryTokens.enabled() {
-		// The retry budget is dry because failures already dominate the
-		// traffic mix: the fleet is drowning, not dead. Shed with 429 so
-		// the client backs off, rather than reporting a 502 outage.
+	case denied && g.retryTokens.enabled():
 		w.Header().Set("Retry-After", fmt.Sprintf("%.2f", g.jittered(time.Second).Seconds()))
 		g.fail(w, http.StatusTooManyRequests, "retry budget exhausted for vertex %d; back off", src)
-		return
+	default:
+		g.noBackendFor(w, src)
 	}
-	g.noBackendFor(w, src)
 }
 
 // handleDistanceHedged races a primary backend call against a hedged
@@ -881,7 +891,7 @@ func (g *Gateway) handleDistanceHedged(w http.ResponseWriter, r *http.Request, s
 	}
 	launch(primary, false)
 	outstanding := 1
-	hedged := false
+	hedged, denied := false, false
 
 	// tryHedge fires the one allowed hedge at the next-ranked replica,
 	// budget permitting.
@@ -896,6 +906,7 @@ func (g *Gateway) handleDistanceHedged(w http.ResponseWriter, r *http.Request, s
 		}
 		if !g.retryTokens.take() {
 			g.retriesDenied.Inc()
+			denied = true
 			return
 		}
 		launch(b, true)
@@ -907,7 +918,7 @@ func (g *Gateway) handleDistanceHedged(w http.ResponseWriter, r *http.Request, s
 	timerC := timer.C
 
 	var lastBP *backpressureError
-	var lastErr error
+	budgetOut := false
 	for outstanding > 0 {
 		select {
 		case <-timerC:
@@ -923,12 +934,11 @@ func (g *Gateway) handleDistanceHedged(w http.ResponseWriter, r *http.Request, s
 				var bp *backpressureError
 				switch {
 				case errors.Is(res.err, errBudgetExhausted):
-					lastErr = res.err
+					budgetOut = true
 				case errors.As(res.err, &bp):
 					lastBP = bp
 				default:
 					g.markFailure(res.b, res.err)
-					lastErr = res.err
 				}
 				// A failed primary is a stronger hedge signal than the
 				// latency timer; fire the backup attempt now.
@@ -950,15 +960,7 @@ func (g *Gateway) handleDistanceHedged(w http.ResponseWriter, r *http.Request, s
 			return
 		}
 	}
-	if lastBP != nil {
-		lastBP.relayTo(w)
-		return
-	}
-	if errors.Is(lastErr, errBudgetExhausted) {
-		g.fail(w, http.StatusGatewayTimeout, "deadline budget exhausted before backend call")
-		return
-	}
-	g.noBackendFor(w, src)
+	g.unserved(w, src, budgetOut, lastBP, denied)
 }
 
 // sourceParam pulls the source vertex out of a /distance query with

@@ -126,6 +126,47 @@ func TestDrainedRetryBudgetRelaysBackpressure(t *testing.T) {
 	}
 }
 
+// A failed primary whose retry an enabled, drained retry budget denies
+// sheds with 429 and Retry-After, hedged or not: the next-ranked
+// replica is healthy, so the region is not degraded (503).
+func TestDeniedRetryShedsWith429(t *testing.T) {
+	for _, hedge := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
+			broken := jsonBackend(t, func(w http.ResponseWriter, r *http.Request) {
+				http.Error(w, "boom", http.StatusInternalServerError)
+			})
+			healthy := jsonBackend(t, func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				w.Write([]byte(`{"distance":1}`))
+			})
+			gw := newGateway(t, Config{
+				Backends:       []string{broken.URL, healthy.URL},
+				HealthInterval: time.Hour,
+				Hedge:          hedge,
+				HedgeMaxDelay:  time.Minute, // only the primary's failure fires the hedge
+			})
+			for gw.retryTokens.take() {
+			}
+			ts := httptest.NewServer(gw.Handler())
+			defer ts.Close()
+
+			src := ownerOf(t, gw, broken.URL)
+			resp, err := http.Get(fmt.Sprintf("%s/distance?s=%d&t=1", ts.URL, src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+				t.Fatalf("denied retry = %d (Retry-After %q), want 429 with Retry-After",
+					resp.StatusCode, resp.Header.Get("Retry-After"))
+			}
+			if n := gw.retriesDenied.Value(); n != 1 {
+				t.Fatalf("retriesDenied = %d, want 1", n)
+			}
+		})
+	}
+}
+
 // A client disconnecting while the gateway is mid-retry (first backend
 // dead, second attempt in flight) must neither leak the retry attempt
 // nor count the abandoned sub-request against the retry target's
