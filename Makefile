@@ -29,7 +29,8 @@ shuffle:
 
 # Coverage-guided fuzzing over the byte decoders and header parsers —
 # ten seconds on the DIMACS parser, five each on the /batch request
-# decoder, the gateway's reply scanner, all six artifact codecs (model,
+# decoder, the gateway's reply scanner and its number range verdict
+# (checked against strconv.ParseFloat), all six artifact codecs (model,
 # build checkpoint, ALT guard, spatial index, shard routing map and
 # shard model), the X-Rne-Budget-Ms header, the replica's query-string
 # parser, the W3C traceparent header and the Prometheus exposition
@@ -39,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequest$$' -fuzztime=5s ./internal/batchwire
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchReply$$' -fuzztime=5s ./internal/batchwire
+	$(GO) test -run='^$$' -fuzz='^FuzzNumberRange$$' -fuzztime=5s ./internal/batchwire
 	$(GO) test -run='^$$' -fuzz='^FuzzModelLoad$$' -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzCheckpointRead$$' -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzALTRead$$' -fuzztime=5s ./internal/alt
@@ -62,10 +64,12 @@ vulncheck:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# 200 iterations each of the in-process handler, serving-pass and
-# gateway routing benchmarks, so they keep compiling and running.
+# 200 iterations each of the in-process handler, serving-pass, gateway
+# routing and /batch wire codec benchmarks, so they keep compiling and
+# running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Handler|Wrap|Route' -benchtime 200x -benchmem ./internal/server ./internal/resilience ./internal/gateway
+	$(GO) test -run '^$$' -bench 'EncodeAnswer|MergeTwoLegs|DecodePairs' -benchtime 200x -benchmem ./internal/batchwire
 
 # End-to-end drills through the real binaries, one Test each (see the
 # doc comments in internal/smoke): hot swap, gateway failover, autoheal

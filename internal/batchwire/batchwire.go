@@ -9,10 +9,12 @@
 // answers are appended into one buffer with strconv, byte for byte
 // what encoding/json writes for the same values: keys sorted, shortest
 // float form, trailing newline. The gateway never converts a leg's
-// numbers: Reply records the byte range of each one (checked with
-// strconv.ParseFloat) and Merge copies those bytes in pair order. A
-// float64 has exactly one shortest form, so the copy equals what
-// decoding and re-encoding would write.
+// numbers: Reply records the byte range of each one, deciding from its
+// digits whether it is in float64 range, and Merge copies those bytes
+// in pair order. A float64 has exactly one shortest form, so the copy
+// equals what decoding and re-encoding would write; for the same
+// reason a replica formats a guarded answer's bounds once and writes a
+// distance clamped to one of them as a copy of its text.
 package batchwire
 
 import (
@@ -247,6 +249,12 @@ type Buffers struct {
 	Body, Out    []byte
 	S, T         []int32
 	Dist, Lo, Hi []float64
+
+	// bound is a guarded answer's hi and lo arrays as AppendAnswer
+	// formats them, and boundAt each number's span in it: hi's, then
+	// lo's.
+	bound   []byte
+	boundAt []Span
 }
 
 var buffersPool = sync.Pool{New: func() any { return new(Buffers) }}
@@ -260,7 +268,8 @@ const maxPooledBytes = 4 << 20
 
 // Release returns b to the pool; nothing may use its slices after.
 func (b *Buffers) Release() {
-	size := cap(b.Body) + cap(b.Out) + 4*(cap(b.S)+cap(b.T)) + 8*(cap(b.Dist)+cap(b.Lo)+cap(b.Hi))
+	size := cap(b.Body) + cap(b.Out) + cap(b.bound) + 4*(cap(b.S)+cap(b.T)) +
+		8*(cap(b.Dist)+cap(b.Lo)+cap(b.Hi)+cap(b.boundAt))
 	if size <= maxPooledBytes {
 		buffersPool.Put(b)
 	}

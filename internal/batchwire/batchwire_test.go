@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -158,6 +159,42 @@ func testFloats(rng *rand.Rand, n int) []float64 {
 	return out[:n]
 }
 
+// clampedFloats returns n guarded answers' distances and bounds where
+// two in three distances equal a bound, as the guard's clamps leave
+// them: a third equal lo, a quarter hi, and one pair in twelve is
+// s == t (all three zero). The rest, and every bound, come from
+// testFloats, so the copied text covers its special forms.
+func clampedFloats(rng *rand.Rand, n int) (dist, lo, hi []float64) {
+	dist, lo, hi = testFloats(rng, n), testFloats(rng, n), testFloats(rng, n)
+	for i := range dist {
+		switch r := rng.Intn(12); {
+		case r < 4:
+			dist[i] = lo[i]
+		case r < 7:
+			dist[i] = hi[i]
+		case r < 8:
+			dist[i], lo[i], hi[i] = 0, 0, 0
+		}
+	}
+	return dist, lo, hi
+}
+
+// numberSet is one set of number columns a byte-identity test encodes.
+type numberSet struct {
+	name         string
+	dist, lo, hi []float64
+}
+
+// answerSets returns n independent floats per column, and n clamped
+// pairs.
+func answerSets(rng *rand.Rand, n int) []numberSet {
+	dist, lo, hi := clampedFloats(rng, n)
+	return []numberSet{
+		{"independent", testFloats(rng, n), testFloats(rng, n), testFloats(rng, n)},
+		{"clamped", dist, lo, hi},
+	}
+}
+
 // refExplanation mirrors the replica's per-pair ?explain=1 block.
 type refExplanation struct {
 	DominantLevel int `json:"dominant_level"`
@@ -173,53 +210,59 @@ type refExplanation struct {
 
 // TestAnswerBytesMatchEncodingJSON checks every answer shape against
 // json.NewEncoder(w).Encode of the map[string]any the handlers built
-// before this package.
+// before this package, with independent and with clamped numbers.
 func TestAnswerBytesMatchEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	const n = 300
-	dist, lo, hi := testFloats(rng, n), testFloats(rng, n), testFloats(rng, n)
-	expl := make([]refExplanation, n)
-	for i := range expl {
-		expl[i].DominantLevel = i % 4
-		if i%2 == 0 {
-			expl[i].Guard = &struct {
-				Raw        float64 `json:"raw"`
-				Lo         float64 `json:"lo"`
-				Hi         float64 `json:"hi"`
-				Clamp      string  `json:"clamp,omitempty"`
-				LoLandmark int32   `json:"lo_landmark"`
-				HiLandmark int32   `json:"hi_landmark"`
-			}{Raw: dist[i], Lo: lo[i], Hi: hi[i], Clamp: []string{"", "low", "high"}[i%3], LoLandmark: 3, HiLandmark: -1}
+	var b Buffers // reused across answers, as the pool reuses it
+	for _, set := range answerSets(rng, 300) {
+		dist, lo, hi := set.dist, set.lo, set.hi
+		expl := make([]refExplanation, len(dist))
+		for i := range expl {
+			expl[i].DominantLevel = i % 4
+			if i%2 == 0 {
+				expl[i].Guard = &struct {
+					Raw        float64 `json:"raw"`
+					Lo         float64 `json:"lo"`
+					Hi         float64 `json:"hi"`
+					Clamp      string  `json:"clamp,omitempty"`
+					LoLandmark int32   `json:"lo_landmark"`
+					HiLandmark int32   `json:"hi_landmark"`
+				}{Raw: dist[i], Lo: lo[i], Hi: hi[i], Clamp: []string{"", "low", "high"}[i%3], LoLandmark: 3, HiLandmark: -1}
+			}
 		}
-	}
-	explBytes, err := json.Marshal(expl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		ans  Answer
-		ref  map[string]any
-	}{
-		{"unguarded", Answer{Distances: dist},
-			map[string]any{"distances": dist}},
-		{"guarded", Answer{Distances: dist, Guarded: true, Lo: lo, Hi: hi, ClampedCount: 17},
-			map[string]any{"distances": dist, "lo": lo, "hi": hi, "clamped_count": 17}},
-		{"shard", Answer{Distances: dist, Sharded: true, CrossCount: 5},
-			map[string]any{"distances": dist, "cross_count": 5}},
-		{"shard guarded", Answer{Distances: dist, Guarded: true, Lo: lo, Hi: hi, ClampedCount: 2, Sharded: true, CrossCount: 9},
-			map[string]any{"distances": dist, "lo": lo, "hi": hi, "clamped_count": 2, "cross_count": 9}},
-		{"explain", Answer{Distances: dist, Explain: explBytes},
-			map[string]any{"distances": dist, "explain": expl}},
-		{"explain guarded shard", Answer{Distances: dist, Guarded: true, Lo: lo, Hi: hi, Sharded: true, Explain: explBytes},
-			map[string]any{"distances": dist, "lo": lo, "hi": hi, "clamped_count": 0, "cross_count": 0, "explain": expl}},
-	} {
-		got, err := AppendAnswer(nil, &tc.ans)
+		explBytes, err := json.Marshal(expl)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatal(err)
 		}
-		if want := encodeRef(t, tc.ref); !bytes.Equal(got, want) {
-			t.Fatalf("%s: bytes differ at %d\n got %.200s\nwant %.200s", tc.name, firstDiff(got, want), got, want)
+		for _, tc := range []struct {
+			name string
+			ans  Answer
+			ref  map[string]any
+		}{
+			{"unguarded", Answer{Distances: dist},
+				map[string]any{"distances": dist}},
+			{"guarded", Answer{Distances: dist, Guarded: true, Lo: lo, Hi: hi, ClampedCount: 17},
+				map[string]any{"distances": dist, "lo": lo, "hi": hi, "clamped_count": 17}},
+			{"shard", Answer{Distances: dist, Sharded: true, CrossCount: 5},
+				map[string]any{"distances": dist, "cross_count": 5}},
+			{"shard guarded", Answer{Distances: dist, Guarded: true, Lo: lo, Hi: hi, ClampedCount: 2, Sharded: true, CrossCount: 9},
+				map[string]any{"distances": dist, "lo": lo, "hi": hi, "clamped_count": 2, "cross_count": 9}},
+			{"explain", Answer{Distances: dist, Explain: explBytes},
+				map[string]any{"distances": dist, "explain": expl}},
+			{"explain guarded shard", Answer{Distances: dist, Guarded: true, Lo: lo, Hi: hi, Sharded: true, Explain: explBytes},
+				map[string]any{"distances": dist, "lo": lo, "hi": hi, "clamped_count": 0, "cross_count": 0, "explain": expl}},
+			{"guarded single", Answer{Distances: dist[:1], Guarded: true, Lo: lo[:1], Hi: hi[:1]},
+				map[string]any{"distances": dist[:1], "lo": lo[:1], "hi": hi[:1], "clamped_count": 0}},
+			{"guarded empty", Answer{Distances: []float64{}, Guarded: true, Lo: []float64{}, Hi: []float64{}},
+				map[string]any{"distances": []float64{}, "lo": []float64{}, "hi": []float64{}, "clamped_count": 0}},
+		} {
+			got, err := b.AppendAnswer(nil, &tc.ans)
+			if err != nil {
+				t.Fatalf("%s %s: %v", set.name, tc.name, err)
+			}
+			if want := encodeRef(t, tc.ref); !bytes.Equal(got, want) {
+				t.Fatalf("%s %s: bytes differ at %d\n got %.200s\nwant %.200s", set.name, tc.name, firstDiff(got, want), got, want)
+			}
 		}
 	}
 }
@@ -233,15 +276,27 @@ func firstDiff(a, b []byte) int {
 	return min(len(a), len(b))
 }
 
+// TestAppendAnswerRefusesNonFinite: a NaN or infinity anywhere is
+// refused, naming the first one the encoder meets in distances, then
+// hi, then lo, also where a distance has a non-finite bound's bits.
 func TestAppendAnswerRefusesNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for _, a := range []Answer{
-			{Distances: []float64{1, bad}},
-			{Distances: []float64{1, 2}, Guarded: true, Lo: []float64{0, 0}, Hi: []float64{bad, 3}},
-			{Distances: []float64{1, 2}, Guarded: true, Lo: []float64{0, bad}, Hi: []float64{2, 3}},
+		for _, tc := range []struct {
+			a    Answer
+			want string
+		}{
+			{Answer{Distances: []float64{1, bad}}, "distances[1]"},
+			{Answer{Distances: []float64{1, bad}, Guarded: true, Lo: []float64{bad, bad}, Hi: []float64{bad, bad}}, "distances[1]"},
+			{Answer{Distances: []float64{1, 2}, Guarded: true, Lo: []float64{0, bad}, Hi: []float64{bad, 3}}, "hi[0]"},
+			{Answer{Distances: []float64{1, 2}, Guarded: true, Lo: []float64{0, bad}, Hi: []float64{2, 3}}, "lo[1]"},
+			{Answer{Distances: []float64{1, 2}, Guarded: true, Lo: []float64{1, 2}, Hi: []float64{1, bad}}, "hi[1]"},
 		} {
-			if out, err := AppendAnswer(nil, &a); err == nil {
+			out, err := new(Buffers).AppendAnswer(nil, &tc.a)
+			if err == nil {
 				t.Fatalf("%v encoded as %s", bad, out)
+			}
+			if want := fmt.Sprintf("%s is %v, which JSON cannot carry", tc.want, bad); err.Error() != want {
+				t.Fatalf("error %q, want %q", err, want)
 			}
 		}
 	}
@@ -259,7 +314,7 @@ func TestMaxNumberLenBoundsEveryFloat(t *testing.T) {
 	}
 }
 
-// legs splits n pairs over two legs by a random assignment, encodes
+// twoLegs splits n pairs over two legs by a random assignment, encodes
 // each leg's answer, and scans it back as the gateway would.
 func twoLegs(t testing.TB, rng *rand.Rand, dist, lo, hi []float64, guarded bool) (*Merge, [2][]int, int) {
 	t.Helper()
@@ -276,7 +331,7 @@ func twoLegs(t testing.TB, rng *rand.Rand, dist, lo, hi []float64, guarded bool)
 			a.Distances = append(a.Distances, dist[i])
 			a.Lo, a.Hi = append(a.Lo, lo[i]), append(a.Hi, hi[i])
 		}
-		body, err := AppendAnswer(nil, &a)
+		body, err := new(Buffers).AppendAnswer(nil, &a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,46 +347,53 @@ func twoLegs(t testing.TB, rng *rand.Rand, dist, lo, hi []float64, guarded bool)
 
 // TestMergeBytesMatchEncodingJSON: the gateway's merged 200 and partial
 // 206, assembled from copied number bytes, equal what decoding each
-// leg and encoding the merged map[string]any wrote before.
+// leg and encoding the merged map[string]any wrote before, with
+// independent and with clamped numbers.
 func TestMergeBytesMatchEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const n = 400
-	dist, lo, hi := testFloats(rng, n), testFloats(rng, n), testFloats(rng, n)
+	for _, set := range answerSets(rng, n) {
+		dist, lo, hi := set.dist, set.lo, set.hi
+		m, _, clamped := twoLegs(t, rng, dist, lo, hi, true)
+		want := encodeRef(t, map[string]any{"distances": dist, "lo": lo, "hi": hi, "clamped_count": clamped})
+		if got := m.AppendOK(nil, true, clamped); !bytes.Equal(got, want) {
+			t.Fatalf("%s: guarded merge differs at %d", set.name, firstDiff(got, want))
+		}
+		want = encodeRef(t, map[string]any{"distances": dist})
+		if got := m.AppendOK(nil, false, 0); !bytes.Equal(got, want) {
+			t.Fatalf("%s: unguarded merge differs at %d", set.name, firstDiff(got, want))
+		}
 
-	m, _, clamped := twoLegs(t, rng, dist, lo, hi, true)
-	want := encodeRef(t, map[string]any{"distances": dist, "lo": lo, "hi": hi, "clamped_count": clamped})
-	if got := m.AppendOK(nil, true, clamped); !bytes.Equal(got, want) {
-		t.Fatalf("guarded merge differs at %d", firstDiff(got, want))
-	}
-	want = encodeRef(t, map[string]any{"distances": dist})
-	if got := m.AppendOK(nil, false, 0); !bytes.Equal(got, want) {
-		t.Fatalf("unguarded merge differs at %d", firstDiff(got, want))
-	}
-
-	// Partial: leg 1 failed, its pairs become nulls with sorted errors.
-	m, index, _ := twoLegs(t, rng, dist, lo, hi, false)
-	m = NewMerge(n)
-	var r Reply
-	a := Answer{}
-	for _, i := range index[0] {
-		a.Distances = append(a.Distances, dist[i])
-	}
-	body, _ := AppendAnswer(nil, &a)
-	if err := r.Scan(body); err != nil {
-		t.Fatal(err)
-	}
-	m.Add(&r, index[0])
-	var errs []PairError
-	for _, i := range index[1] {
-		errs = append(errs, PairError{Index: i, Error: `backend "b:1" said <no> & went away ` + " \xff"})
-	}
-	nullable := make([]*float64, n)
-	for _, i := range index[0] {
-		nullable[i] = &dist[i]
-	}
-	want = encodeRef(t, map[string]any{"distances": nullable, "partial": true, "errors": errs})
-	if got := m.AppendPartial(nil, errs); !bytes.Equal(got, want) {
-		t.Fatalf("partial merge differs at %d\n got %.300s\nwant %.300s", firstDiff(got, want), got, want)
+		// Partial: leg 1 failed, its pairs become nulls with sorted
+		// errors; leg 0 answered guarded.
+		_, index, _ := twoLegs(t, rng, dist, lo, hi, false)
+		m = NewMerge(n)
+		var r Reply
+		a := Answer{Guarded: true}
+		for _, i := range index[0] {
+			a.Distances = append(a.Distances, dist[i])
+			a.Lo, a.Hi = append(a.Lo, lo[i]), append(a.Hi, hi[i])
+		}
+		body, err := new(Buffers).AppendAnswer(nil, &a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Scan(body); err != nil {
+			t.Fatal(err)
+		}
+		m.Add(&r, index[0])
+		var errs []PairError
+		for _, i := range index[1] {
+			errs = append(errs, PairError{Index: i, Error: `backend "b:1" said <no> & went away ` + " \xff"})
+		}
+		nullable := make([]*float64, n)
+		for _, i := range index[0] {
+			nullable[i] = &dist[i]
+		}
+		want = encodeRef(t, map[string]any{"distances": nullable, "partial": true, "errors": errs})
+		if got := m.AppendPartial(nil, errs); !bytes.Equal(got, want) {
+			t.Fatalf("%s: partial merge differs at %d\n got %.300s\nwant %.300s", set.name, firstDiff(got, want), got, want)
+		}
 	}
 }
 
@@ -376,6 +438,99 @@ func TestReplyScan(t *testing.T) {
 			t.Fatalf("Scan accepted %q", bad)
 		}
 	}
+	// At the edges of the float64 range, Scan takes what ParseFloat
+	// reads without error (an underflow reads as 0) and refuses the rest.
+	for _, num := range []string{
+		"1.7976931348623157e308", "-17976931348623157e292", "10e307", "1e-400", "0.000e400",
+	} {
+		if err := r.Scan([]byte(`{"distances":[` + num + `]}`)); err != nil || len(r.Distances) != 1 {
+			t.Fatalf("Scan refused %s: %v", num, err)
+		}
+	}
+	for _, num := range []string{
+		"1.7976931348623159e308", "1e309", "0.1e310", "-1e99999999999999999999",
+	} {
+		err := r.Scan([]byte(`{"hi":[1,` + num + `]}`))
+		var se *SyntaxError
+		if !errors.As(err, &se) || se.Offset != len(`{"hi":[1,`) || !strings.Contains(se.Msg, "outside the float64 range") {
+			t.Fatalf("Scan of %s: %v, want a range error at its first byte", num, err)
+		}
+	}
+}
+
+// rangeCases are numbers at the places number's range verdict turns:
+// around m = 308, where digits and the exponent trade off, and where
+// ParseFloat's exponent (10000) and integer-digit (800) saturations set
+// its verdict apart from the number's true size.
+func rangeCases() []string {
+	zeros := strings.Repeat
+	return []string{
+		"0", "-0", "0.0", "0e99999", "0.000e400", "1e-400", "-1e-99999999999",
+		"1e307", "9.999e307", "1e308", "1.7976931348623157e308", "1.7976931348623158e308",
+		"1.7976931348623159e308", "-1.79769313486231580793728971405301e308", "1e309", "0.1e310", "0.01e310",
+		"10e307", "100e306", "-17976931348623157e292", "17976931348623159e292",
+		"1" + zeros("0", 308), "1" + zeros("0", 309), "0." + zeros("0", 400) + "1e709", "0." + zeros("0", 400) + "1e710",
+		"-1e99999999999999999999", "1e0000000000000000000308", "1E+308", "1E-0",
+		"1" + zeros("0", 1999) + "e-1600", "1" + zeros("0", 799) + "e-491", "1" + zeros("0", 800) + "e-492",
+		"0." + zeros("0", 100000) + "1e99999999", "0." + zeros("0", 9690) + "1e99999",
+		"1" + zeros("0", 20000) + "e-99999", "1" + zeros("0", 20000) + "." + zeros("9", 900) + "e-20001",
+	}
+}
+
+// checkRange asserts that number's verdict on s, a JSON number, is
+// strconv.ParseFloat's.
+func checkRange(t *testing.T, s string) {
+	t.Helper()
+	sc := scanner{b: []byte(s)}
+	sp, finite, err := sc.number()
+	if err != nil || int(sp.End) != len(s) {
+		t.Fatalf("%.60q: span %v, %v", s, sp, err)
+	}
+	_, perr := strconv.ParseFloat(s, 64)
+	if finite != (perr == nil) {
+		t.Fatalf("%.60q (%d bytes): finite = %v, ParseFloat: %v", s, len(s), finite, perr)
+	}
+}
+
+func TestNumberRangeMatchesParseFloat(t *testing.T) {
+	for _, s := range rangeCases() {
+		checkRange(t, s)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for range 20000 {
+		f := math.Float64frombits(rng.Uint64())
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			continue
+		}
+		for _, s := range []string{
+			string(AppendFloat(nil, f)),
+			strconv.FormatFloat(f, 'e', rng.Intn(20), 64),
+			strconv.FormatFloat(f, 'e', -1, 64) + strings.Repeat("7", rng.Intn(3)),
+		} {
+			checkRange(t, s)
+		}
+	}
+}
+
+// FuzzNumberRange: for every number number() accepts, its range
+// verdict is strconv.ParseFloat's.
+func FuzzNumberRange(f *testing.F) {
+	for _, s := range rangeCases() {
+		if len(s) < 1000 {
+			f.Add([]byte(s))
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		sc := scanner{b: b}
+		sp, finite, err := sc.number()
+		if err != nil {
+			return
+		}
+		s := string(b[sp.Off:sp.End])
+		if _, perr := strconv.ParseFloat(s, 64); finite != (perr == nil) {
+			t.Fatalf("%q: finite = %v, ParseFloat: %v", s, finite, perr)
+		}
+	})
 }
 
 func TestReadReplyCap(t *testing.T) {
@@ -471,7 +626,7 @@ func FuzzBatchReply(f *testing.F) {
 		{Distances: fs[:3], Guarded: true, Lo: fs[3:], Hi: fs[3:], ClampedCount: 1},
 		{Distances: fs[:2], Sharded: true, CrossCount: 2, Explain: []byte(`[{"dominant_level":1,"guard":{"raw":1.5,"clamp":"low"}}]`)},
 	} {
-		body, _ := AppendAnswer(nil, &a)
+		body, _ := new(Buffers).AppendAnswer(nil, &a)
 		f.Add(body)
 	}
 	f.Add([]byte(`{"distances":[1,2],"x":{"y":[null,true,"é"]},"clamped_count":-3}`))
@@ -511,13 +666,36 @@ func FuzzBatchReply(f *testing.F) {
 
 var sinkBytes []byte
 
-func benchFloats(n int) []float64 {
+// benchFloats returns n independent distances, lo and hi in [0, 5000):
+// no distance equals its bounds.
+func benchFloats(n int) (dist, lo, hi []float64) {
 	rng := rand.New(rand.NewSource(6))
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = rng.Float64() * 5000
+	cols := make([]float64, 3*n)
+	for i := range cols {
+		cols[i] = rng.Float64() * 5000
 	}
-	return out
+	return cols[:n], cols[n : 2*n], cols[2*n:]
+}
+
+// benchClamped returns n guarded pairs in the shape the guard leaves
+// on the matrix workload: lo <= hi, and 59% of distances (its ladder's
+// hybrid.clamp_ratio) clamped to lo or hi, the rest between them.
+func benchClamped(n int) (dist, lo, hi []float64) {
+	rng := rand.New(rand.NewSource(9))
+	dist, lo, hi = make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range dist {
+		lo[i] = rng.Float64() * 5000
+		hi[i] = lo[i] + rng.Float64()*2000
+		switch r := rng.Float64(); {
+		case r < 0.30:
+			dist[i] = lo[i]
+		case r < 0.59:
+			dist[i] = hi[i]
+		default:
+			dist[i] = lo[i] + rng.Float64()*(hi[i]-lo[i])
+		}
+	}
+	return dist, lo, hi
 }
 
 func BenchmarkDecodePairs1024(b *testing.B) {
@@ -549,7 +727,7 @@ func BenchmarkDecodePairs1024(b *testing.B) {
 }
 
 func BenchmarkEncodeAnswer512(b *testing.B) {
-	dist, lo, hi := benchFloats(512), benchFloats(512), benchFloats(512)
+	dist, lo, hi := benchFloats(512)
 	b.Run("encoding_json", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf bytes.Buffer
@@ -561,30 +739,40 @@ func BenchmarkEncodeAnswer512(b *testing.B) {
 			}
 		}
 	})
-	b.Run("batchwire", func(b *testing.B) {
-		b.ReportAllocs()
-		a := Answer{Distances: dist, Guarded: true, Lo: lo, Hi: hi, ClampedCount: 7}
-		for range b.N {
-			var err error
-			if sinkBytes, err = AppendAnswer(sinkBytes[:0], &a); err != nil {
-				b.Fatal(err)
+	encode := func(dist, lo, hi []float64) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			a := Answer{Distances: dist, Guarded: true, Lo: lo, Hi: hi, ClampedCount: 7}
+			var bufs Buffers
+			for range b.N {
+				var err error
+				if sinkBytes, err = bufs.AppendAnswer(sinkBytes[:0], &a); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("batchwire", encode(dist, lo, hi))
+	b.Run("batchwire_clamped", encode(benchClamped(512)))
 }
 
-func BenchmarkMergeTwoLegs(b *testing.B) {
-	dist, lo, hi := benchFloats(1024), benchFloats(1024), benchFloats(1024)
-	var bodies [2][]byte
-	var index [2][]int
+// legBodies encodes the two legs' guarded answers to a batch, pair i
+// going to leg i%2.
+func legBodies(dist, lo, hi []float64) (bodies [2][]byte, index [2][]int) {
 	for k := range bodies {
 		a := Answer{Guarded: true, ClampedCount: 1}
 		for i := k; i < len(dist); i += 2 {
 			index[k] = append(index[k], i)
 			a.Distances, a.Lo, a.Hi = append(a.Distances, dist[i]), append(a.Lo, lo[i]), append(a.Hi, hi[i])
 		}
-		bodies[k], _ = AppendAnswer(nil, &a)
+		bodies[k], _ = new(Buffers).AppendAnswer(nil, &a)
 	}
+	return bodies, index
+}
+
+func BenchmarkMergeTwoLegs(b *testing.B) {
+	dist, lo, hi := benchFloats(1024)
+	bodies, index := legBodies(dist, lo, hi)
 	b.Run("encoding_json", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf bytes.Buffer
@@ -608,20 +796,24 @@ func BenchmarkMergeTwoLegs(b *testing.B) {
 			}
 		}
 	})
-	b.Run("batchwire", func(b *testing.B) {
-		b.ReportAllocs()
-		var legs [2]Reply
-		for range b.N {
-			m := NewMerge(len(dist))
-			clamped := 0
-			for k, body := range bodies {
-				if err := legs[k].Scan(body); err != nil {
-					b.Fatal(err)
+	merge := func(bodies [2][]byte, index [2][]int) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			var legs [2]Reply
+			for range b.N {
+				m := NewMerge(len(dist))
+				clamped := 0
+				for k, body := range bodies {
+					if err := legs[k].Scan(body); err != nil {
+						b.Fatal(err)
+					}
+					m.Add(&legs[k], index[k])
+					clamped += legs[k].ClampedCount
 				}
-				m.Add(&legs[k], index[k])
-				clamped += legs[k].ClampedCount
+				sinkBytes = m.AppendOK(sinkBytes[:0], true, clamped)
 			}
-			sinkBytes = m.AppendOK(sinkBytes[:0], true, clamped)
 		}
-	})
+	}
+	b.Run("batchwire", merge(bodies, index))
+	b.Run("batchwire_clamped", merge(legBodies(benchClamped(1024))))
 }

@@ -55,8 +55,9 @@ const maxDepth = 64
 
 // Scan parses body, a replica's /batch answer object. It records the
 // byte range of every number in "distances", "lo" and "hi", checking
-// each with strconv.ParseFloat, reads "clamped_count", and skips any
-// other key after checking its value is well-formed JSON. Scan is
+// from its digits that each is in float64 range (strconv.ParseFloat's
+// verdict, without converting it), reads "clamped_count", and skips
+// any other key after checking its value is well-formed JSON. Scan is
 // stricter than json.Unmarshal into the equivalent struct: it takes no
 // escapes or non-ASCII bytes in keys, no repeated or case-folded
 // spelling of a key it reads, and no null in place of its arrays.
@@ -143,7 +144,8 @@ func (s *scanner) key() ([]byte, error) {
 }
 
 // numbers scans an array of JSON numbers in float64 range, appending
-// the span of each to dst.
+// the span of each to dst. A number is never converted: number decides
+// its range from the digits it walks.
 func (s *scanner) numbers(dst []Span) ([]Span, error) {
 	if err := s.expect('[', "'[' opening a number array"); err != nil {
 		return dst, err
@@ -154,11 +156,11 @@ func (s *scanner) numbers(dst []Span) ([]Span, error) {
 	}
 	for {
 		s.next()
-		sp, err := s.number()
+		sp, finite, err := s.number()
 		if err != nil {
 			return dst, err
 		}
-		if _, err := strconv.ParseFloat(string(s.b[sp.Off:sp.End]), 64); err != nil {
+		if !finite {
 			s.i = int(sp.Off)
 			return dst, s.errorf("number outside the float64 range")
 		}
@@ -178,7 +180,7 @@ func (s *scanner) numbers(dst []Span) ([]Span, error) {
 // integer scans a JSON integer that fits an int.
 func (s *scanner) integer() (int, error) {
 	s.next()
-	sp, err := s.number()
+	sp, _, err := s.number()
 	if err != nil {
 		return 0, err
 	}
@@ -192,46 +194,90 @@ func (s *scanner) integer() (int, error) {
 
 // number scans one number in JSON's grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, at the current byte.
-func (s *scanner) number() (Span, error) {
+// finite is strconv.ParseFloat's verdict on it (ParseFloat fails only
+// on overflow), decided from m, the decimal exponent of the number's
+// leading non-zero digit as ParseFloat counts it: below 308 the number
+// is finite, above it out of range, and only at 308 is ParseFloat
+// called.
+func (s *scanner) number() (sp Span, finite bool, err error) {
 	b, i := s.b, s.i
 	start := i
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
-	digits := func() int {
+	// The number is 0.d₁d₂… × 10^(dp+exp), d₁ its leading non-zero
+	// digit; it is zero when it has none.
+	dp, zero := 0, true
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else {
 		d := i
 		for i < len(b) && b[i]-'0' <= 9 {
 			i++
 		}
-		return i - d
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case digits() == 0:
-		s.i = i
-		return Span{}, s.errorf("expected a number")
+		if i == d {
+			s.i = i
+			return Span{}, false, s.errorf("expected a number")
+		}
+		dp, zero = min(i-d, decimalDigits), false
 	}
 	if i < len(b) && b[i] == '.' {
 		i++
-		if digits() == 0 {
-			s.i = i
-			return Span{}, s.errorf("expected a digit after the decimal point")
+		d := i
+		if zero {
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+			dp = d - i
 		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		nz := i
+		for i < len(b) && b[i]-'0' <= 9 {
 			i++
 		}
-		if digits() == 0 {
+		if i == d {
 			s.i = i
-			return Span{}, s.errorf("expected an exponent digit")
+			return Span{}, false, s.errorf("expected a digit after the decimal point")
+		}
+		zero = zero && i == nz
+	}
+	exp := 0
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		neg := i < len(b) && b[i] == '-'
+		if i < len(b) && (neg || b[i] == '+') {
+			i++
+		}
+		d := i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if exp < 10000 { // saturates where ParseFloat's does
+				exp = exp*10 + int(b[i]-'0')
+			}
+		}
+		if i == d {
+			s.i = i
+			return Span{}, false, s.errorf("expected an exponent digit")
+		}
+		if neg {
+			exp = -exp
 		}
 	}
 	s.i = i
-	return Span{Off: int32(start), End: int32(i)}, nil
+	sp = Span{Off: int32(start), End: int32(i)}
+	switch m := dp - 1 + exp; {
+	case zero || m < 308:
+		return sp, true, nil
+	case m > 308:
+		return sp, false, nil
+	}
+	_, err = strconv.ParseFloat(string(b[start:i]), 64)
+	return sp, err == nil, nil
 }
+
+// decimalDigits caps the integer digits m counts, as ParseFloat's exact
+// fallback (strconv's 800-digit decimal) counts them. Every number out
+// of range takes that fallback, so "1" + 1999 zeros + "e-1600", which
+// is 1e399, reads as 0 without error.
+const decimalDigits = 800
 
 // skipValue checks and steps over one JSON value.
 func (s *scanner) skipValue(depth int) error {
@@ -297,7 +343,7 @@ func (s *scanner) skipValue(depth int) error {
 	case 'n':
 		return s.literal("null")
 	default:
-		_, err := s.number()
+		_, _, err := s.number()
 		return err
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -179,6 +180,93 @@ func TestTreeFormatPinned(t *testing.T) {
 	}
 }
 
+// Offsets of fields in treePin that the broken-tree cases edit.
+const (
+	pinRootAt   = len(treeMagic) + 8 + 2*8
+	pinSizeAt   = pinRootAt + 8
+	pinChildAt  = len(treeMagic) + 8 + 6*8 + 16 + 8 // slot 0's one child
+	pinVertAt   = pinChildAt + 4 + 2*8 + 8 + 4      // slot 1's second target
+	pinRadiusAt = pinVertAt + 4 + 4*8               // slot 0's radius
+)
+
+// patched is treePin with the 8 or 4 bytes at off set to v, re-signed.
+func patched(t *testing.T, off int, v uint64, width int) []byte {
+	t.Helper()
+	raw := mustHex(t, treePin)
+	if width == 4 {
+		binary.LittleEndian.PutUint32(raw[off:], uint32(v))
+	} else {
+		binary.LittleEndian.PutUint64(raw[off:], v)
+	}
+	return resign(raw)
+}
+
+// saved is tr as Save writes it.
+func saved(t *testing.T, tr *Tree) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A slot graph that is not a tree, a target listed twice, a size that
+// miscounts the targets and a radius that breaks pruning are refused,
+// each with an error naming the fault.
+func TestTreeLoadRejectsBrokenTrees(t *testing.T) {
+	m := pinModel(t)
+	selfChild := pinTree(m)
+	selfChild.children[1] = []int32{1}
+	orphan := pinTree(m)
+	orphan.children = append(orphan.children, nil)
+	orphan.verts = append(orphan.verts, nil)
+	orphan.vectors = append(orphan.vectors, []float64{0, 0})
+	orphan.radius = append(orphan.radius, 0)
+	for name, c := range map[string]struct {
+		raw  []byte
+		want string
+	}{
+		"slot 1 lists itself":    {saved(t, selfChild), "slot 1 is reached twice"},
+		"root lists itself":      {patched(t, pinChildAt, 0, 4), "slot 0 is reached twice"},
+		"slot 2 has no parent":   {saved(t, orphan), "slot 2 is not reachable from root 0"},
+		"root is the leaf":       {patched(t, pinRootAt, 1, 8), "slot 0 is not reachable from root 1"},
+		"target listed twice":    {patched(t, pinVertAt, 0, 4), "target 0 is listed twice"},
+		"size over the targets":  {patched(t, pinSizeAt, 3, 8), "declares 3 targets, the slots list 2"},
+		"size under the targets": {patched(t, pinSizeAt, 1, 8), "declares 1 targets, the slots list 2"},
+		"negative radius":        {patched(t, pinRadiusAt+8, math.Float64bits(-1), 8), "slot 1 has radius -1"},
+		"NaN radius":             {patched(t, pinRadiusAt, math.Float64bits(math.NaN()), 8), "slot 0 has radius NaN"},
+	} {
+		tr, err := Load(bytes.NewReader(c.raw), m)
+		if err == nil || tr != nil {
+			t.Errorf("%s: loaded", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %q", name, err, c.want)
+		}
+	}
+}
+
+// Build indexes a target listed twice once, so its tree loads back.
+func TestBuildCountsDistinctTargets(t *testing.T) {
+	m := buildModel(t)
+	tree, err := Build(m, []int32{3, 7, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.Size() != 2 {
+		t.Fatalf("Size() = %d, want 2", tree.Size())
+	}
+	var buf bytes.Buffer
+	if err := tree.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // allocated returns the bytes f allocates.
 func allocated(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -208,7 +296,9 @@ func TestCraftedHeadersFailSmall(t *testing.T) {
 // FuzzTreeLoad feeds arbitrary bytes to Load against one fixed small
 // model, as they are and re-signed so they get past the checksum: no
 // input may panic, and any input Load accepts must save back to
-// exactly the same bytes.
+// exactly the same bytes and answer queries over all of its targets:
+// KNN(0, Size()) returns Size() distinct ids, and Range(0, +Inf) the
+// same set.
 func FuzzTreeLoad(f *testing.F) {
 	m, _, raw := buildSmallTree(f)
 	f.Add(raw)
@@ -229,6 +319,17 @@ func FuzzTreeLoad(f *testing.F) {
 			}
 			if !bytes.Equal(buf.Bytes(), in) {
 				t.Fatalf("accepted %d bytes but saved %d different ones", len(in), buf.Len())
+			}
+			nn := tr.KNN(0, tr.Size())
+			all := tr.Range(0, math.Inf(1))
+			if len(nn) != tr.Size() || len(all) != tr.Size() {
+				t.Fatalf("%d targets: KNN returned %d, Range %d", tr.Size(), len(nn), len(all))
+			}
+			slices.Sort(nn)
+			for i := range nn {
+				if nn[i] != all[i] || (i > 0 && nn[i] == nn[i-1]) {
+					t.Fatalf("KNN's targets %v, Range's %v", nn, all)
+				}
 			}
 		}
 	})

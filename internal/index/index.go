@@ -46,15 +46,19 @@ func Build(m *core.Model, targets []int32) (*Tree, error) {
 	}
 	n := m.NumVertices()
 	inSet := make([]bool, n)
+	size := 0 // distinct targets: a repeated one is indexed once
 	for _, v := range targets {
 		if v < 0 || int(v) >= n {
 			return nil, fmt.Errorf("index: target %d outside [0,%d)", v, n)
 		}
-		inSet[v] = true
+		if !inSet[v] {
+			inSet[v] = true
+			size++
+		}
 	}
 
 	h := hh.H
-	t := &Tree{model: m, p: m.P(), scale: m.Scale(), size: len(targets)}
+	t := &Tree{model: m, p: m.P(), scale: m.Scale(), size: size}
 
 	// Recursively clone the subtree containing targets. Vertex nodes are
 	// folded into their parent slot's vertex list.

@@ -191,7 +191,56 @@ func loadPayload(r *bytes.Reader, m *core.Model) (*Tree, error) {
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("index: %d payload bytes left after the last section", r.Len())
 	}
+	if err := t.check(); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// check verifies what the queries rely on beyond the ids being in
+// range: the slots form one tree under root, so traversals end; each
+// target is listed once and size counts them, so kNN's k is honest; and
+// every radius is a number >= 0, so pruning never cuts a slot holding
+// an answer.
+func (t *Tree) check() error {
+	reached := make([]bool, len(t.children))
+	reached[t.root] = true
+	for stack := []int32{t.root}; len(stack) > 0; {
+		slot := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, c := range t.children[slot] {
+			if reached[c] {
+				return fmt.Errorf("index: slot %d is reached twice from root %d", c, t.root)
+			}
+			reached[c] = true
+			stack = append(stack, c)
+		}
+	}
+	for slot, ok := range reached {
+		if !ok {
+			return fmt.Errorf("index: slot %d is not reachable from root %d", slot, t.root)
+		}
+	}
+	listed := make([]bool, t.model.NumVertices())
+	n := 0
+	for _, vs := range t.verts {
+		for _, v := range vs {
+			if listed[v] {
+				return fmt.Errorf("index: target %d is listed twice", v)
+			}
+			listed[v] = true
+		}
+		n += len(vs)
+	}
+	if n != t.size {
+		return fmt.Errorf("index: header declares %d targets, the slots list %d", t.size, n)
+	}
+	for slot, r := range t.radius {
+		if !(r >= 0) {
+			return fmt.Errorf("index: slot %d has radius %v", slot, r)
+		}
+	}
+	return nil
 }
 
 // SaveFile writes the tree to the named file atomically (temp file +

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -99,4 +100,30 @@ func BenchmarkHandlerKNN(b *testing.B) {
 		return fmt.Sprintf("s=%d&k=10", (i*37)%n)
 	})
 	benchHandler(b, reqs, srv.Handler())
+}
+
+// BenchmarkHandlerBatch is one guarded, untraced POST /batch of 512
+// pairs through Server.Handler(), the size of one matrix leg: body
+// decode, the guard per pair and the encoded answer with its bounds.
+func BenchmarkHandlerBatch(b *testing.B) {
+	srv, m, _ := guardedIndexServer(b)
+	n := m.NumVertices()
+	body := []byte(`{"pairs":[`)
+	for i := range 512 {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = fmt.Appendf(body, "[%d,%d]", (i*37)%n, (i*61+11)%n)
+	}
+	body = append(body, "]}"...)
+	h := srv.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
 }

@@ -801,7 +801,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Encode before the status goes out: an estimate JSON cannot carry
 	// answers 500, never a 200 with a truncated body.
-	if bufs.Out, err = batchwire.AppendAnswer(bufs.Out[:0], &ans); err != nil {
+	if bufs.Out, err = bufs.AppendAnswer(bufs.Out[:0], &ans); err != nil {
 		s.fail(w, http.StatusInternalServerError, "cannot encode the answer: %v", err)
 		return
 	}
