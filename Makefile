@@ -65,11 +65,12 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # 200 iterations each of the in-process handler, serving-pass, gateway
-# routing and /batch wire codec benchmarks, so they keep compiling and
-# running.
+# routing, /batch wire codec and spatial-index kNN benchmarks, so they
+# keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Handler|Wrap|Route' -benchtime 200x -benchmem ./internal/server ./internal/resilience ./internal/gateway
 	$(GO) test -run '^$$' -bench 'EncodeAnswer|MergeTwoLegs|DecodePairs' -benchtime 200x -benchmem ./internal/batchwire
+	$(GO) test -run '^$$' -bench '^BenchmarkKNN$$' -benchtime 200x -benchmem ./internal/index
 
 # End-to-end drills through the real binaries, one Test each (see the
 # doc comments in internal/smoke): hot swap, gateway failover, autoheal

@@ -153,9 +153,9 @@ func (hh *Hier) GlobalInto(dst []float64, v int32) []float64 {
 }
 
 // NodeGlobalInto sums the local embeddings on the root..node path into
-// dst (used by the tree index, whose internal nodes also need global
-// positions). Summation runs root-first so results are bit-identical
-// with GlobalInto on vertex nodes. It returns dst.
+// dst (used by the shard cut, whose upper rows are internal nodes'
+// global positions). Summation runs root-first so results are
+// bit-identical with GlobalInto on vertex nodes. It returns dst.
 func (hh *Hier) NodeGlobalInto(dst []float64, node int32) []float64 {
 	for i := range dst {
 		dst[i] = 0

@@ -115,12 +115,13 @@ const pinModelHex = "524e454d4f44454c330a4600000000000000000000000000f03f0000000
 	"000000000000e03f000000000000f0bf0000000000000040000000000000d03f82e39744"
 
 // pinTree is a hand-built two-slot tree over both vertices of m whose
-// encoding is pinned.
+// encoding is pinned. Each vertex lies 8.25 from the other slot's
+// center, so both radii are 8.25.
 func pinTree(m *core.Model) *Tree {
 	return &Tree{model: m, p: 1, scale: 3,
 		children: [][]int32{{1}, nil},
 		vectors:  [][]float64{{0.5, -1}, {2, 0.25}},
-		radius:   []float64{1.5, 0},
+		radius:   []float64{8.25, 8.25},
 		verts:    [][]int32{nil, {0, 1}},
 		root:     0, size: 2}
 }
@@ -138,8 +139,8 @@ const treePin = "" +
 	"0000000000000000" + // verts: []
 	"02000000000000000000000001000000" + // verts: [0 1]
 	"000000000000e03f000000000000f0bf0000000000000040000000000000d03f" + // vectors (0.5, -1), (2, 0.25)
-	"000000000000f83f0000000000000000" + // radii 1.5, 0
-	"a1003bd6" // CRC-32
+	"00000000008020400000000000802040" + // radii 8.25, 8.25
+	"35886bc0" // CRC-32
 
 func mustHex(t testing.TB, s string) []byte {
 	t.Helper()
@@ -183,6 +184,7 @@ func TestTreeFormatPinned(t *testing.T) {
 // Offsets of fields in treePin that the broken-tree cases edit.
 const (
 	pinRootAt   = len(treeMagic) + 8 + 2*8
+	pinPAt      = len(treeMagic) + 8 + 6*8
 	pinSizeAt   = pinRootAt + 8
 	pinChildAt  = len(treeMagic) + 8 + 6*8 + 16 + 8 // slot 0's one child
 	pinVertAt   = pinChildAt + 4 + 2*8 + 8 + 4      // slot 1's second target
@@ -211,9 +213,10 @@ func saved(t *testing.T, tr *Tree) []byte {
 	return buf.Bytes()
 }
 
-// A slot graph that is not a tree, a target listed twice, a size that
-// miscounts the targets and a radius that breaks pruning are refused,
-// each with an error naming the fault.
+// A metric order below 1, a slot graph that is not a tree, a target
+// listed twice, a size that miscounts the targets and a radius that
+// breaks pruning (negative, NaN, or too small to cover a target beneath
+// its slot) are refused, each with an error naming the fault.
 func TestTreeLoadRejectsBrokenTrees(t *testing.T) {
 	m := pinModel(t)
 	selfChild := pinTree(m)
@@ -236,6 +239,9 @@ func TestTreeLoadRejectsBrokenTrees(t *testing.T) {
 		"size under the targets": {patched(t, pinSizeAt, 1, 8), "declares 1 targets, the slots list 2"},
 		"negative radius":        {patched(t, pinRadiusAt+8, math.Float64bits(-1), 8), "slot 1 has radius -1"},
 		"NaN radius":             {patched(t, pinRadiusAt, math.Float64bits(math.NaN()), 8), "slot 0 has radius NaN"},
+		"radius too small":       {patched(t, pinRadiusAt+8, math.Float64bits(8), 8), "slot 1's radius 8 does not cover target 0 at 8.25"},
+		"root radius too small":  {patched(t, pinRadiusAt, math.Float64bits(8.2), 8), "slot 0's radius 8.2 does not cover target 1 at 8.25"},
+		"metric p below 1":       {patched(t, pinPAt, math.Float64bits(0.5), 8), "p = 0.5"},
 	} {
 		tr, err := Load(bytes.NewReader(c.raw), m)
 		if err == nil || tr != nil {
@@ -298,7 +304,8 @@ func TestCraftedHeadersFailSmall(t *testing.T) {
 // input may panic, and any input Load accepts must save back to
 // exactly the same bytes and answer queries over all of its targets:
 // KNN(0, Size()) returns Size() distinct ids, and Range(0, +Inf) the
-// same set.
+// same set. Its kNN answers must also be exact: from two sources and
+// every k up to Size(), the targets sorted by (Model.Estimate, id).
 func FuzzTreeLoad(f *testing.F) {
 	m, _, raw := buildSmallTree(f)
 	f.Add(raw)
@@ -329,6 +336,13 @@ func FuzzTreeLoad(f *testing.F) {
 			for i := range nn {
 				if nn[i] != all[i] || (i > 0 && nn[i] == nn[i-1]) {
 					t.Fatalf("KNN's targets %v, Range's %v", nn, all)
+				}
+			}
+			targets := targetsOf(tr)
+			for _, src := range []int32{0, int32(m.NumVertices() - 1)} {
+				want := bruteHits(m, targets, src)
+				for k := 1; k <= tr.Size(); k++ {
+					checkKNN(t, tr, m, src, k, want)
 				}
 			}
 		}

@@ -1,17 +1,29 @@
 // Package index implements the tree-structured embedding index of
-// Section VI: the partition hierarchy annotated, per node, with the
-// node's global embedding vector and a covering radius (the maximum
-// embedding distance to any indexed vertex underneath). Range and kNN
-// queries prune subtrees through the triangle inequality, which the
-// L_p embedding metric guarantees by construction.
+// Section VI: the partition hierarchy, pruned to the nodes that hold a
+// target, annotated per node with a center and a covering radius (the
+// largest scaled embedding distance from the center to a target
+// underneath). Range and kNN queries prune a node by the lower bound
+// ‖q−c‖·scale − r, which the triangle inequality of the L_p metric
+// (p ≥ 1) makes sound; below p = 1 L_p is not a metric, and the index
+// refuses such a model.
+//
+// Build sets each node's center to the per-dimension median of the
+// targets under it and its radius to the exact largest distance from
+// that center to one of them. Files from earlier builds, whose centers
+// are the hierarchy nodes' global embeddings and whose radii were
+// composed from their children's, keep the same layout and stay valid:
+// their radii also cover every target beneath, which is all Load checks
+// and all the queries rely on.
 package index
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
-	"repro/internal/pqueue"
 	"repro/internal/vecmath"
 )
 
@@ -33,13 +45,26 @@ type Tree struct {
 	size  int
 }
 
+// metricErr refuses a metric order below 1 (or NaN): there L_p breaks
+// the triangle inequality, so a radius prune could cut a slot that
+// holds an answer.
+func metricErr(p float64) error {
+	if p >= 1 {
+		return nil
+	}
+	return fmt.Errorf("index: L_p with p = %v is not a metric (p < 1), so radius pruning would drop answers", p)
+}
+
 // Build constructs the index over targets. The model must retain its
 // hierarchy (freshly built hierarchical models do; loaded models do
-// not).
+// not) and use a metric order p >= 1.
 func Build(m *core.Model, targets []int32) (*Tree, error) {
-	hh := m.Hier()
-	if hh == nil {
+	h := m.Hierarchy()
+	if h == nil {
 		return nil, fmt.Errorf("index: model has no hierarchy (naive or deserialized model)")
+	}
+	if err := metricErr(m.P()); err != nil {
+		return nil, err
 	}
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("index: empty target set")
@@ -57,22 +82,16 @@ func Build(m *core.Model, targets []int32) (*Tree, error) {
 		}
 	}
 
-	h := hh.H
 	t := &Tree{model: m, p: m.P(), scale: m.Scale(), size: size}
 
-	// Recursively clone the subtree containing targets. Vertex nodes are
-	// folded into their parent slot's vertex list.
-	d := m.Dim()
+	// Recursively clone the subtree containing targets, numbering slots
+	// in preorder. Vertex nodes are folded into their parent slot's
+	// vertex list.
 	var clone func(node int32) int32
 	clone = func(node int32) int32 {
 		slot := int32(len(t.children))
 		t.children = append(t.children, nil)
 		t.verts = append(t.verts, nil)
-		vec := make([]float64, d)
-		hh.NodeGlobalInto(vec, node)
-		t.vectors = append(t.vectors, vec)
-		t.radius = append(t.radius, 0)
-
 		for _, c := range h.Children(node) {
 			if h.IsVertexNode(c) {
 				if v := h.VertexID(c); inSet[v] {
@@ -91,19 +110,28 @@ func Build(m *core.Model, targets []int32) (*Tree, error) {
 	// Handle degenerate single-vertex hierarchies where the root is a
 	// vertex node itself.
 	if h.IsVertexNode(0) {
-		slot := int32(0)
 		t.children = append(t.children, nil)
-		vec := make([]float64, d)
-		hh.NodeGlobalInto(vec, 0)
-		t.vectors = append(t.vectors, vec)
-		t.radius = append(t.radius, 0)
 		t.verts = append(t.verts, []int32{h.VertexID(0)})
-		t.root = slot
 	} else {
 		t.root = clone(0)
 	}
 
-	t.computeRadii(t.root)
+	// Fit each slot's ball post-order, when under[start:] holds every
+	// target beneath it.
+	t.vectors = make([][]float64, len(t.children))
+	t.radius = make([]float64, len(t.children))
+	col := make([]float64, size)
+	under := make([]int32, 0, size)
+	var fit func(slot int32)
+	fit = func(slot int32) {
+		start := len(under)
+		under = append(under, t.verts[slot]...)
+		for _, c := range t.children[slot] {
+			fit(c)
+		}
+		t.vectors[slot], t.radius[slot] = t.ball(under[start:], col)
+	}
+	fit(t.root)
 	return t, nil
 }
 
@@ -119,27 +147,27 @@ func subtreeHasTarget(h interface {
 	return false
 }
 
-// computeRadii fills radius[slot] = max scaled L_p distance from the
-// slot's vector to any indexed vertex in its subtree, returning the
-// maximum for the parent.
-func (t *Tree) computeRadii(slot int32) float64 {
+// ball returns the center and covering radius of the targets vs: the
+// per-dimension median of their vectors (the mean of the two middle
+// values for an even count) and the largest scaled L_p distance from it
+// to one of them. col is scratch of at least len(vs).
+func (t *Tree) ball(vs []int32, col []float64) ([]float64, float64) {
+	center := make([]float64, t.model.Dim())
+	col = col[:len(vs)]
+	for j := range center {
+		for i, v := range vs {
+			col[i] = t.model.Vector(v)[j]
+		}
+		slices.Sort(col)
+		center[j] = (col[(len(col)-1)/2] + col[len(col)/2]) / 2
+	}
 	var r float64
-	for _, v := range t.verts[slot] {
-		d := vecmath.Lp(t.vectors[slot], t.model.Vector(v), t.p) * t.scale
-		if d > r {
+	for _, v := range vs {
+		if d := vecmath.Lp(center, t.model.Vector(v), t.p) * t.scale; d > r {
 			r = d
 		}
 	}
-	for _, c := range t.children[slot] {
-		_ = t.computeRadii(c)
-		// Bound the child's farthest vertex through the child center.
-		d := vecmath.Lp(t.vectors[slot], t.vectors[c], t.p)*t.scale + t.radius[c]
-		if d > r {
-			r = d
-		}
-	}
-	t.radius[slot] = r
-	return r
+	return center, r
 }
 
 // Size returns the number of indexed targets.
@@ -165,9 +193,9 @@ type QueryStats struct {
 	// NodesVisited counts tree slots expanded (their vertices scored
 	// and children considered).
 	NodesVisited int `json:"nodes_visited"`
-	// NodesPruned counts subtrees never expanded: cut by the radius
-	// lower bound on Range, or still queued when KNN's best-first
-	// search terminated.
+	// NodesPruned counts slots that were considered but never
+	// expanded: cut by their radius lower bound, or, on KNN, left
+	// queued when the best-first search stopped.
 	NodesPruned int `json:"nodes_pruned"`
 	// VertsScanned counts candidate target vertices whose embedding
 	// distance was evaluated.
@@ -214,59 +242,183 @@ func (t *Tree) RangeStats(source int32, tau float64) ([]int32, QueryStats) {
 	return out, st
 }
 
-// payload encoding for the kNN frontier: vertices have the low bit set.
-func nodePayload(slot int32) int64        { return int64(slot) << 1 }
-func vertPayload(v int32) int64           { return int64(v)<<1 | 1 }
-func decodePayload(p int64) (int32, bool) { return int32(p >> 1), p&1 == 1 }
-
 // KNN returns up to k indexed targets closest to source by estimated
-// network distance, nearest first (best-first tree traversal with
-// lower-bound keys, the Section VI algorithm).
+// network distance, nearest first, ties in vertex id order (best-first
+// tree traversal with lower-bound keys, the Section VI algorithm).
 func (t *Tree) KNN(source int32, k int) []int32 {
 	out, _ := t.KNNStats(source, k)
 	return out
 }
 
-// KNNStats is KNN plus traversal counters; NodesPruned counts tree
-// nodes whose lower bound kept them queued, unexpanded, when the
-// best-first search found its k results (the work the radius cutoff
-// avoided).
+// KNNStats is KNN plus traversal counters; NodesPruned counts slots
+// cut by their lower bound and slots still queued when the search
+// stopped. Its working memory is pooled, so a query allocates only the
+// ids it returns.
 func (t *Tree) KNNStats(source int32, k int) ([]int32, QueryStats) {
-	var st QueryStats
 	if k <= 0 {
-		return nil, st
+		return nil, QueryStats{}
 	}
-	q := t.model.Vector(source)
-	var pq pqueue.FloatHeap
-	lower := vecmath.Lp(q, t.vectors[t.root], t.p)*t.scale - t.radius[t.root]
-	if lower < 0 {
-		lower = 0
+	sc := scratchPool.Get().(*scratch)
+	st := t.nearest(sc, t.model.Vector(source), k)
+	out := make([]int32, len(sc.best))
+	for i, h := range sc.best {
+		out[i] = h.v
 	}
-	pq.Push(lower, nodePayload(t.root))
-	queuedNodes := 1
-	out := make([]int32, 0, k)
-	for pq.Len() > 0 && len(out) < k {
-		_, payload := pq.Pop()
-		id, isVert := decodePayload(payload)
-		if isVert {
-			out = append(out, id)
-			continue
-		}
-		st.NodesVisited++
-		queuedNodes--
-		st.VertsScanned += len(t.verts[id])
-		for _, v := range t.verts[id] {
-			pq.Push(vecmath.Lp(q, t.model.Vector(v), t.p)*t.scale, vertPayload(v))
-		}
-		for _, c := range t.children[id] {
-			lb := vecmath.Lp(q, t.vectors[c], t.p)*t.scale - t.radius[c]
-			if lb < 0 {
-				lb = 0
-			}
-			pq.Push(lb, nodePayload(c))
-			queuedNodes++
-		}
-	}
-	st.NodesPruned = queuedNodes
+	scratchPool.Put(sc)
 	return out, st
+}
+
+// scratch is one kNN query's working memory.
+type scratch struct {
+	queue []queued // slots to expand: a binary min-heap on bound
+	best  []hit    // the nearest targets so far: at most k, in hit order
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// A queued slot carries the lower bound on its targets' distances.
+type queued struct {
+	bound float64
+	slot  int32
+}
+
+// A hit is a scored target.
+type hit struct {
+	dist float64
+	v    int32
+}
+
+// before orders hits by distance, then by vertex id. A NaN distance
+// sorts after every number, so it never hides a finite neighbour.
+func (a hit) before(b hit) bool {
+	if a.dist < b.dist || (a.dist == b.dist && a.v < b.v) {
+		return true
+	}
+	return b.dist != b.dist && (a.dist == a.dist || a.v < b.v)
+}
+
+// nearest leaves in sc.best the k targets nearest to q, in hit order,
+// by best-first search over the slots. Once k targets are found, their
+// k-th distance cuts every slot whose bound exceeds it, abandons every
+// candidate whose partial sum passes it, and stops the search when the
+// smallest queued bound exceeds it. A NaN bound or k-th distance cuts
+// nothing.
+func (t *Tree) nearest(sc *scratch, q []float64, k int) QueryStats {
+	var st QueryStats
+	best, queue := sc.best[:0], sc.queue[:0]
+	kth := math.Inf(1)
+	b, _ := t.bound(q, t.vectors[t.root], t.radius[t.root], kth)
+	queue = push(queue, queued{b, t.root})
+	for len(queue) > 0 && !(queue[0].bound > kth) {
+		var slot int32
+		queue, slot = pop(queue)
+		st.NodesVisited++
+		st.VertsScanned += len(t.verts[slot])
+		for _, v := range t.verts[slot] {
+			d, ok := t.bound(q, t.model.Vector(v), 0, kth)
+			if h := (hit{d, v}); ok && (len(best) < k || h.before(best[k-1])) {
+				best = insert(best, h, k)
+				if len(best) == k {
+					kth = best[k-1].dist
+				}
+			}
+		}
+		for _, c := range t.children[slot] {
+			if b, ok := t.bound(q, t.vectors[c], t.radius[c], kth); ok {
+				queue = push(queue, queued{b, c})
+			} else {
+				st.NodesPruned++
+			}
+		}
+	}
+	st.NodesPruned += len(queue)
+	sc.best, sc.queue = best, queue
+	return st
+}
+
+// boundBlock is how many coordinates bound sums between checks of its
+// limit.
+const boundBlock = 16
+
+// bound returns Lp(q, x)·scale − r and whether it is at most limit (or
+// NaN). With r = 0 it is the distance between the vectors, and at p = 1
+// it sums in vecmath.L1's order, so a target's distance is
+// bit-identical to Model.Estimate's. The terms are non-negative, so the
+// partial sums only grow: at p = 1 bound gives up at the first block
+// whose partial sum already puts the result past limit.
+func (t *Tree) bound(q, x []float64, r, limit float64) (float64, bool) {
+	if t.p != 1 {
+		d := vecmath.Lp(q, x, t.p)*t.scale - r
+		return d, !(d > limit)
+	}
+	x = x[:len(q)]
+	var s float64
+	for i := 0; i < len(q); {
+		for end := min(i+boundBlock, len(q)); i < end; i++ {
+			s += math.Abs(q[i] - x[i])
+		}
+		if s*t.scale-r > limit {
+			return 0, false
+		}
+	}
+	return s*t.scale - r, true
+}
+
+// insert puts h into best, which holds at most k hits in hit order and,
+// when full, ends in one that h comes before.
+func insert(best []hit, h hit, k int) []hit {
+	lo, hi := 0, len(best)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); h.before(best[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if len(best) < k {
+		best = append(best, hit{})
+	}
+	copy(best[lo+1:], best[lo:len(best)-1])
+	best[lo] = h
+	return best
+}
+
+// push adds e to the heap queue. A negative or NaN bound is queued as
+// 0: no distance is below it, and the heap never compares a NaN.
+func push(queue []queued, e queued) []queued {
+	if !(e.bound > 0) {
+		e.bound = 0
+	}
+	queue = append(queue, e)
+	for i := len(queue) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if queue[parent].bound <= queue[i].bound {
+			break
+		}
+		queue[parent], queue[i] = queue[i], queue[parent]
+		i = parent
+	}
+	return queue
+}
+
+// pop removes the slot with the smallest bound from the heap queue.
+func pop(queue []queued) ([]queued, int32) {
+	slot := queue[0].slot
+	last := len(queue) - 1
+	queue[0] = queue[last]
+	queue = queue[:last]
+	for i := 0; ; {
+		small, l := i, 2*i+1
+		if l < last && queue[l].bound < queue[small].bound {
+			small = l
+		}
+		if l+1 < last && queue[l+1].bound < queue[small].bound {
+			small = l + 1
+		}
+		if small == i {
+			return queue, slot
+		}
+		queue[i], queue[small] = queue[small], queue[i]
+		i = small
+	}
 }

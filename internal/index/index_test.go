@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -12,6 +13,12 @@ import (
 )
 
 func buildModel(t testing.TB) *core.Model {
+	t.Helper()
+	return buildModelP(t, 1)
+}
+
+// buildModelP is the fixture model trained under L_p.
+func buildModelP(t testing.TB, p float64) *core.Model {
 	t.Helper()
 	g, err := gen.Grid(14, 14, gen.DefaultConfig(1))
 	if err != nil {
@@ -24,6 +31,7 @@ func buildModel(t testing.TB) *core.Model {
 	opt.FineTuneRounds = 2
 	opt.ValidationPairs = 200
 	opt.GridK = 6
+	opt.P = p
 	m, _, err := core.Build(g, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -182,6 +190,11 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := Build(m, []int32{int32(m.NumVertices())}); err == nil {
 		t.Error("out-of-range target accepted")
+	}
+	// Below p = 1 L_p is not a metric: the radius prune would be unsound
+	// (Figure 9's L0.5 point).
+	if _, err := Build(buildModelP(t, 0.5), []int32{0, 1, 2}); err == nil || !strings.Contains(err.Error(), "p = 0.5") {
+		t.Errorf("L0.5 model: error %v, want a refusal naming p = 0.5", err)
 	}
 	// A loaded (hierarchy-less) model is rejected.
 	naiveOpt := core.DefaultOptions(1)

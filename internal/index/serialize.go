@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fsx"
+	"repro/internal/vecmath"
 )
 
 // Serialization lets a spatial index built next to a fresh model be
@@ -133,6 +134,9 @@ func loadPayload(r *bytes.Reader, m *core.Model) (*Tree, error) {
 	if err := binary.Read(r, binary.LittleEndian, &pScale); err != nil {
 		return nil, err
 	}
+	if err := metricErr(pScale[0]); err != nil {
+		return nil, err
+	}
 	if pScale[0] != m.P() || pScale[1] != m.Scale() {
 		return nil, fmt.Errorf("index: tree metric/scale (%v, %v) do not match model (%v, %v)",
 			pScale[0], pScale[1], m.P(), m.Scale())
@@ -200,11 +204,18 @@ func loadPayload(r *bytes.Reader, m *core.Model) (*Tree, error) {
 // check verifies what the queries rely on beyond the ids being in
 // range: the slots form one tree under root, so traversals end; each
 // target is listed once and size counts them, so kNN's k is honest; and
-// every radius is a number >= 0, so pruning never cuts a slot holding
-// an answer.
+// every radius is a number that covers each target beneath its slot,
+// so pruning never cuts a slot holding an answer.
+//
+// The cover test compares the very value Build takes the maximum of,
+// Lp(center, target)·scale, against the radius, with no tolerance.
+// Radii composed by earlier builds, max(child-center distance + child
+// radius), bound the same distances through the triangle inequality;
+// on the test fixture and on bj-mini they pass as written.
 func (t *Tree) check() error {
+	parent := make([]int32, len(t.children))
 	reached := make([]bool, len(t.children))
-	reached[t.root] = true
+	parent[t.root], reached[t.root] = -1, true
 	for stack := []int32{t.root}; len(stack) > 0; {
 		slot := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -212,7 +223,7 @@ func (t *Tree) check() error {
 			if reached[c] {
 				return fmt.Errorf("index: slot %d is reached twice from root %d", c, t.root)
 			}
-			reached[c] = true
+			parent[c], reached[c] = slot, true
 			stack = append(stack, c)
 		}
 	}
@@ -238,6 +249,16 @@ func (t *Tree) check() error {
 	for slot, r := range t.radius {
 		if !(r >= 0) {
 			return fmt.Errorf("index: slot %d has radius %v", slot, r)
+		}
+	}
+	for slot, vs := range t.verts {
+		for _, v := range vs {
+			x := t.model.Vector(v)
+			for a := int32(slot); a >= 0; a = parent[a] {
+				if d := vecmath.Lp(t.vectors[a], x, t.p) * t.scale; !(d <= t.radius[a]) {
+					return fmt.Errorf("index: slot %d's radius %v does not cover target %d at %v", a, t.radius[a], v, d)
+				}
+			}
 		}
 	}
 	return nil

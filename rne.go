@@ -149,8 +149,10 @@ func SampleTargets(g *Graph, frac float64, seed int64) ([]int32, error) {
 
 // NewSpatialIndex builds the tree index over the given target vertices.
 // The model must come fresh from Build with hierarchical training
-// enabled (loaded models do not retain the partition tree); persist the
-// index with its SaveFile method and reload it with LoadSpatialIndex.
+// enabled (loaded models do not retain the partition tree) and use a
+// metric order P >= 1, below which radius pruning is unsound; persist
+// the index with its SaveFile method and reload it with
+// LoadSpatialIndex.
 func NewSpatialIndex(m *Model, targets []int32) (*SpatialIndex, error) {
 	return index.Build(m, targets)
 }
