@@ -30,7 +30,8 @@ shuffle:
 # Coverage-guided fuzzing over the byte decoders and header parsers —
 # ten seconds on the DIMACS parser, five each on the /batch request
 # decoder, the gateway's reply scanner and its number range verdict
-# (checked against strconv.ParseFloat), all six artifact codecs (model,
+# (checked against strconv.ParseFloat), the answer float formatter
+# (checked against strconv and json.Marshal), all six artifact codecs (model,
 # build checkpoint, ALT guard, spatial index, shard routing map and
 # shard model), the X-Rne-Budget-Ms header, the replica's query-string
 # parser, the W3C traceparent header and the Prometheus exposition
@@ -41,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequest$$' -fuzztime=5s ./internal/batchwire
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchReply$$' -fuzztime=5s ./internal/batchwire
 	$(GO) test -run='^$$' -fuzz='^FuzzNumberRange$$' -fuzztime=5s ./internal/batchwire
+	$(GO) test -run='^$$' -fuzz='^FuzzAppendFloat$$' -fuzztime=5s ./internal/batchwire
 	$(GO) test -run='^$$' -fuzz='^FuzzModelLoad$$' -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzCheckpointRead$$' -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzALTRead$$' -fuzztime=5s ./internal/alt
@@ -65,11 +67,13 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # 200 iterations each of the in-process handler, serving-pass, gateway
-# routing and /batch fan-out, /batch wire codec and spatial-index kNN
-# benchmarks, so they keep compiling and running.
+# routing and /batch fan-out, /batch wire codec and float formatter,
+# drift filing and spatial-index kNN benchmarks, so they keep compiling
+# and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Handler|Wrap|Route|GatewayBatch' -benchtime 200x -benchmem ./internal/server ./internal/resilience ./internal/gateway
-	$(GO) test -run '^$$' -bench 'EncodeAnswer|MergeTwoLegs|DecodePairs' -benchtime 200x -benchmem ./internal/batchwire
+	$(GO) test -run '^$$' -bench 'EncodeAnswer|MergeTwoLegs|DecodePairs|AppendFloat' -benchtime 200x -benchmem ./internal/batchwire
+	$(GO) test -run '^$$' -bench '^BenchmarkDriftObserveAll$$' -benchtime 200x -benchmem ./internal/telemetry
 	$(GO) test -run '^$$' -bench '^BenchmarkKNN$$' -benchtime 200x -benchmem ./internal/index
 
 # End-to-end drills through the real binaries, one Test each (see the

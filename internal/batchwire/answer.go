@@ -154,21 +154,3 @@ func appendFloats(dst []byte, fs []float64) []byte {
 	}
 	return append(dst, ']')
 }
-
-// AppendFloat writes a finite f as encoding/json does: the shortest
-// decimal that reads back as f, in exponent form only below 1e-6 or
-// from 1e21 up, with a two-digit negative exponent trimmed to one.
-func AppendFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
-}

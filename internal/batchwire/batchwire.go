@@ -244,11 +244,13 @@ func readAll(rd io.Reader, size int64, buf []byte) ([]byte, error) {
 // Buffers is one request's reusable memory: for /batch, the body read
 // in, its pairs, the answer's numbers and the encoded answer; the
 // replica's /distance and /knn routes use Out and Dist the same way.
-// Take one with GetBuffers and Release it once the answer is written.
+// Raw holds a guarded answer's unclamped estimates, which the replica
+// files with its drift monitor and does not send. Take one with
+// GetBuffers and Release it once the answer is written.
 type Buffers struct {
-	Body, Out    []byte
-	S, T         []int32
-	Dist, Lo, Hi []float64
+	Body, Out         []byte
+	S, T              []int32
+	Dist, Lo, Hi, Raw []float64
 
 	// bound is a guarded answer's hi and lo arrays as AppendAnswer
 	// formats them, and boundAt each number's span in it: hi's, then
@@ -269,7 +271,7 @@ const maxPooledBytes = 4 << 20
 // Release returns b to the pool; nothing may use its slices after.
 func (b *Buffers) Release() {
 	size := cap(b.Body) + cap(b.Out) + cap(b.bound) + 4*(cap(b.S)+cap(b.T)) +
-		8*(cap(b.Dist)+cap(b.Lo)+cap(b.Hi)+cap(b.boundAt))
+		8*(cap(b.Dist)+cap(b.Lo)+cap(b.Hi)+cap(b.Raw)+cap(b.boundAt))
 	if size <= maxPooledBytes {
 		buffersPool.Put(b)
 	}

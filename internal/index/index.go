@@ -255,17 +255,34 @@ func (t *Tree) KNN(source int32, k int) []int32 {
 // stopped. Its working memory is pooled, so a query allocates only the
 // ids it returns.
 func (t *Tree) KNNStats(source int32, k int) ([]int32, QueryStats) {
+	out, _, st := t.knn(source, k, false, nil)
+	return out, st
+}
+
+// KNNDistances is KNNStats that also appends each returned target's
+// estimated distance to dist: the score the traversal gave it,
+// bit-identical to Model.Estimate(source, id).
+func (t *Tree) KNNDistances(source int32, k int, dist []float64) ([]int32, []float64, QueryStats) {
+	return t.knn(source, k, true, dist)
+}
+
+// knn runs the search on pooled scratch and returns the ids it found
+// and, when withDist is set, dist with their distances appended.
+func (t *Tree) knn(source int32, k int, withDist bool, dist []float64) ([]int32, []float64, QueryStats) {
 	if k <= 0 {
-		return nil, QueryStats{}
+		return nil, dist, QueryStats{}
 	}
 	sc := scratchPool.Get().(*scratch)
 	st := t.nearest(sc, t.model.Vector(source), k)
 	out := make([]int32, len(sc.best))
 	for i, h := range sc.best {
 		out[i] = h.v
+		if withDist {
+			dist = append(dist, h.dist)
+		}
 	}
 	scratchPool.Put(sc)
-	return out, st
+	return out, dist, st
 }
 
 // scratch is one kNN query's working memory.

@@ -10,7 +10,10 @@ import (
 	"net/url"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/hybrid"
+	"repro/internal/index"
 )
 
 // wantJSON is what the routes wrote when they encoded a map with
@@ -126,6 +129,64 @@ func TestAnswersMatchEncodingJSON(t *testing.T) {
 		}
 		if cross == 0 {
 			t.Fatal("no cross-shard pair exercised")
+		}
+	}
+}
+
+// /knn answers each target's distance from the index traversal; it
+// must be Model.Estimate's float64, bit for bit, under the L1 kernel's
+// blocked sum (d = 40 leaves a partial block) and under L2.
+func TestKNNDistancesMatchEstimate(t *testing.T) {
+	g, err := gen.Grid(8, 8, gen.DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []float64{1, 2} {
+		opt := core.DefaultOptions(4)
+		opt.Dim, opt.P = 40, p
+		opt.Epochs, opt.VertexSampleRatio, opt.FineTuneRounds = 2, 10, 1
+		opt.HierSampleCap, opt.ValidationPairs = 2000, 50
+		m, _, err := core.Build(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var targets []int32
+		for v := int32(0); v < int32(g.NumVertices()); v += 3 {
+			targets = append(targets, v)
+		}
+		idx, err := index.Build(m, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(m, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		checked := 0
+		for s := int32(0); s < int32(g.NumVertices()); s++ {
+			for _, k := range []int{1, 10, idx.Size()} {
+				var ans struct {
+					Distances []float64 `json:"distances"`
+					Targets   []int32   `json:"targets"`
+				}
+				if err := json.Unmarshal(serve(t, h, fmt.Sprintf("/knn?s=%d&k=%d", s, k)), &ans); err != nil {
+					t.Fatal(err)
+				}
+				if len(ans.Targets) != k || len(ans.Distances) != k {
+					t.Fatalf("p=%v s=%d k=%d: %d targets, %d distances", p, s, k, len(ans.Targets), len(ans.Distances))
+				}
+				for i, v := range ans.Targets {
+					if want := m.Estimate(s, v); math.Float64bits(ans.Distances[i]) != math.Float64bits(want) {
+						t.Fatalf("p=%v /knn?s=%d&k=%d: target %d at %v, Estimate gives %v", p, s, k, v, ans.Distances[i], want)
+					}
+					checked++
+				}
+			}
+		}
+		srv.Close()
+		if checked == 0 {
+			t.Fatalf("p=%v: no distance checked", p)
 		}
 	}
 }

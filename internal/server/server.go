@@ -416,12 +416,12 @@ func clampDirection(g hybrid.GuardResult) string {
 	}
 }
 
-// explainGuard evaluates one pair with full guard provenance while
-// still maintaining the clamp counters and drift monitor, so explained
-// queries are first-class traffic, not a monitoring blind spot.
-func (s *Server) explainGuard(sn *snapshot, src, dst int32) (hybrid.GuardResult, guardExplanation) {
+// explainGuard evaluates one pair with full guard provenance. The pair
+// loop files its clamp counts and drift like any other guarded pair's,
+// so explained queries are first-class traffic, not a monitoring blind
+// spot.
+func explainGuard(sn *snapshot, src, dst int32) (hybrid.GuardResult, guardExplanation) {
 	p := sn.guard.Explain(src, dst)
-	s.countGuard(sn, p.GuardResult)
 	return p.GuardResult, guardExplanation{
 		Raw: p.Raw, Lo: p.Lo, Hi: p.Hi,
 		Clamp:      clampDirection(p.GuardResult),
@@ -499,26 +499,6 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeBody(w, http.StatusOK, bufs.Out)
-}
-
-// guardedEstimate evaluates one pair under the ALT guardrail,
-// maintains the /statz clamp counters, and feeds the accuracy-drift
-// monitor with the raw estimate against the certified interval.
-func (s *Server) guardedEstimate(sn *snapshot, src, dst int32) hybrid.GuardResult {
-	g := sn.guard.Guard(src, dst)
-	s.countGuard(sn, g)
-	return g
-}
-
-func (s *Server) countGuard(sn *snapshot, g hybrid.GuardResult) {
-	sn.guardChecked.Inc()
-	if g.ClampedLow {
-		sn.guardClampedLow.Inc()
-	}
-	if g.ClampedHigh {
-		sn.guardClampedHigh.Inc()
-	}
-	sn.drift.Observe(g.Raw, g.Lo, g.Hi)
 }
 
 const maxBatch = 1 << 20
@@ -628,9 +608,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // answerPairs is the replica's one answer path, behind /distance (one
 // pair) and /batch: it answers bufs.S[i]→bufs.T[i] into bufs.Dist and,
 // under a guard, the certified interval into bufs.Lo and bufs.Hi. The
-// guard serves each pair and keeps the clamp counters and the drift
-// monitor; without one a full model runs its batch kernel a chunk at a
-// time and a shard its per-pair estimate. explain, when non-nil, gets
+// guard serves each pair, and each chunk of pairs is filed once with
+// the clamp counters and the drift monitor, its raw estimates kept in
+// bufs.Raw; without a guard a full model runs its batch kernel a chunk
+// at a time and a shard its per-pair estimate. explain, when non-nil, gets
 // each pair's provenance. Served pairs are sampled into the query log
 // under route, their latency timed from the request's start.
 //
@@ -675,7 +656,7 @@ func (s *Server) answerPairs(w http.ResponseWriter, r *http.Request, sn *snapsho
 	span, chunk := "kernel", 4096
 	if sn.guard != nil {
 		span, chunk = "guard", 256
-		bufs.Lo, bufs.Hi = floats(bufs.Lo, n), floats(bufs.Hi, n)
+		bufs.Lo, bufs.Hi, bufs.Raw = floats(bufs.Lo, n), floats(bufs.Hi, n), floats(bufs.Raw, n)
 	}
 	_, sp := telemetry.StartChild(r.Context(), span)
 	sp.SetAttrInt("pairs", int64(n))
@@ -690,23 +671,40 @@ func (s *Server) answerPairs(w http.ResponseWriter, r *http.Request, sn *snapsho
 		end := min(done+chunk, n)
 		switch {
 		case sn.guard != nil:
+			var low, high int64
 			for i := done; i < end; i++ {
 				var g hybrid.GuardResult
 				if explain != nil {
 					var ge guardExplanation
-					g, ge = s.explainGuard(sn, ss[i], ts[i])
+					g, ge = explainGuard(sn, ss[i], ts[i])
 					explain[i].Guard = &ge
 				} else {
-					g = s.guardedEstimate(sn, ss[i], ts[i])
+					g = sn.guard.Guard(ss[i], ts[i])
 				}
-				out[i], bufs.Lo[i], bufs.Hi[i] = g.Est, g.Lo, g.Hi
+				out[i], bufs.Raw[i], bufs.Lo[i], bufs.Hi[i] = g.Est, g.Raw, g.Lo, g.Hi
 				if g.ClampedLow || g.ClampedHigh {
 					clamped++
+				}
+				if g.ClampedLow {
+					low++
+				}
+				if g.ClampedHigh {
+					high++
 				}
 				if recs != nil {
 					logPair(i, &g)
 				}
 			}
+			// Each Add is an atomic on a line every request shares, so
+			// none is made for nothing.
+			sn.guardChecked.Add(int64(end - done))
+			if low > 0 {
+				sn.guardClampedLow.Add(low)
+			}
+			if high > 0 {
+				sn.guardClampedHigh.Add(high)
+			}
+			sn.drift.ObserveAll(bufs.Raw[done:end], bufs.Lo[done:end], bufs.Hi[done:end])
 		case full != nil:
 			if err = full.EstimateBatch(ss[done:end], ts[done:end], out[done:end], 0); err != nil {
 				sp.SetError(err)
@@ -763,18 +761,13 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "k must be in [1,%d]", sn.idx.Size())
 		return
 	}
-	_, ispan := telemetry.StartChild(r.Context(), "index")
-	results, st := sn.idx.KNNStats(src, k)
-	ispan.SetAttrInt("visited", int64(st.NodesVisited))
-	ispan.End()
 	bufs := batchwire.GetBuffers()
 	defer bufs.Release()
-	_, kspan := telemetry.StartChild(r.Context(), "kernel")
-	bufs.Dist = floats(bufs.Dist, len(results))
-	for i, v := range results {
-		bufs.Dist[i] = sn.model.Estimate(src, v)
-	}
-	kspan.End()
+	_, ispan := telemetry.StartChild(r.Context(), "index")
+	results, dists, st := sn.idx.KNNDistances(src, k, bufs.Dist[:0])
+	bufs.Dist = dists
+	ispan.SetAttrInt("visited", int64(st.NodesVisited))
+	ispan.End()
 	var stats []byte
 	if q.wantExplain() {
 		if stats, err = json.Marshal(st); err != nil {
@@ -782,7 +775,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if bufs.Out, err = appendKNN(bufs.Out[:0], results, bufs.Dist, stats); err != nil {
+	if bufs.Out, err = appendKNN(bufs.Out[:0], results, dists, stats); err != nil {
 		s.fail(w, http.StatusInternalServerError, "cannot encode the answer: %v", err)
 		return
 	}

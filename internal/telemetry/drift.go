@@ -44,6 +44,18 @@ type DriftMonitor struct {
 	baseSum  float64
 	baseline float64
 	ewma     float64
+	// tally is ObserveAll's scratch, one entry per band, zero between
+	// calls; touched lists the bands a call has filed into.
+	tally   []bandTally
+	touched []int
+}
+
+// bandTally is what one ObserveAll call files into one band: bucket
+// counts, their total and the deviations' sum.
+type bandTally struct {
+	counts []int64
+	n      int64
+	sum    float64
 }
 
 // DefaultDriftAlpha is the EWMA smoothing factor: a half-life of ~350
@@ -101,6 +113,14 @@ func NewDriftMonitorNamed(reg *Registry, prefix string, maxDist float64, bands, 
 			"Relative deviation of raw estimates from certified-bound midpoints, by distance band.",
 			RelErrorBuckets, "band", fmt.Sprintf("%02d", i))
 	}
+	// The bands are one family's series, so they share its bounds.
+	nb := len(d.bands[0].counts)
+	counts := make([]int64, bands*nb)
+	d.tally = make([]bandTally, bands)
+	for i := range d.tally {
+		d.tally[i].counts = counts[i*nb : (i+1)*nb]
+	}
+	d.touched = make([]int, 0, bands)
 	return d, nil
 }
 
@@ -178,29 +198,63 @@ func DriftBand(mid, maxDist float64, bands int) int {
 // estimate, [lo, hi] the certified interval. Degenerate intervals
 // (s == t, or non-finite bounds) are skipped.
 func (d *DriftMonitor) Observe(raw, lo, hi float64) {
+	d.ObserveAll([]float64{raw}, []float64{lo}, []float64{hi})
+}
+
+// ObserveAll files the guarded queries raw[i] against [lo[i], hi[i]]
+// as that many Observe calls in order would, under one lock
+// acquisition: the baseline and EWMA take the same steps, bit for bit,
+// and the gauges are set once, to the final state. Each band histogram
+// gets its bucket counts and one addition to its sum, the sum of the
+// call's deviations in that band; that regrouping can move the
+// exported _sum in its last bits against Observe's running sum (within
+// 1e-12 relative). lo and hi must be as long as raw.
+func (d *DriftMonitor) ObserveAll(raw, lo, hi []float64) {
 	if d == nil {
 		return
 	}
-	errv, ok := DriftDeviation(raw, lo, hi)
-	if !ok {
+	lo, hi = lo[:len(raw)], hi[:len(raw)]
+	buckets := d.bands[0] // every band's buckets are band 0's
+	d.mu.Lock()
+	var filed int64
+	for i, r := range raw {
+		errv, ok := DriftDeviation(r, lo[i], hi[i])
+		if !ok {
+			continue
+		}
+		band := DriftBand((lo[i]+hi[i])/2, d.maxDist, len(d.bands))
+		t := &d.tally[band]
+		if t.n == 0 {
+			d.touched = append(d.touched, band)
+		}
+		t.counts[buckets.bucket(errv)]++
+		t.n++
+		t.sum += errv
+		filed++
+		d.seen++
+		if d.seen <= d.warmup {
+			d.baseSum += errv
+			d.baseline = d.baseSum / float64(d.seen)
+			d.ewma = d.baseline
+		} else {
+			d.ewma += d.alpha * (errv - d.ewma)
+		}
+	}
+	if filed == 0 {
+		d.mu.Unlock()
 		return
 	}
-	band := DriftBand((lo+hi)/2, d.maxDist, len(d.bands))
-	d.bands[band].Observe(errv)
-	d.total.Inc()
-
-	d.mu.Lock()
-	d.seen++
-	if d.seen <= d.warmup {
-		d.baseSum += errv
-		d.baseline = d.baseSum / float64(d.seen)
-		d.ewma = d.baseline
-	} else {
-		d.ewma += d.alpha * (errv - d.ewma)
+	for _, band := range d.touched {
+		t := &d.tally[band]
+		d.bands[band].add(t.counts, t.n, t.sum)
+		clear(t.counts)
+		t.n, t.sum = 0, 0
 	}
+	d.touched = d.touched[:0]
 	baseline, ewma := d.baseline, d.ewma
 	d.mu.Unlock()
 
+	d.total.Add(filed)
 	d.baselineG.Set(baseline)
 	d.recentG.Set(ewma)
 	if baseline > 1e-12 {

@@ -56,10 +56,16 @@ var RelErrorBuckets = []float64{
 // bounds are inclusive upper limits (Prometheus le semantics); values
 // above the last bound land in an implicit +Inf overflow bucket.
 type Histogram struct {
-	bounds  []float64      // strictly increasing, finite
-	counts  []atomic.Int64 // len(bounds)+1; last is the overflow bucket
-	count   atomic.Int64
-	sumBits atomic.Uint64
+	bounds []float64      // strictly increasing, finite
+	counts []atomic.Int64 // len(bounds)+1; last is the overflow bucket
+	// start[k-startMin], for positive bounds, is the first bucket whose
+	// bound is at least the smallest positive float64 whose bits shifted
+	// right by sliceShift are k: where bucket begins its search for a
+	// value in that slice, one eighth of a binary octave.
+	start    []uint8
+	startMin uint64
+	count    atomic.Int64
+	sumBits  atomic.Uint64
 
 	// exemplars, when enabled, holds one slot per bucket (last-write
 	// wins) linking the bucket to a stored trace.
@@ -103,7 +109,7 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	if slots == nil {
 		return
 	}
-	(*slots)[sort.SearchFloat64s(h.bounds, v)].Store(&Exemplar{
+	(*slots)[h.bucket(v)].Store(&Exemplar{
 		TraceID:      traceID,
 		Value:        v,
 		TimeUnixNano: time.Now().UnixNano(),
@@ -139,10 +145,19 @@ func newHistogram(bounds []float64) *Histogram {
 			panic(fmt.Sprintf("telemetry: histogram bounds not strictly increasing at %v", b))
 		}
 	}
-	return &Histogram{
+	h := &Histogram{
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Int64, len(bounds)+1),
 	}
+	lo := math.Float64bits(bounds[0]) >> sliceShift
+	if hi := math.Float64bits(bounds[len(bounds)-1]) >> sliceShift; bounds[0] > 0 && hi-lo < maxSlices && len(bounds) <= math.MaxUint8 {
+		h.startMin = lo
+		h.start = make([]uint8, hi-lo+1)
+		for i := range h.start {
+			h.start[i] = uint8(sort.SearchFloat64s(h.bounds, math.Float64frombits((lo+uint64(i))<<sliceShift)))
+		}
+	}
+	return h
 }
 
 // Observe records one value. NaN observations are dropped — a NaN sum
@@ -151,8 +166,55 @@ func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) {
 		return
 	}
-	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
+	h.counts[h.bucket(v)].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+// The bits of positive float64s order them as their values do, so the
+// bits shifted right by sliceShift cut the positive numbers into
+// slices of an eighth of a binary octave; a histogram of up to 255
+// bounds spanning fewer than maxSlices of them keeps a start table.
+const (
+	sliceShift = 52 - 3
+	maxSlices  = 1 << 10
+)
+
+// bucket returns the index of the bucket v counts in: the first bound
+// at or above v, or len(bounds), the overflow bucket, for a v above
+// every bound or NaN. With a start table it begins at the first bound
+// in or above v's slice, so it seldom compares v with a bound at all.
+func (h *Histogram) bucket(v float64) int {
+	i := 0
+	if h.start != nil && v > 0 {
+		switch k := math.Float64bits(v) >> sliceShift; {
+		case k < h.startMin: // below the first bound's slice
+			return 0
+		case k-h.startMin >= uint64(len(h.start)): // above the last bound's
+			return len(h.bounds)
+		default:
+			i = int(h.start[k-h.startMin])
+		}
+	}
+	for i < len(h.bounds) && !(h.bounds[i] >= v) {
+		i++
+	}
+	return i
+}
+
+// add files n observations at once: counts[i] of them in bucket i,
+// with sum their total.
+func (h *Histogram) add(counts []int64, n int64, sum float64) {
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.count.Add(n)
+	h.addSum(sum)
+}
+
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {

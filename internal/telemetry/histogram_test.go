@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -203,5 +205,32 @@ func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 	}
 	if s.Count != workers*per || sum != workers*per {
 		t.Fatalf("count = %d bucket sum = %d, want %d", s.Count, sum, workers*per)
+	}
+}
+
+// bucket, which starts its search from the value's binary octave, finds
+// the bucket sort.SearchFloat64s does, for bounds with and without a
+// non-positive one, at and next to every bound and across the double
+// range.
+func TestBucketMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, bounds := range [][]float64{
+		RelErrorBuckets, LatencyBuckets, LogBuckets(1e-6, 30, 10),
+		{-5, 0, 0.5, 3}, {0, 1}, {5e-324, 1e-300, 1, 1e300}, {math.MaxFloat64}, {1},
+	} {
+		h := newHistogram(bounds)
+		vals := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+			5e-324, 0x1p-1022, math.MaxFloat64, -1}
+		for _, b := range bounds {
+			vals = append(vals, b, math.Nextafter(b, math.Inf(1)), math.Nextafter(b, math.Inf(-1)), b/2, b*2)
+		}
+		for range 20000 {
+			vals = append(vals, math.Float64frombits(rng.Uint64()), rng.ExpFloat64()*bounds[len(bounds)-1])
+		}
+		for _, v := range vals {
+			if got, want := h.bucket(v), sort.SearchFloat64s(bounds, v); got != want {
+				t.Fatalf("bounds %v: bucket(%v) = %d, want %d", bounds, v, got, want)
+			}
+		}
 	}
 }
