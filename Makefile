@@ -1,9 +1,9 @@
 # Pre-merge gate: `make ci` must pass before any change lands.
 GO ?= go
 
-.PHONY: ci build fmt vet test race shuffle fuzz-smoke vulncheck bench bench-smoke smoke
+.PHONY: ci build fmt vet test race shuffle perfbench-check fuzz-smoke vulncheck bench bench-smoke smoke
 
-ci: fmt vet race shuffle fuzz-smoke vulncheck bench-smoke smoke ## full pre-merge gate
+ci: fmt vet race shuffle perfbench-check fuzz-smoke vulncheck bench-smoke smoke ## full pre-merge gate
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,13 @@ race:
 shuffle:
 	$(GO) test -shuffle=on ./...
 
+# The benchmark (perfbench/) is its own module, which the root's
+# ./... patterns skip; vet and test it under the offline environment
+# perfbench/run.sh builds it in.
+PERFBENCH_ENV = GOFLAGS=-buildvcs=false GOPROXY=off GOWORK=off
+perfbench-check:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./... && $(PERFBENCH_ENV) $(GO) test ./...
+
 # Coverage-guided fuzzing over the byte decoders and header parsers —
 # ten seconds on the DIMACS parser, five each on the /batch request
 # decoder, the gateway's reply scanner and its number range verdict
@@ -34,9 +41,9 @@ shuffle:
 # (checked against strconv and json.Marshal), all six artifact codecs (model,
 # build checkpoint, ALT guard, spatial index, shard routing map and
 # shard model), the X-Rne-Budget-Ms header, the replica's query-string
-# parser, the W3C traceparent header and the Prometheus exposition
-# parser — a smoke pass catching regressions in input hardening, not a
-# deep campaign.
+# parser, the W3C traceparent header, the X-Request-Id header and the
+# Prometheus exposition parser — 16 targets, a smoke pass catching
+# regressions in input hardening, not a deep campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequest$$' -fuzztime=5s ./internal/batchwire
@@ -52,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseBudget$$' -fuzztime=5s ./internal/resilience
 	$(GO) test -run='^$$' -fuzz='^FuzzQuery$$' -fuzztime=5s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceParent$$' -fuzztime=5s ./internal/telemetry
+	$(GO) test -run='^$$' -fuzz='^FuzzInboundRequestID$$' -fuzztime=5s ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz='^FuzzParseExposition$$' -fuzztime=5s ./internal/telemetry
 
 # Known-vulnerability scan; skips gracefully where govulncheck or the

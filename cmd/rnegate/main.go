@@ -31,8 +31,8 @@
 // AIMD limiter, as on rneserver.
 //
 // The gateway exposes the same operational surface as the replicas:
-// /healthz, /readyz, /statz (JSON) and /metrics (Prometheus text),
-// including per-backend health gauges and ejection counters, plus
+// /healthz, /readyz and /metrics (Prometheus text), including
+// per-backend health gauges and ejection counters, plus
 // rne_gateway_retries_total, rne_hedges_total{won=},
 // rne_batch_partial_total and rne_gateway_backend_backpressure_total. -debug-addr serves
 // net/http/pprof and a /metrics mirror on a separate operator-only

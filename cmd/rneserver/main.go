@@ -21,8 +21,8 @@
 // mode, -alt-landmarks, the server runs in guard mode: every /distance
 // and /batch estimate is clamped into the certified landmark interval
 // [lo, hi] containing the true distance, responses report the interval
-// and whether clamping occurred, and clamp counters appear on /statz.
-// Guard mode also feeds the online accuracy-drift monitor on /metrics.
+// and whether clamping occurred, and clamp counters appear on /metrics
+// along with the online accuracy-drift monitor guard mode feeds.
 //
 // With -autoheal (registry mode only) the server closes the loop under
 // dynamic edge weights: a background controller probes served estimates
@@ -31,19 +31,19 @@
 // serving model against the live graph, publishes the result and
 // hot-swaps it through the validated reload path — rolling back and
 // cooling down when the retrain or validation fails. Controller state
-// appears on /statz and as rne_autoheal_* metrics. -faults arms
+// appears on /metrics as the rne_autoheal_* families. -faults arms
 // fault-injection failpoints for chaos drills.
 //
 // The server runs hardened for production traffic: handler panics are
 // converted to 500s, requests past -max-inflight are shed with 429 +
-// Retry-After, every request carries a -request-timeout deadline and an
-// X-Request-Id, request/latency counters are served on /statz (JSON)
-// and /metrics (Prometheus text), and SIGINT/SIGTERM triggers a
-// graceful shutdown that drains in-flight requests. -admit-p99-target
-// replaces the static in-flight cap with the adaptive AIMD limiter:
-// the cap shrinks when observed p99 blows the target and probes back
-// up when it holds, /batch sheds before /distance, and health/admin
-// endpoints are never shed. Requests arriving with an X-Rne-Budget-Ms
+// Retry-After (health, metrics and admin requests never are), every
+// request carries a -request-timeout deadline and an X-Request-Id,
+// request/latency counters are served on /metrics (Prometheus text),
+// and SIGINT/SIGTERM triggers a graceful shutdown that drains
+// in-flight requests. -admit-p99-target replaces the static in-flight
+// cap with the adaptive AIMD limiter: the cap shrinks when observed
+// p99 blows the target and probes back up when it holds, and /batch
+// sheds before /distance. Requests arriving with an X-Rne-Budget-Ms
 // deadline budget (set by rnegate) are abandoned with 504 once the
 // budget is spent, so a replica never burns capacity on answers the
 // gateway can no longer use. -debug-addr serves
@@ -358,7 +358,6 @@ func main() {
 		if err != nil {
 			fatal("configuring autoheal", "error", err)
 		}
-		srv.Stats().SetStateProvider("autoheal", func() any { return ctrl.State() })
 		healCtx, cancel := context.WithCancel(context.Background())
 		ctrl.Start(healCtx)
 		healCancel = func() {

@@ -148,19 +148,20 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// State is the controller's point-in-time view, exposed on /statz.
+// State is the controller's point-in-time view for in-process readers.
+// /metrics carries its score, warm flag, heals, heal failures and
+// transitions as the rne_autoheal_* families.
 type State struct {
-	State       string  `json:"state"`
-	Score       float64 `json:"score"`
-	Budget      float64 `json:"budget"`
-	Warm        bool    `json:"warm"`
-	OverBudget  int     `json:"over_budget_ticks"`
-	Dwell       int     `json:"dwell"`
-	Version     string  `json:"version"`
-	Heals       int64   `json:"heals"`
-	HealFails   int64   `json:"heal_failures"`
-	LastError   string  `json:"last_error,omitempty"`
-	CooldownSec float64 `json:"cooldown_remaining_seconds,omitempty"`
+	State      string
+	Score      float64
+	Budget     float64
+	Warm       bool
+	OverBudget int // consecutive over-budget ticks toward Dwell
+	Dwell      int
+	Version    string
+	Heals      int64
+	HealFails  int64
+	LastError  string
 }
 
 // Controller runs the drift→retrain→swap control loop. Create with
@@ -170,6 +171,7 @@ type Controller struct {
 
 	transitions map[string]*telemetry.Counter
 	scoreG      *telemetry.Gauge
+	warmG       *telemetry.Gauge
 	healsC      *telemetry.Counter
 	healFailsC  *telemetry.Counter
 
@@ -199,6 +201,8 @@ func New(cfg Config) (*Controller, error) {
 		transitions: make(map[string]*telemetry.Counter, 6),
 		scoreG: cfg.Registry.Gauge("rne_autoheal_score",
 			"Probe drift score the controller last observed (recent error over baseline)."),
+		warmG: cfg.Registry.Gauge("rne_autoheal_warm",
+			"1 once the probe monitor has frozen its baseline, 0 while it warms up (again after every heal)."),
 		healsC: cfg.Registry.Counter("rne_autoheal_heals_total",
 			"Successful autonomous heal cycles (retrain + hot swap)."),
 		healFailsC: cfg.Registry.Counter("rne_autoheal_heal_failures_total",
@@ -232,6 +236,7 @@ func (c *Controller) resetMonitorLocked() error {
 	m.SetAlpha(c.cfg.Alpha)
 	c.monitor = m
 	c.overBudget = 0
+	c.warmG.Set(0)
 	return nil
 }
 
@@ -290,6 +295,9 @@ func (c *Controller) tick(ctx context.Context) {
 	}
 	snap := monitor.Snapshot()
 	c.scoreG.Set(snap.Score)
+	if snap.Warm {
+		c.warmG.Set(1)
+	}
 
 	c.mu.Lock()
 	if !snap.Warm {
@@ -370,12 +378,12 @@ func (c *Controller) heal(ctx context.Context, score float64) {
 	log.Info("autoheal: healed", "from", from, "to", version, "cooldown", c.cfg.Cooldown)
 }
 
-// State returns the controller's current view for /statz.
+// State returns the controller's current view.
 func (c *Controller) State() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := c.monitor.Snapshot()
-	st := State{
+	return State{
 		State:      c.state,
 		Score:      snap.Score,
 		Budget:     c.cfg.Budget,
@@ -387,8 +395,4 @@ func (c *Controller) State() State {
 		HealFails:  c.healFails,
 		LastError:  c.lastErr,
 	}
-	if rem := time.Until(c.cooldownUntil); rem > 0 {
-		st.CooldownSec = rem.Seconds()
-	}
-	return st
 }

@@ -1,6 +1,7 @@
 package autoheal
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync/atomic"
@@ -79,6 +80,24 @@ func newTestController(t *testing.T, e *fakeEnv) *Controller {
 		t.Fatalf("New: %v", err)
 	}
 	return c
+}
+
+// warmMetric reads rne_autoheal_warm as a /metrics client does.
+func warmMetric(t *testing.T, c *Controller) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := c.cfg.Registry.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m, err := telemetry.ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := m["rne_autoheal_warm"]
+	if !ok {
+		t.Fatal("rne_autoheal_warm missing from the exposition")
+	}
+	return v
 }
 
 func waitCooldown(c *Controller) {
@@ -197,9 +216,18 @@ func TestControllerNoSpuriousTriggerAfterSwap(t *testing.T) {
 	c := newTestController(t, e)
 	ctx := context.Background()
 
+	if w := warmMetric(t, c); w != 0 {
+		t.Fatalf("rne_autoheal_warm = %v before any probe, want 0", w)
+	}
 	c.tick(ctx) // warmup
+	if w := warmMetric(t, c); w != 0 {
+		t.Fatalf("rne_autoheal_warm = %v with the warmup window just full, want 0", w)
+	}
 	e.relErr.Store(1.0)
 	c.tick(ctx)
+	if w := warmMetric(t, c); w != 1 {
+		t.Fatalf("rne_autoheal_warm = %v once the baseline froze, want 1", w)
+	}
 	c.tick(ctx)
 	c.tick(ctx) // heal #1
 	if e.heals.Load() != 1 {
@@ -211,8 +239,8 @@ func TestControllerNoSpuriousTriggerAfterSwap(t *testing.T) {
 	// the reset monitor they are just warmup and then a fresh baseline.
 	e.relErr.Store(0.12)
 	waitCooldown(c)
-	if st := c.State(); st.Warm {
-		t.Fatalf("monitor still warm immediately after swap: %+v", st)
+	if st := c.State(); st.Warm || warmMetric(t, c) != 0 {
+		t.Fatalf("monitor still warm immediately after swap: %+v, rne_autoheal_warm %v", st, warmMetric(t, c))
 	}
 	for i := 0; i < 10; i++ {
 		c.tick(ctx)
@@ -221,8 +249,8 @@ func TestControllerNoSpuriousTriggerAfterSwap(t *testing.T) {
 		t.Fatalf("spurious post-swap heal: heals = %d", e.heals.Load())
 	}
 	st := c.State()
-	if !st.Warm {
-		t.Fatalf("monitor never re-warmed: %+v", st)
+	if !st.Warm || warmMetric(t, c) != 1 {
+		t.Fatalf("monitor never re-warmed: %+v, rne_autoheal_warm %v", st, warmMetric(t, c))
 	}
 	if st.Score > 1.5 {
 		t.Fatalf("steady post-swap profile scores %v against its own baseline, want ~1", st.Score)

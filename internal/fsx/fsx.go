@@ -1,12 +1,14 @@
 // Package fsx holds the small filesystem and integrity primitives
 // shared by every persistence path in the repository: atomic file
 // replacement (so a crash mid-save can never leave a truncated artifact
-// at the target path), and the one CRC-framed section codec every
-// artifact format is written and read through: the model, the build
+// at the target path), the one CRC-framed section codec every
+// artifact format is written and read through (the model, the build
 // checkpoint, the ALT guard, the spatial index, the shard model and
-// the shard routing map. ReadSection and ReadSlice size nothing from a
-// header: storage grows only as payload bytes arrive, so a corrupt or
-// hostile header is an error, never an out-of-memory crash.
+// the shard routing map), and the one bounded JSONL appender the query
+// log and the span tracer write through. ReadSection and ReadSlice
+// size nothing from a header: storage grows only as payload bytes
+// arrive, so a corrupt or hostile header is an error, never an
+// out-of-memory crash.
 package fsx
 
 import (
@@ -70,9 +72,8 @@ func WriteAtomic(path string, write func(w io.Writer) error) (err error) {
 }
 
 // Rotate atomically moves path aside to path+".1", replacing any
-// previous rotation, so an appender (e.g. the query log) can reopen a
-// fresh file at path without ever presenting a truncated or
-// half-renamed log to readers. A missing source file is not an error:
+// previous rotation, so an Appender can reopen a fresh file at path
+// without ever presenting a truncated or half-renamed log to readers. A missing source file is not an error:
 // rotating an empty log is a no-op.
 func Rotate(path string) error {
 	if err := os.Rename(path, path+".1"); err != nil && !os.IsNotExist(err) {

@@ -22,8 +22,8 @@
 // ejected from routing and re-probed on an exponential backoff until
 // it recovers, mirroring the ejection/backoff discipline of the
 // internal/resilience serving stack. The gateway exposes the same
-// operational surface as the replicas it fronts: /healthz, /readyz,
-// /statz (JSON counters) and /metrics (Prometheus text).
+// operational surface as the replicas it fronts: /healthz, /readyz
+// and /metrics (Prometheus text).
 package gateway
 
 import (
@@ -249,10 +249,11 @@ func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("gateway: need at least one backend")
 	}
+	routes := []string{"/batch", "/distance", "/knn", "/range"}
 	g := &Gateway{
 		cfg:   cfg,
 		log:   telemetry.OrNop(cfg.Logger),
-		stats: resilience.NewStats(),
+		stats: resilience.NewStats(routes...),
 		client: &http.Client{
 			Transport: cfg.Transport,
 			Timeout:   cfg.BackendTimeout,
@@ -260,8 +261,6 @@ func New(cfg Config) (*Gateway, error) {
 		jitterRng: rand.New(rand.NewSource(time.Now().UnixNano())),
 		stop:      make(chan struct{}),
 	}
-	routes := []string{"/batch", "/distance", "/knn", "/range"}
-	g.stats.TrackRoutes(routes...)
 	reg := g.stats.Registry()
 	g.ejections = reg.Counter("rne_gateway_ejections_total",
 		"Backends ejected from routing after consecutive failures.")
@@ -308,26 +307,12 @@ func New(cfg Config) (*Gateway, error) {
 		if tc.Service == "" {
 			tc.Service = "gateway"
 		}
-		dropped := g.stats.Counter("trace_dropped")
-		written := g.stats.Counter("trace_written")
-		callerDrop, callerWrite := tc.OnDrop, tc.OnWrite
-		tc.OnDrop = func() {
-			dropped.Inc()
-			if callerDrop != nil {
-				callerDrop()
-			}
-		}
-		tc.OnWrite = func() {
-			written.Inc()
-			if callerWrite != nil {
-				callerWrite()
-			}
-		}
 		tr, err := telemetry.NewRequestTracer(tc)
 		if err != nil {
 			return nil, fmt.Errorf("gateway: %w", err)
 		}
 		g.tracer = tr
+		tr.RegisterMetrics(reg)
 	}
 
 	seen := make(map[string]bool)
@@ -377,7 +362,7 @@ func (g *Gateway) Close() error {
 	return nil
 }
 
-// Stats exposes the request counters backing /statz and /metrics.
+// Stats exposes the request counters backing /metrics.
 func (g *Gateway) Stats() *resilience.Stats { return g.stats }
 
 // Tracer exposes the request tracer (nil when disabled).
@@ -399,7 +384,6 @@ func (g *Gateway) HealthyBackends() int {
 //
 //	GET  /healthz    gateway liveness + per-backend health and shard
 //	GET  /readyz     per-region coverage; 503 iff no region has a routed replica
-//	GET  /statz      request/latency/status counters (JSON)
 //	GET  /metrics    Prometheus text exposition
 //	GET  /distance   proxied to the source vertex's owner
 //	GET  /knn        proxied to the source vertex's owner
@@ -409,7 +393,6 @@ func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", g.handleHealth)
 	mux.HandleFunc("GET /readyz", g.handleReady)
-	mux.Handle("GET /statz", g.stats.Handler())
 	mux.Handle("GET /metrics", g.stats.Registry().Handler())
 	mux.HandleFunc("GET /distance", g.handleProxy)
 	mux.HandleFunc("GET /knn", g.handleProxy)

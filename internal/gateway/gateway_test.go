@@ -21,6 +21,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hybrid"
 	"repro/internal/server"
+	"repro/internal/telemetry"
 )
 
 func buildModel(t testing.TB) (*graph.Graph, *core.Model) {
@@ -510,7 +511,7 @@ func TestMalformedSourceRejectedWithoutBackendCall(t *testing.T) {
 	}
 }
 
-func TestGatewayMetricsAndStatzSurface(t *testing.T) {
+func TestGatewayMetricsSurface(t *testing.T) {
 	_, m := buildModel(t)
 	b1 := newBackend(t, m, nil, "v1")
 	gw := newGateway(t, Config{
@@ -526,33 +527,24 @@ func TestGatewayMetricsAndStatzSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := make([]byte, 1<<20)
-	n, _ := resp.Body.Read(body)
+	samples, err := telemetry.ParseExposition(resp.Body)
 	resp.Body.Close()
-	text := string(body[:n])
-	for _, want := range []string{
-		"rne_gateway_backend_healthy{backend=",
-		"rne_gateway_backend_requests_total{backend=",
-		"rne_http_requests_total",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("/metrics missing %q", want)
-		}
-	}
-
-	sresp, err := http.Get(ts.URL + "/statz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap map[string]any
-	if err := json.NewDecoder(sresp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	sresp.Body.Close()
-	for _, key := range []string{"uptime_seconds", "requests", "by_status_class"} {
-		if _, ok := snap[key]; !ok {
-			t.Fatalf("/statz missing %q: %v", key, snap)
+	host := strings.TrimPrefix(b1.URL, "http://")
+	for key, want := range map[string]float64{
+		`rne_gateway_backend_healthy{backend="` + host + `"}`:        1,
+		`rne_gateway_backend_requests_total{backend="` + host + `"}`: 1,
+		`rne_http_requests_total{class="2xx"}`:                       1,
+		`rne_http_route_duration_seconds_count{route="/batch"}`:      1,
+	} {
+		if samples[key] != want {
+			t.Fatalf("%s = %v, want %v", key, samples[key], want)
 		}
+	}
+	if samples["rne_uptime_seconds"] <= 0 {
+		t.Fatalf("rne_uptime_seconds = %v", samples["rne_uptime_seconds"])
 	}
 }
 

@@ -1,23 +1,20 @@
 // Package qlog records a deterministic sample of serving traffic as a
 // JSONL query log, built for the hot path: the serving goroutine pays
 // one atomic counter tick per query and, for sampled queries, one
-// non-blocking channel send. A background goroutine does all encoding
-// and file IO. When the bounded queue is full the record is dropped
-// and counted — a slow or dead disk degrades the log, never a request.
+// non-blocking channel send. The writer goroutine of an fsx.Appender
+// does all encoding and file IO. When the bounded queue is full the
+// record is dropped and counted — a slow or dead disk degrades the
+// log, never a request.
 //
-// Logs rotate atomically (via internal/fsx) once the active file
-// exceeds a size budget, keeping one previous generation, so an
-// unattended server cannot fill its disk. The recorded traffic is the
-// input to cmd/rnereplay: re-run it against an exact oracle and diff
-// error profiles across model versions.
+// Logs rotate atomically once the active file holds a size budget,
+// keeping one previous generation, so an unattended server cannot fill
+// its disk. The recorded traffic is the input to cmd/rnereplay: re-run
+// it against an exact oracle and diff error profiles across model
+// versions.
 package qlog
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/fsx"
@@ -69,8 +66,8 @@ type Config struct {
 	// QueueSize bounds the records buffered between the serving path
 	// and the writer goroutine (default 1024). A full queue drops.
 	QueueSize int
-	// MaxBytes rotates the active file once it grows past this size
-	// (default 64 MiB; negative disables rotation).
+	// MaxBytes rotates the active file once the bytes written to it
+	// reach this size (default 64 MiB; negative disables rotation).
 	MaxBytes int64
 	// OnDrop and OnWrite, when non-nil, are invoked once per dropped
 	// and per persisted record (e.g. to feed metrics counters). OnDrop
@@ -79,61 +76,26 @@ type Config struct {
 	OnWrite func()
 }
 
-const (
-	defaultQueueSize = 1024
-	defaultMaxBytes  = 64 << 20
-)
-
 // Logger is the async sampled writer. All methods are safe for
 // concurrent use.
 type Logger struct {
-	cfg   Config
-	queue chan Record
+	every int64
+	out   *fsx.Appender[Record]
 
 	seen    atomic.Int64 // Observe calls, sampled or not
 	sampled atomic.Int64
-	dropped atomic.Int64
-	written atomic.Int64
-
-	// mu serialises sends against Close: a sampled Observe holds the
-	// read side around its non-blocking send so Close can never close
-	// the queue mid-send.
-	mu        sync.RWMutex
-	closed    bool
-	closeOnce sync.Once
-	done      chan struct{} // closed when the writer goroutine exits
 }
 
-// New opens (appending) the log file and starts the writer goroutine.
+// New opens (appending) the log file and starts its writer.
 func New(cfg Config) (*Logger, error) {
 	if cfg.Path == "" {
 		return nil, fmt.Errorf("qlog: need a log file path")
 	}
-	if cfg.SampleEvery < 1 {
-		cfg.SampleEvery = 1
-	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = defaultQueueSize
-	}
-	if cfg.MaxBytes == 0 {
-		cfg.MaxBytes = defaultMaxBytes
-	}
-	f, err := os.OpenFile(cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	out, err := fsx.OpenAppender[Record](cfg.Path, cfg.QueueSize, cfg.MaxBytes, cfg.OnDrop, cfg.OnWrite)
 	if err != nil {
-		return nil, fmt.Errorf("qlog: opening log: %w", err)
+		return nil, fmt.Errorf("qlog: %w", err)
 	}
-	size, err := f.Seek(0, 2)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("qlog: sizing log: %w", err)
-	}
-	l := &Logger{
-		cfg:   cfg,
-		queue: make(chan Record, cfg.QueueSize),
-		done:  make(chan struct{}),
-	}
-	go l.run(f, size)
-	return l, nil
+	return &Logger{every: int64(max(cfg.SampleEvery, 1)), out: out}, nil
 }
 
 // Observe offers one query to the sampler. It never blocks: unsampled
@@ -141,33 +103,11 @@ func New(cfg Config) (*Logger, error) {
 // that drops (and counts) when the queue is full. It reports whether
 // the record was enqueued.
 func (l *Logger) Observe(rec Record) bool {
-	n := l.seen.Add(1)
-	if n%int64(l.cfg.SampleEvery) != 0 {
+	if l.seen.Add(1)%l.every != 0 {
 		return false
 	}
 	l.sampled.Add(1)
-	l.mu.RLock()
-	if l.closed {
-		l.mu.RUnlock()
-		l.drop()
-		return false
-	}
-	select {
-	case l.queue <- rec:
-		l.mu.RUnlock()
-		return true
-	default:
-		l.mu.RUnlock()
-		l.drop()
-		return false
-	}
-}
-
-func (l *Logger) drop() {
-	l.dropped.Add(1)
-	if l.cfg.OnDrop != nil {
-		l.cfg.OnDrop()
-	}
+	return l.out.Append(rec)
 }
 
 // Seen returns the number of Observe calls.
@@ -177,78 +117,11 @@ func (l *Logger) Seen() int64 { return l.seen.Load() }
 func (l *Logger) Sampled() int64 { return l.sampled.Load() }
 
 // Dropped returns the number of sampled records lost to a full queue.
-func (l *Logger) Dropped() int64 { return l.dropped.Load() }
+func (l *Logger) Dropped() int64 { return l.out.Dropped() }
 
 // Written returns the number of records persisted so far.
-func (l *Logger) Written() int64 { return l.written.Load() }
+func (l *Logger) Written() int64 { return l.out.Written() }
 
 // Close stops accepting records, flushes the queue to disk and closes
 // the file. Records offered after Close are counted as drops.
-func (l *Logger) Close() error {
-	l.closeOnce.Do(func() {
-		l.mu.Lock()
-		l.closed = true
-		close(l.queue)
-		l.mu.Unlock()
-	})
-	<-l.done
-	return nil
-}
-
-// run is the writer goroutine: drain the queue, encode, rotate.
-func (l *Logger) run(f *os.File, size int64) {
-	defer close(l.done)
-	bw := bufio.NewWriter(f)
-	enc := json.NewEncoder(bw)
-	flushClose := func() {
-		bw.Flush()
-		f.Close()
-	}
-	for {
-		rec, ok := <-l.queue
-		if !ok {
-			flushClose()
-			return
-		}
-		if err := enc.Encode(rec); err != nil {
-			// An encode failure (unlikely: Record is all scalars) loses
-			// this record only.
-			l.drop()
-			continue
-		}
-		size += int64(approxRecordBytes)
-		l.written.Add(1)
-		if l.cfg.OnWrite != nil {
-			l.cfg.OnWrite()
-		}
-		// Flush opportunistically when the queue is empty so tailers see
-		// records promptly without a per-record syscall under load.
-		if len(l.queue) == 0 {
-			bw.Flush()
-		}
-		if l.cfg.MaxBytes > 0 && size >= l.cfg.MaxBytes {
-			bw.Flush()
-			f.Close()
-			if err := fsx.Rotate(l.cfg.Path); err != nil {
-				// Rotation failed (e.g. read-only dir): keep appending to
-				// the old handle's path on best effort by reopening.
-				_ = err
-			}
-			nf, err := os.OpenFile(l.cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				// Disk gone: drain the rest of the queue as drops.
-				for range l.queue {
-					l.drop()
-				}
-				return
-			}
-			f, size = nf, 0
-			bw = bufio.NewWriter(f)
-			enc = json.NewEncoder(bw)
-		}
-	}
-}
-
-// approxRecordBytes estimates one encoded record's size for rotation
-// accounting; exactness does not matter, only that growth is tracked.
-const approxRecordBytes = 160
+func (l *Logger) Close() error { return l.out.Close() }

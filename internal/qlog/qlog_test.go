@@ -137,8 +137,8 @@ func TestSaturatedQueueNeverBlocks(t *testing.T) {
 
 func TestRotation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q.jsonl")
-	// Each record is accounted ~160 bytes, so 3 records cross 400 bytes
-	// and force at least one rotation.
+	// Each record encodes to about 50 bytes, so the ten cross 400
+	// bytes and force a rotation.
 	l, err := New(Config{Path: path, MaxBytes: 400})
 	if err != nil {
 		t.Fatal(err)

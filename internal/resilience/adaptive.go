@@ -44,8 +44,8 @@ func (p Priority) String() string {
 // PriorityForPath maps a request path onto its admission priority.
 func PriorityForPath(path string) Priority {
 	switch {
-	case path == "/healthz" || path == "/readyz" || path == "/statz" ||
-		path == "/metrics" || strings.HasPrefix(path, "/admin/"):
+	case path == "/healthz" || path == "/readyz" || path == "/metrics" ||
+		strings.HasPrefix(path, "/admin/"):
 		return PriorityCritical
 	case path == "/batch":
 		return PriorityBatch

@@ -143,7 +143,6 @@ func TestPriorityForPath(t *testing.T) {
 	cases := map[string]Priority{
 		"/healthz":      PriorityCritical,
 		"/readyz":       PriorityCritical,
-		"/statz":        PriorityCritical,
 		"/metrics":      PriorityCritical,
 		"/admin/reload": PriorityCritical,
 		"/batch":        PriorityBatch,
@@ -234,6 +233,6 @@ func TestAdaptiveWrapEndToEnd(t *testing.T) {
 		}
 	}
 	if st.Snapshot().Shed != 1 {
-		t.Fatalf("/statz shed = %d, want 1", st.Snapshot().Shed)
+		t.Fatalf("shed = %d, want 1", st.Snapshot().Shed)
 	}
 }

@@ -7,10 +7,11 @@
 // cross-tier budget propagation (a forwarded BudgetHeader bounds the
 // work a replica will attempt; exhaustion answers 504, local timeouts
 // 503), caps in-flight concurrency — either a static cap or the
-// adaptive AIMD limiter that tracks observed p99 latency and sheds by
-// priority (health/admin never, /batch before /distance) — with 429 +
-// jittered Retry-After, and accounts each request on GET /statz (JSON)
-// and GET /metrics (Prometheus text, via internal/telemetry).
+// adaptive AIMD limiter that tracks observed p99 latency and sheds
+// /batch before /distance — with 429 + jittered Retry-After, never
+// shedding health, metrics or admin requests under either, and
+// accounts each request on GET /metrics (Prometheus text, via
+// internal/telemetry).
 package resilience
 
 import (
@@ -29,9 +30,9 @@ import (
 // disabled explicitly with negative values.
 type Options struct {
 	// MaxInFlight caps concurrently-served requests; excess requests
-	// are shed with 429 + Retry-After. Default 256; negative disables.
-	// Ignored when Admission configures the adaptive limiter, except as
-	// the adaptive limiter's Initial when that is unset.
+	// are shed with 429 + Retry-After, except health, metrics and admin
+	// requests, which run past a full cap. Default 256; negative
+	// disables. Ignored when Admission configures the adaptive limiter.
 	MaxInFlight int
 	// Admission, when non-nil, replaces the static MaxInFlight cap with
 	// the adaptive AIMD limiter: the concurrency limit tracks observed
@@ -54,7 +55,7 @@ type Options struct {
 	// Logger receives panic reports and access logs (nil disables).
 	Logger *slog.Logger
 	// Stats, when non-nil, accumulates request/latency/status counters
-	// for /statz and /metrics.
+	// for /metrics.
 	Stats *Stats
 	// Tracer, when non-nil, gives every request a handler span that
 	// continues an inbound traceparent, with an "admission" child span
@@ -108,7 +109,8 @@ type pass struct {
 //     echoes it on the response and stores it in the context;
 //   - starts the handler span when Tracer is set;
 //   - admits the request under the static cap or the adaptive limiter,
-//     or sheds it with 429 + Retry-After;
+//     or sheds it with 429 + Retry-After; a critical request (health,
+//     metrics, admin) is never shed;
 //   - answers 504 at once when a forwarded budget is already spent;
 //   - runs next under a context deadline, the tighter of Timeout and
 //     the forwarded budget, buffering its answer; when the deadline
@@ -147,10 +149,13 @@ func (p *pass) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rw := newResponseWriter(w)
 	p.o.Stats.inFlight.Add(1)
 	defer p.finish(rw, r, id, span, start)
-	if !p.admit(rw, r.URL.Path, span) {
+	held, ok := p.admit(rw, r.URL.Path, span)
+	if !ok {
 		return
 	}
-	defer p.release(start)
+	if held {
+		defer p.release(start)
+	}
 
 	budget, fromBudget := p.o.Timeout, false
 	if b, ok := ParseBudget(r); ok {
@@ -196,34 +201,40 @@ func (p *pass) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// admit takes an admission slot for a request to path, or sheds it
-// with 429 and reports false.
-func (p *pass) admit(rw *responseWriter, path string, span *telemetry.ReqSpan) bool {
+// admit decides whether a request to path may run (ok) and whether it
+// then holds an admission slot that release must return (held). A
+// request that may not run is shed with 429. A critical request that
+// finds the static cap full runs without a slot; the path is looked at
+// only then, so an unsaturated cap costs no more than the channel send.
+func (p *pass) admit(rw *responseWriter, path string, span *telemetry.ReqSpan) (held, ok bool) {
 	var event, msg string
 	switch {
 	case p.adaptive != nil:
 		prio := PriorityForPath(path)
 		if p.adaptive.Acquire(prio) {
-			return true
+			return true, true
 		}
 		event = fmt.Sprintf("admission limit %d, %s priority", p.adaptive.Limit(), prio)
 		msg = fmt.Sprintf("server saturated (admission limit %d, %s priority)", p.adaptive.Limit(), prio)
 	case p.sem != nil:
 		select {
 		case p.sem <- struct{}{}:
-			return true
+			return true, true
 		default:
+		}
+		if PriorityForPath(path) == PriorityCritical {
+			return false, true
 		}
 		event = fmt.Sprintf("static limiter at %d in flight", cap(p.sem))
 		msg = fmt.Sprintf("server saturated (%d requests in flight)", cap(p.sem))
 	default:
-		return true
+		return false, true
 	}
 	p.o.Stats.shed.Inc()
 	span.Event("shed", event)
 	hint := p.retryAfter(rw)
 	rw.reply(http.StatusTooManyRequests, msg+"; retry after "+hint+" s")
-	return false
+	return false, false
 }
 
 // release returns the admission slot of a request that started at
@@ -231,7 +242,7 @@ func (p *pass) admit(rw *responseWriter, path string, span *telemetry.ReqSpan) b
 func (p *pass) release(start time.Time) {
 	if p.adaptive != nil {
 		p.adaptive.Release(time.Since(start))
-	} else if p.sem != nil {
+	} else {
 		<-p.sem
 	}
 }
@@ -275,9 +286,7 @@ func (p *pass) finish(rw *responseWriter, r *http.Request, id string, span *tele
 	elapsed := time.Since(start)
 	st := p.o.Stats
 	st.inFlight.Add(-1)
-	traceID := span.ExemplarID()
-	st.observe(status, elapsed, traceID)
-	st.observeRoute(r.URL.Path, elapsed, traceID)
+	st.observe(r.URL.Path, status, elapsed, span.ExemplarID())
 	if p.o.Logger.Enabled(r.Context(), slog.LevelInfo) {
 		p.o.Logger.Info("request",
 			"method", r.Method, "path", r.URL.Path, "status", status,

@@ -72,12 +72,15 @@ func TestRecoverSurvivesPanic(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || body != "fine" {
 		t.Fatalf("server did not survive panic: %d %q", resp.StatusCode, body)
 	}
-	snap := st.Snapshot()
-	if snap.Panics != 1 {
-		t.Fatalf("panics counter = %d", snap.Panics)
+	if n := st.Snapshot().Panics; n != 1 {
+		t.Fatalf("panics counter = %d", n)
 	}
-	if snap.ByClass["5xx"] != 1 || snap.ByClass["2xx"] != 1 {
-		t.Fatalf("status classes wrong: %+v", snap.ByClass)
+	m := scrape(t, st)
+	if m["rne_http_panics_total"] != 1 {
+		t.Fatalf("rne_http_panics_total = %v", m["rne_http_panics_total"])
+	}
+	if m[`rne_http_requests_total{class="5xx"}`] != 1 || m[`rne_http_requests_total{class="2xx"}`] != 1 {
+		t.Fatalf("status classes wrong: %v", m)
 	}
 	if logged.Load() == 0 {
 		t.Fatal("panic was not logged")
@@ -121,6 +124,10 @@ func TestLimiterShedsPastCap(t *testing.T) {
 	resp, body := get(t, ts.URL)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated request: status %d body %q", resp.StatusCode, body)
+	}
+	if m := scrape(t, st); m["rne_http_in_flight_requests"] != cap || m["rne_http_requests_shed_total"] != 1 {
+		t.Fatalf("in flight %v, shed %v: want %d and 1",
+			m["rne_http_in_flight_requests"], m["rne_http_requests_shed_total"], cap)
 	}
 	// The hint is jittered ±20% around the configured 2s so shed
 	// clients spread their retries instead of stampeding in lockstep.
@@ -206,6 +213,73 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
+// With the static cap full, health, metrics and admin requests still
+// run and a data request is shed.
+func TestStaticCapAdmitsCriticalRoutes(t *testing.T) {
+	release := make(chan struct{})
+	entered := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/hold", func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+	})
+	ok := func(w http.ResponseWriter, r *http.Request) {}
+	for _, path := range []string{"/healthz", "/readyz", "/metrics", "/admin/reload", "/distance"} {
+		mux.HandleFunc(path, ok)
+	}
+	h := Wrap(mux, Options{MaxInFlight: 1})
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		if resp, err := http.Get(ts.URL + "/hold"); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-entered
+	for _, c := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/healthz", http.StatusOK},
+		{http.MethodGet, "/readyz", http.StatusOK},
+		{http.MethodGet, "/metrics", http.StatusOK},
+		{http.MethodPost, "/admin/reload", http.StatusOK},
+		{http.MethodGet, "/distance", http.StatusTooManyRequests},
+	} {
+		req, _ := http.NewRequest(c.method, ts.URL+c.path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Errorf("%s %s: %v", c.method, c.path, err)
+			continue
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s with the cap full: status %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+		}
+	}
+	// The critical requests took no slot and gave none back: the held
+	// request still holds the only one.
+	if n := len(h.(*pass).sem); n != 1 {
+		t.Errorf("%d slots taken while only the held request holds one", n)
+	}
+	close(release)
+	<-held
+}
+
+// scrape reads st's series as a /metrics client does.
+func scrape(t *testing.T, st *Stats) map[string]float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	st.Registry().Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	m, err := telemetry.ParseExposition(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // Counters stay consistent under concurrent load (run with -race).
 func TestStatsConcurrent(t *testing.T) {
 	st := NewStats()
@@ -232,37 +306,24 @@ func TestStatsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	snap := st.Snapshot()
-	if snap.Requests != workers*per {
-		t.Fatalf("requests = %d, want %d", snap.Requests, workers*per)
+	if snap := st.Snapshot(); snap.Requests != workers*per || snap.InFlight != 0 {
+		t.Fatalf("snapshot %+v, want %d requests and none in flight", snap, workers*per)
 	}
-	if snap.ByClass["2xx"] != workers*per {
-		t.Fatalf("2xx = %d", snap.ByClass["2xx"])
+	m := scrape(t, st)
+	for key, want := range map[string]float64{
+		"rne_http_request_duration_seconds_count": workers * per,
+		`rne_http_requests_total{class="2xx"}`:    workers * per,
+		"rne_http_in_flight_requests":             0,
+	} {
+		if m[key] != want {
+			t.Fatalf("%s = %v, want %v", key, m[key], want)
+		}
 	}
-	if snap.InFlight != 0 {
-		t.Fatalf("in_flight = %d after drain", snap.InFlight)
+	if mean := m["rne_http_request_duration_seconds_sum"] / m["rne_http_request_duration_seconds_count"]; !(mean > 0) {
+		t.Fatalf("mean latency %v", mean)
 	}
-	if snap.LatencyMaxMS < 0 || snap.LatencyMeanMS < 0 {
-		t.Fatalf("negative latency: %+v", snap)
-	}
-}
-
-// The stats handler serves valid JSON.
-func TestStatsHandler(t *testing.T) {
-	st := NewStats()
-	st.observe(200, time.Millisecond, "")
-	ts := httptest.NewServer(st.Handler())
-	defer ts.Close()
-	resp, body := get(t, ts.URL)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("bad JSON %q: %v", body, err)
-	}
-	if snap.Requests != 1 || snap.ByClass["2xx"] != 1 {
-		t.Fatalf("snapshot %+v", snap)
+	if m["rne_uptime_seconds"] <= 0 {
+		t.Fatalf("uptime %v", m["rne_uptime_seconds"])
 	}
 }
 

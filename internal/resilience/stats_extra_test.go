@@ -7,18 +7,15 @@ import (
 
 func TestStatsExtraCounters(t *testing.T) {
 	s := NewStats()
-	if snap := s.Snapshot(); snap.Extra != nil {
-		t.Fatalf("fresh stats report extra counters: %v", snap.Extra)
-	}
 	c := s.Counter("guard_clamped_low")
 	if again := s.Counter("guard_clamped_low"); again != c {
 		t.Fatal("Counter returned a different pointer for the same name")
 	}
 	c.Add(3)
 	s.Counter("guard_checked").Add(7)
-	snap := s.Snapshot()
-	if snap.Extra["guard_clamped_low"] != 3 || snap.Extra["guard_checked"] != 7 {
-		t.Fatalf("extra counters = %v", snap.Extra)
+	m := scrape(t, s)
+	if m["rne_guard_clamped_low_total"] != 3 || m["rne_guard_checked_total"] != 7 {
+		t.Fatalf("feature counters = %v", m)
 	}
 }
 
@@ -35,7 +32,7 @@ func TestStatsExtraCountersConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := s.Snapshot().Extra["hits"]; got != 8000 {
+	if got := s.Counter("hits").Value(); got != 8000 {
 		t.Fatalf("hits = %d, want 8000", got)
 	}
 }

@@ -87,7 +87,7 @@ func TestGuardDistanceNeverOutsideBounds(t *testing.T) {
 }
 
 // The same property over /batch, plus per-response clamp accounting and
-// the /statz counters.
+// the guard counters on /metrics.
 func TestGuardBatchBoundsAndCounters(t *testing.T) {
 	ts, m, lt := newGuardedServer(t)
 	rng := rand.New(rand.NewSource(10))
@@ -135,15 +135,11 @@ func TestGuardBatchBoundsAndCounters(t *testing.T) {
 		t.Fatalf("clamped_count %d out of range", out.ClampedCount)
 	}
 
-	stats := getJSON(t, ts.URL+"/statz", http.StatusOK)
-	extra, ok := stats["extra"].(map[string]any)
-	if !ok {
-		t.Fatalf("/statz has no extra counters: %v", stats)
+	metrics := scrapeMetrics(t, ts.URL)
+	if got := int(metrics["rne_guard_checked_total"]); got != len(pairs) {
+		t.Fatalf("rne_guard_checked_total = %d, want %d", got, len(pairs))
 	}
-	if got := int(extra["guard_checked"].(float64)); got != len(pairs) {
-		t.Fatalf("guard_checked = %d, want %d", got, len(pairs))
-	}
-	clamps := int(extra["guard_clamped_low"].(float64)) + int(extra["guard_clamped_high"].(float64))
+	clamps := int(metrics["rne_guard_clamped_low_total"]) + int(metrics["rne_guard_clamped_high_total"])
 	if clamps != out.ClampedCount {
 		t.Fatalf("counter clamps %d != response clamped_count %d", clamps, out.ClampedCount)
 	}

@@ -59,16 +59,12 @@ type Config struct {
 	// Guard enables ALT-backed guardrails: every /distance and /batch
 	// estimate is clamped into the certified landmark interval
 	// [lo, hi] containing the true distance, responses report whether
-	// clamping occurred, and clamp counters are exported on /statz.
+	// clamping occurred, and clamp counters are exported on /metrics.
 	// Guard mode also feeds the online accuracy-drift monitor exported
 	// on /metrics. nil serves raw model estimates (the default).
 	// (Convenience for the boot set; swapped-in sets carry their own
 	// guard in ModelSet.Guard.)
 	Guard *hybrid.Estimator
-	// DriftBands and DriftWarmup tune the guard-mode drift monitor
-	// (<= 0 selects telemetry.DefaultDriftBands / DefaultDriftWarmup).
-	DriftBands  int
-	DriftWarmup int
 	// QueryLog, when its Path is non-empty, samples served /distance and
 	// /batch queries into an async JSONL log (see internal/qlog) that
 	// cmd/rnereplay can re-run offline. The server owns the logger
@@ -140,13 +136,11 @@ func NewFromSet(set ModelSet, cfg Config) (*Server, error) {
 	if set.Guard == nil {
 		set.Guard = cfg.Guard
 	}
-	s := &Server{cfg: cfg, stats: resilience.NewStats()}
-	s.stats.TrackRoutes("/distance", "/batch", "/knn", "/range", "/admin/reload")
-	// Swap counters live on the registry directly (not the /statz extra
-	// map, whose byte shape is frozen by a golden test).
-	s.swaps = s.stats.Registry().Counter("rne_model_swaps_total",
+	s := &Server{cfg: cfg, stats: resilience.NewStats("/distance", "/batch", "/knn", "/range", "/admin/reload")}
+	reg := s.stats.Registry()
+	s.swaps = reg.Counter("rne_model_swaps_total",
 		"Model hot swaps installed by /admin/reload, SIGHUP or Server.Swap.")
-	s.swapFailures = s.stats.Registry().Counter("rne_model_swap_failures_total",
+	s.swapFailures = reg.Counter("rne_model_swap_failures_total",
 		"Model swaps rejected by validation or a failed reload source.")
 	sn, err := s.buildSnapshot(set)
 	if err != nil {
@@ -156,49 +150,21 @@ func NewFromSet(set ModelSet, cfg Config) (*Server, error) {
 	s.setVersionGauge(sn.version)
 	s.setModelGauges(sn)
 	if cfg.QueryLog.Path != "" {
-		// Chain the /metrics counters in front of any caller-supplied
-		// callbacks so drops are observable even on an unattended server.
-		dropped := s.stats.Counter("qlog_dropped")
-		written := s.stats.Counter("qlog_written")
-		qc := cfg.QueryLog
-		callerDrop, callerWrite := qc.OnDrop, qc.OnWrite
-		qc.OnDrop = func() {
-			dropped.Inc()
-			if callerDrop != nil {
-				callerDrop()
-			}
-		}
-		qc.OnWrite = func() {
-			written.Inc()
-			if callerWrite != nil {
-				callerWrite()
-			}
-		}
-		ql, err := qlog.New(qc)
+		ql, err := qlog.New(cfg.QueryLog)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.qlog = ql
+		// Drops are visible on /metrics even on an unattended server.
+		reg.CounterFunc("rne_qlog_dropped_total", "Sampled queries the query log dropped.",
+			func() float64 { return float64(ql.Dropped()) })
+		reg.CounterFunc("rne_qlog_written_total", "Sampled queries the query log wrote.",
+			func() float64 { return float64(ql.Written()) })
 	}
 	if cfg.Trace.Path != "" {
 		tc := cfg.Trace
 		if tc.Service == "" {
 			tc.Service = "server"
-		}
-		dropped := s.stats.Counter("trace_dropped")
-		written := s.stats.Counter("trace_written")
-		callerDrop, callerWrite := tc.OnDrop, tc.OnWrite
-		tc.OnDrop = func() {
-			dropped.Inc()
-			if callerDrop != nil {
-				callerDrop()
-			}
-		}
-		tc.OnWrite = func() {
-			written.Inc()
-			if callerWrite != nil {
-				callerWrite()
-			}
 		}
 		tr, err := telemetry.NewRequestTracer(tc)
 		if err != nil {
@@ -208,6 +174,7 @@ func NewFromSet(set ModelSet, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.tracer = tr
+		tr.RegisterMetrics(reg)
 	}
 	return s, nil
 }
@@ -231,7 +198,7 @@ func (s *Server) QueryLog() *qlog.Logger { return s.qlog }
 // same span stream.
 func (s *Server) Tracer() *telemetry.RequestTracer { return s.tracer }
 
-// Stats exposes the request counters backing /statz.
+// Stats exposes the request counters backing /metrics.
 func (s *Server) Stats() *resilience.Stats { return s.stats }
 
 // Estimate answers one pair from the active snapshot exactly as
@@ -263,7 +230,6 @@ func (s *Server) Scale() float64 { return s.active.Load().model.Scale() }
 //
 //	GET  /healthz                    liveness + model shape + version
 //	GET  /readyz                     readiness (degraded without spatial index)
-//	GET  /statz                      request/latency/status counters (JSON)
 //	GET  /metrics                    Prometheus text exposition
 //	GET  /distance?s=<id>&t=<id>     one estimate (&explain=1 adds provenance)
 //	POST /batch                      {"pairs":[[s,t],...]} -> {"distances":[...]}
@@ -277,7 +243,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
-	mux.Handle("GET /statz", s.stats.Handler())
 	mux.Handle("GET /metrics", s.stats.Registry().Handler())
 	mux.HandleFunc("GET /distance", s.handleDistance)
 	mux.HandleFunc("POST /batch", s.handleBatch)

@@ -7,12 +7,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/index"
+	"repro/internal/telemetry"
 )
 
 func newTestServer(t *testing.T, withIndex bool) (*httptest.Server, *core.Model) {
@@ -67,6 +69,21 @@ func getJSON(t *testing.T, url string, wantStatus int) map[string]any {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// scrapeMetrics reads base's /metrics through the exposition parser.
+func scrapeMetrics(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	m, err := telemetry.ParseExposition(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestHealth(t *testing.T) {
@@ -246,17 +263,28 @@ func TestReadyzReadyAndDegraded(t *testing.T) {
 	}
 }
 
-func TestStatzCountsRequests(t *testing.T) {
+// /metrics counts requests by status class and route; an unguarded
+// server exports no guard series.
+func TestMetricsCountRequests(t *testing.T) {
 	ts, _ := newTestServer(t, false)
 	getJSON(t, ts.URL+"/distance?s=1&t=2", http.StatusOK)
 	getJSON(t, ts.URL+"/distance?s=-9&t=2", http.StatusBadRequest)
-	out := getJSON(t, ts.URL+"/statz", http.StatusOK)
-	if out["requests"].(float64) < 2 {
-		t.Fatalf("requests = %v", out["requests"])
+	m := scrapeMetrics(t, ts.URL)
+	for key, want := range map[string]float64{
+		"rne_http_request_duration_seconds_count":                  2,
+		`rne_http_requests_total{class="2xx"}`:                     1,
+		`rne_http_requests_total{class="4xx"}`:                     1,
+		`rne_http_route_duration_seconds_count{route="/distance"}`: 2,
+		"rne_http_in_flight_requests":                              1, // the scrape itself
+	} {
+		if m[key] != want {
+			t.Fatalf("%s = %v, want %v", key, m[key], want)
+		}
 	}
-	classes := out["by_status_class"].(map[string]any)
-	if classes["2xx"].(float64) < 1 || classes["4xx"].(float64) < 1 {
-		t.Fatalf("status classes: %v", classes)
+	for key := range m {
+		if strings.HasPrefix(key, "rne_guard_") {
+			t.Fatalf("unguarded server exports %s", key)
+		}
 	}
 }
 

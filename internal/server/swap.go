@@ -57,15 +57,14 @@ type snapshot struct {
 	version string
 
 	// Guard-mode counters, cached as pointers at snapshot build so the
-	// query path pays one atomic Add, not a map lookup under a mutex.
-	// Registered only for guarded sets, keeping the /statz extra map
-	// empty (its frozen shape) on unguarded servers.
+	// query path pays one atomic Add. Registered only for guarded sets,
+	// so an unguarded server exports no guard series.
 	guardChecked     *telemetry.Counter
 	guardClampedLow  *telemetry.Counter
 	guardClampedHigh *telemetry.Counter
 
 	// misdirected counts out-of-region requests answered 421; registered
-	// only in shard mode (same frozen-/statz-shape reasoning as above).
+	// only in shard mode.
 	misdirected *telemetry.Counter
 }
 
@@ -148,7 +147,7 @@ func (s *Server) buildSnapshot(set ModelSet) (*snapshot, error) {
 		// The model's distance normalizer approximates the graph
 		// diameter, which is exactly the scale the drift bands need.
 		if d, err := telemetry.NewDriftMonitor(s.stats.Registry(), model.Scale(),
-			s.cfg.DriftBands, s.cfg.DriftWarmup); err == nil {
+			telemetry.DefaultDriftBands, telemetry.DefaultDriftWarmup); err == nil {
 			sn.drift = d
 		}
 	}

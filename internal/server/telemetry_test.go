@@ -135,71 +135,3 @@ func TestServerAssignsRequestIDs(t *testing.T) {
 		t.Fatalf("client request ID not echoed: %q", got)
 	}
 }
-
-// Golden /statz shape: the JSON re-implementation on the telemetry
-// registry must stay byte-shape-compatible with the original — same
-// keys, same order, extra omitted when empty.
-func TestStatzGoldenShape(t *testing.T) {
-	ts, _ := newTestServer(t, false)
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	resp, err = http.Get(ts.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatalf("bad /statz JSON %q: %v", body, err)
-	}
-	wantKeys := []string{
-		"uptime_seconds", "requests", "in_flight", "by_status_class",
-		"shed_429", "panics", "latency_mean_ms", "latency_max_ms",
-	}
-	if len(m) != len(wantKeys) {
-		t.Fatalf("/statz has %d keys, want exactly %d (no extra on an unguarded server): %s",
-			len(m), len(wantKeys), body)
-	}
-	pos := -1
-	for _, k := range wantKeys {
-		if _, ok := m[k]; !ok {
-			t.Fatalf("/statz missing key %q: %s", k, body)
-		}
-		p := strings.Index(body, `"`+k+`"`)
-		if p < pos {
-			t.Fatalf("/statz key %q out of frozen order: %s", k, body)
-		}
-		pos = p
-	}
-
-	// A guarded server adds the extra map with the guard counters and
-	// nothing else changes about the frozen keys.
-	gts, _, _ := newGuardedServer(t)
-	resp, err = http.Get(gts.URL + "/distance?s=1&t=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	stats := getJSON(t, gts.URL+"/statz", http.StatusOK)
-	extra, ok := stats["extra"].(map[string]any)
-	if !ok {
-		t.Fatalf("guarded /statz has no extra map: %v", stats)
-	}
-	for _, k := range []string{"guard_checked", "guard_clamped_low", "guard_clamped_high"} {
-		if _, ok := extra[k]; !ok {
-			t.Fatalf("guarded /statz extra missing %q: %v", extra, stats)
-		}
-	}
-}

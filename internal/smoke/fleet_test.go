@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/autoheal"
 	"repro/internal/batchwire"
 	"repro/internal/telemetry"
 )
@@ -125,13 +124,7 @@ func TestHeal(t *testing.T) {
 	if v := version(srv); v != "v1" {
 		t.Fatalf("serving %q, want registry v1", v)
 	}
-	warm := func() bool {
-		var s struct {
-			State struct{ Autoheal autoheal.State }
-		}
-		getJSON(srv.url+"/statz", &s)
-		return s.State.Autoheal.Warm
-	}
+	warm := func() bool { return metrics(srv.url)["rne_autoheal_warm"] == 1 }
 	// The probe monitor must freeze its healthy baseline before the shift.
 	waitFor(t, "the probe baseline warmup", 200, warm)
 	stop := hammer(t, srv.url+"/distance?s=3&t=77")

@@ -146,7 +146,7 @@ func bucketMidpoint(lo, hi float64) float64 {
 // runtime/metrics: goroutine count and live heap bytes as gauges, the
 // GC cycle counter, and the cumulative GC pause distribution as a
 // histogram on stable bounds. Idempotent per registry (re-registration
-// keeps the first sampler); called by resilience.NewStatsWith so every
+// keeps the first sampler); called by resilience.NewStats so every
 // serving binary's /metrics carries the runtime block without
 // per-binary wiring.
 func RegisterRuntimeMetrics(reg *Registry) {

@@ -1,15 +1,12 @@
 package telemetry
 
 import (
-	"bufio"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -202,8 +199,8 @@ type TraceConfig struct {
 	// QueueSize bounds the spans buffered between the serving path and
 	// the writer goroutine (default 1024). A full queue drops.
 	QueueSize int
-	// MaxBytes rotates the active file once it grows past this size
-	// (default 64 MiB; negative disables rotation).
+	// MaxBytes rotates the active file once the bytes written to it
+	// reach this size (default 64 MiB; negative disables rotation).
 	MaxBytes int64
 	// OnDrop and OnWrite, when non-nil, are invoked once per dropped
 	// and per persisted span (e.g. to feed metrics counters). OnDrop
@@ -212,62 +209,37 @@ type TraceConfig struct {
 	OnWrite func()
 }
 
-const approxSpanBytes = 320
-
 // RequestTracer mints request-scoped spans and persists the sampled
-// ones through a non-blocking bounded JSONL writer — the same
-// discipline as internal/qlog: the serving goroutine pays one atomic
-// tick plus, for sampled spans, one non-blocking channel send; a slow
-// disk degrades the trace, never a request. A nil *RequestTracer is
-// valid and makes every operation a no-op, so call sites never branch
-// on "is tracing on".
+// ones through an fsx.Appender, the bounded JSONL writer the query log
+// uses too: the serving goroutine pays one atomic tick plus, for
+// sampled spans, one non-blocking channel send; a slow disk degrades
+// the trace, never a request. A nil *RequestTracer is valid and makes
+// every operation a no-op, so call sites never branch on "is tracing
+// on".
 type RequestTracer struct {
-	cfg   TraceConfig
-	queue chan SpanRecord // nil in memory mode (no Path)
+	cfg TraceConfig
+	out *fsx.Appender[SpanRecord] // nil in memory mode (no Path)
 
-	roots   atomic.Int64 // root-span creations, sampled or not
-	dropped atomic.Int64
-	written atomic.Int64
+	roots atomic.Int64 // root-span creations, sampled or not
 
-	// mu serialises sends against Close, exactly as in qlog.Logger,
-	// and guards kept.
-	mu        sync.RWMutex
-	closed    bool
-	kept      []SpanRecord // memory mode's ended spans, in end order
-	closeOnce sync.Once
-	done      chan struct{}
+	mu   sync.Mutex
+	kept []SpanRecord // memory mode's ended spans, in end order
 }
 
-// NewRequestTracer opens (appending) the span file and starts the
-// writer goroutine; with no Path it keeps spans in memory.
+// NewRequestTracer opens (appending) the span file and starts its
+// writer; with no Path it keeps spans in memory.
 func NewRequestTracer(cfg TraceConfig) (*RequestTracer, error) {
 	if cfg.SampleEvery < 1 {
 		cfg.SampleEvery = 1
 	}
-	if cfg.Path == "" {
-		return &RequestTracer{cfg: cfg}, nil
+	t := &RequestTracer{cfg: cfg}
+	if cfg.Path != "" {
+		out, err := fsx.OpenAppender[SpanRecord](cfg.Path, cfg.QueueSize, cfg.MaxBytes, cfg.OnDrop, cfg.OnWrite)
+		if err != nil {
+			return nil, fmt.Errorf("telemetry: trace output: %w", err)
+		}
+		t.out = out
 	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 1024
-	}
-	if cfg.MaxBytes == 0 {
-		cfg.MaxBytes = 64 << 20
-	}
-	f, err := os.OpenFile(cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: opening trace output: %w", err)
-	}
-	size, err := f.Seek(0, 2)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("telemetry: sizing trace output: %w", err)
-	}
-	t := &RequestTracer{
-		cfg:   cfg,
-		queue: make(chan SpanRecord, cfg.QueueSize),
-		done:  make(chan struct{}),
-	}
-	go t.run(f, size)
 	return t, nil
 }
 
@@ -281,18 +253,18 @@ func (t *RequestTracer) Roots() int64 {
 
 // Dropped returns the number of sampled spans lost to a full queue.
 func (t *RequestTracer) Dropped() int64 {
-	if t == nil {
+	if t == nil || t.out == nil {
 		return 0
 	}
-	return t.dropped.Load()
+	return t.out.Dropped()
 }
 
 // Written returns the number of spans persisted so far.
 func (t *RequestTracer) Written() int64 {
-	if t == nil {
+	if t == nil || t.out == nil {
 		return 0
 	}
-	return t.written.Load()
+	return t.out.Written()
 }
 
 // Spans returns the spans a memory-mode tracer has kept, in the order
@@ -301,8 +273,8 @@ func (t *RequestTracer) Spans() []SpanRecord {
 	if t == nil {
 		return nil
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return append([]SpanRecord(nil), t.kept...)
 }
 
@@ -310,88 +282,29 @@ func (t *RequestTracer) Spans() []SpanRecord {
 // the file. Spans ended after Close are counted as drops. Nil-safe,
 // and a no-op in memory mode.
 func (t *RequestTracer) Close() error {
-	if t == nil || t.queue == nil {
+	if t == nil || t.out == nil {
 		return nil
 	}
-	t.closeOnce.Do(func() {
-		t.mu.Lock()
-		t.closed = true
-		close(t.queue)
-		t.mu.Unlock()
-	})
-	<-t.done
-	return nil
+	return t.out.Close()
 }
 
-func (t *RequestTracer) drop() {
-	t.dropped.Add(1)
-	if t.cfg.OnDrop != nil {
-		t.cfg.OnDrop()
-	}
+// RegisterMetrics exports a file-backed tracer's span counts on reg as
+// rne_trace_written_total and rne_trace_dropped_total.
+func (t *RequestTracer) RegisterMetrics(reg *Registry) {
+	reg.CounterFunc("rne_trace_written_total", "Sampled spans the tracer wrote.",
+		func() float64 { return float64(t.Written()) })
+	reg.CounterFunc("rne_trace_dropped_total", "Sampled spans the tracer dropped.",
+		func() float64 { return float64(t.Dropped()) })
 }
 
 func (t *RequestTracer) enqueue(rec SpanRecord) {
-	if t.queue == nil {
-		t.mu.Lock()
-		t.kept = append(t.kept, rec)
-		t.mu.Unlock()
+	if t.out != nil {
+		t.out.Append(rec)
 		return
 	}
-	t.mu.RLock()
-	if t.closed {
-		t.mu.RUnlock()
-		t.drop()
-		return
-	}
-	select {
-	case t.queue <- rec:
-		t.mu.RUnlock()
-	default:
-		t.mu.RUnlock()
-		t.drop()
-	}
-}
-
-// run is the writer goroutine: drain the queue, encode, rotate.
-func (t *RequestTracer) run(f *os.File, size int64) {
-	defer close(t.done)
-	bw := bufio.NewWriter(f)
-	enc := json.NewEncoder(bw)
-	for {
-		rec, ok := <-t.queue
-		if !ok {
-			bw.Flush()
-			f.Close()
-			return
-		}
-		if err := enc.Encode(rec); err != nil {
-			t.drop()
-			continue
-		}
-		size += approxSpanBytes
-		t.written.Add(1)
-		if t.cfg.OnWrite != nil {
-			t.cfg.OnWrite()
-		}
-		if len(t.queue) == 0 {
-			bw.Flush()
-		}
-		if t.cfg.MaxBytes > 0 && size >= t.cfg.MaxBytes {
-			bw.Flush()
-			f.Close()
-			_ = fsx.Rotate(t.cfg.Path)
-			nf, err := os.OpenFile(t.cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				for range t.queue {
-					t.drop()
-				}
-				return
-			}
-			f, size = nf, 0
-			bw = bufio.NewWriter(f)
-			enc = json.NewEncoder(bw)
-		}
-	}
+	t.mu.Lock()
+	t.kept = append(t.kept, rec)
+	t.mu.Unlock()
 }
 
 // ReqSpan is one in-flight request-scoped span. A nil *ReqSpan is
