@@ -26,9 +26,9 @@
 // backend's own 429 or sheds with jittered Retry-After, and /batch
 // answers 206 with the surviving pairs plus per-pair error entries.
 // -hedge arms hedged /distance requests (second attempt after the
-// observed p95 of backend /distance calls, first answer wins);
-// -admit-p99-target swaps the static in-flight cap for the adaptive
-// AIMD limiter, as on rneserver.
+// observed p95 of backend /distance calls, first answer wins).
+// Requests past -max-inflight are shed with 429 + Retry-After, except
+// health and metrics requests, as on rneserver.
 //
 // The gateway exposes the same operational surface as the replicas:
 // /healthz, /readyz and /metrics (Prometheus text), including
@@ -61,7 +61,6 @@ import (
 
 	rne "repro"
 	"repro/internal/gateway"
-	"repro/internal/resilience"
 	"repro/internal/telemetry"
 )
 
@@ -79,10 +78,7 @@ func main() {
 	hedgeMinDelay := flag.Duration("hedge-min-delay", time.Millisecond, "with -hedge: floor for the p95-derived hedge delay")
 	hedgeMaxDelay := flag.Duration("hedge-max-delay", 250*time.Millisecond, "with -hedge: ceiling for the p95-derived hedge delay (also the cold-start delay)")
 	budgetMargin := flag.Duration("budget-margin", 5*time.Millisecond, "proxy-hop margin subtracted from the deadline budget forwarded to backends as X-Rne-Budget-Ms (negative disables)")
-	maxInFlight := flag.Int("max-inflight", 256, "in-flight request cap before shedding with 429 (negative disables; superseded by -admit-p99-target)")
-	admitTarget := flag.Duration("admit-p99-target", 0, "adaptive admission: adjust the in-flight cap to hold observed p99 at this target, shedding /batch before /distance (0 keeps the static -max-inflight cap)")
-	admitMin := flag.Int("admit-min", 4, "with -admit-p99-target: floor for the adapted in-flight cap")
-	admitMax := flag.Int("admit-max", 4096, "with -admit-p99-target: ceiling for the adapted in-flight cap")
+	maxInFlight := flag.Int("max-inflight", 256, "in-flight request cap before shedding with 429 (negative disables)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline (negative disables)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and a /metrics mirror on this operator-only address (empty disables)")
 	trace := flag.Bool("trace", false, "distributed tracing: per-attempt backend spans, traceparent propagation to replicas, sampled span JSONL at -trace-out")
@@ -138,15 +134,6 @@ func main() {
 		MaxInFlight:    *maxInFlight,
 		RequestTimeout: *reqTimeout,
 		Logger:         logger,
-	}
-	if *admitTarget > 0 {
-		gwCfg.Admission = &resilience.AdmissionConfig{
-			TargetP99: *admitTarget,
-			Min:       *admitMin,
-			Max:       *admitMax,
-		}
-		logger.Info("adaptive admission on", "p99_target", *admitTarget,
-			"min", *admitMin, "max", *admitMax)
 	}
 	if *hedge {
 		logger.Info("hedged /distance on", "min_delay", *hedgeMinDelay, "max_delay", *hedgeMaxDelay)

@@ -5,10 +5,10 @@
 // HDR-style log-bucketed latency capture per route and status class.
 //
 // The harness does not stop at client-side numbers: while each step
-// runs it scrapes the target fleet's /metrics (admission limit, sheds,
-// retries, hedges, GC and goroutine gauges) and joins the counter
-// deltas with the client-observed latency of the same window, so a
-// p99 knee in the report comes attributed to admission clamping, GC
+// runs it scrapes the target fleet's /metrics (in-flight requests,
+// sheds, retries, hedges, GC and goroutine gauges) and joins the
+// counter deltas with the client-observed latency of the same window,
+// so a p99 knee in the report comes attributed to shedding, GC
 // pressure or backend ejection rather than guessed at. With
 // -profile-cpu / -profile-heap it also captures pprof profiles from
 // the target's -debug-addr listener at fixed points in each step.

@@ -40,10 +40,7 @@
 // request carries a -request-timeout deadline and an X-Request-Id,
 // request/latency counters are served on /metrics (Prometheus text),
 // and SIGINT/SIGTERM triggers a graceful shutdown that drains
-// in-flight requests. -admit-p99-target replaces the static in-flight
-// cap with the adaptive AIMD limiter: the cap shrinks when observed
-// p99 blows the target and probes back up when it holds, and /batch
-// sheds before /distance. Requests arriving with an X-Rne-Budget-Ms
+// in-flight requests. Requests arriving with an X-Rne-Budget-Ms
 // deadline budget (set by rnegate) are abandoned with 504 once the
 // budget is spent, so a replica never burns capacity on answers the
 // gateway can no longer use. -debug-addr serves
@@ -79,7 +76,6 @@ import (
 	"repro/internal/autoheal"
 	"repro/internal/faultinject"
 	"repro/internal/qlog"
-	"repro/internal/resilience"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -97,10 +93,7 @@ func main() {
 	altIndexPath := flag.String("alt-index", "", "ALT index saved by rnebuild -alt-out: guard mode clamps every estimate into certified landmark bounds")
 	altLandmarks := flag.Int("alt-landmarks", 0, "with -graph/-preset: build an ALT guard index with this many landmarks at startup (0 disables)")
 	seed := flag.Int64("seed", 42, "training seed")
-	maxInFlight := flag.Int("max-inflight", 256, "in-flight request cap before shedding with 429 (negative disables; superseded by -admit-p99-target)")
-	admitTarget := flag.Duration("admit-p99-target", 0, "adaptive admission: adjust the in-flight cap to hold observed p99 at this target, shedding /batch before /distance (0 keeps the static -max-inflight cap)")
-	admitMin := flag.Int("admit-min", 4, "with -admit-p99-target: floor for the adapted in-flight cap")
-	admitMax := flag.Int("admit-max", 4096, "with -admit-p99-target: ceiling for the adapted in-flight cap")
+	maxInFlight := flag.Int("max-inflight", 256, "in-flight request cap before shedding with 429 (negative disables)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline (negative disables)")
 	shutdownGrace := flag.Duration("shutdown-grace", 15*time.Second, "drain budget for graceful shutdown")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and a /metrics mirror on this operator-only address (empty disables)")
@@ -289,15 +282,6 @@ func main() {
 			Service:     "server",
 			SampleEvery: *traceSample,
 		}
-	}
-	if *admitTarget > 0 {
-		srvCfg.Admission = &resilience.AdmissionConfig{
-			TargetP99: *admitTarget,
-			Min:       *admitMin,
-			Max:       *admitMax,
-		}
-		logger.Info("adaptive admission on", "p99_target", *admitTarget,
-			"min", *admitMin, "max", *admitMax)
 	}
 	srv, err := server.NewFromSet(set, srvCfg)
 	if err != nil {

@@ -110,9 +110,6 @@ type Config struct {
 	// resilience.Wrap pass, with the same semantics as the server's.
 	MaxInFlight    int
 	RequestTimeout time.Duration
-	// Admission, when non-nil, replaces the gateway's static MaxInFlight
-	// cap with the adaptive AIMD limiter (see resilience.AdmissionConfig).
-	Admission *resilience.AdmissionConfig
 	// MaxBatchBytes bounds an inbound /batch body (default 8 MiB).
 	MaxBatchBytes int64
 	// Logger receives health transitions and access logs (nil disables).
@@ -400,7 +397,6 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("POST /batch", g.handleBatch)
 	return resilience.Wrap(mux, resilience.Options{
 		MaxInFlight: g.cfg.MaxInFlight,
-		Admission:   g.cfg.Admission,
 		Timeout:     g.cfg.RequestTimeout,
 		Logger:      g.cfg.Logger,
 		Stats:       g.stats,
@@ -739,10 +735,10 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	case busy != nil:
 		busy.relayTo(w)
 	case errors.Is(err, errRetryDenied) && g.retryTokens.enabled():
-		w.Header().Set("Retry-After", fmt.Sprintf("%.2f", g.jittered(time.Second).Seconds()))
+		w.Header().Set("Retry-After", resilience.RetryAfterHint())
 		g.fail(w, http.StatusTooManyRequests, "retry budget exhausted for vertex %d; back off", src)
 	default:
-		w.Header().Set("Retry-After", fmt.Sprintf("%.2f", g.jittered(time.Second).Seconds()))
+		w.Header().Set("Retry-After", resilience.RetryAfterHint())
 		g.fail(w, http.StatusServiceUnavailable, "shard %d degraded: no healthy replica for vertex %d", region, src)
 	}
 }
@@ -1166,7 +1162,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// Every shard failed, but at least one failure was shed load or
 			// a budget-denied retry: the fleet is saturated, not down.
 			// Answer 429 so clients back off and retry, not 502.
-			w.Header().Set("Retry-After", fmt.Sprintf("%.2f", g.jittered(time.Second).Seconds()))
+			w.Header().Set("Retry-After", resilience.RetryAfterHint())
 			g.fail(w, http.StatusTooManyRequests,
 				"fleet saturated: every backend sub-batch was shed (%d pairs)", len(ss))
 			return

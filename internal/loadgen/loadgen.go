@@ -15,8 +15,8 @@
 //     silently dropped.
 //
 //   - While clients run, the harness scrapes the target fleet's
-//     /metrics and joins server-side counters (admission limit, sheds,
-//     retries, hedges, GC cycles, goroutine/heap gauges) with the
+//     /metrics and joins server-side counters (in-flight requests,
+//     sheds, retries, hedges, GC cycles, goroutine/heap gauges) with the
 //     client-observed latency of the same window, so a p99 knee is
 //     attributable to admission, GC or kernel time rather than
 //     guessed. Optional pprof capture from the operator listener adds

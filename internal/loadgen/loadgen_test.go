@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/resilience"
 	"repro/internal/telemetry"
 )
 
@@ -140,6 +141,51 @@ func TestClosedLoopRunWithJoin(t *testing.T) {
 		if ts.Goroutines < 1 || ts.HeapBytes <= 0 {
 			t.Errorf("timeline sample missing runtime gauges: %+v", ts)
 		}
+	}
+}
+
+// A shed request is counted once: against the serving pass's own
+// in-flight cap, the closing timeline row's sheds equal the 429s the
+// clients saw.
+func TestTimelineShedsMatchClient429s(t *testing.T) {
+	st := resilience.NewStats()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(map[string]any{"status": "ok", "vertices": 64})
+	})
+	mux.Handle("/metrics", st.Registry().Handler())
+	mux.HandleFunc("/distance", func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(2 * time.Millisecond)
+		json.NewEncoder(w).Encode(map[string]any{"distance": 1.0})
+	})
+	ts := httptest.NewServer(resilience.Wrap(mux, resilience.Options{MaxInFlight: 1, Stats: st}))
+	defer ts.Close()
+
+	r, err := New(context.Background(), Config{
+		Target:         ts.URL,
+		Mix:            Mix{Distance: 1},
+		Seed:           7,
+		ScrapeInterval: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.RunStep(context.Background(), Step{Clients: 3, Duration: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shed4xx int64
+	for _, rs := range res.Routes {
+		if rs.Class == "4xx" {
+			shed4xx += rs.Count
+		}
+	}
+	if len(res.Servers) != 1 || len(res.Servers[0].Timeline) == 0 {
+		t.Fatalf("no timeline joined: %+v", res.Servers)
+	}
+	tl := res.Servers[0].Timeline
+	if last := tl[len(tl)-1]; shed4xx < 1 || last.Sheds != float64(shed4xx) {
+		t.Fatalf("closing timeline row counts %v sheds, clients saw %d 4xx answers: want equal and at least 1", last.Sheds, shed4xx)
 	}
 }
 

@@ -50,13 +50,12 @@ type HistJoin struct {
 
 // TimelineSample is one scrape of a target during a step, projected
 // onto the gauges that explain latency knees: runtime (goroutines,
-// heap, GC cycles) and admission (limit, in-flight, cumulative sheds).
+// heap, GC cycles) and admission (in-flight, cumulative sheds).
 type TimelineSample struct {
 	OffsetSeconds float64 `json:"offset_s"`
 	Goroutines    float64 `json:"goroutines"`
 	HeapBytes     float64 `json:"heap_bytes"`
 	GCCycles      float64 `json:"gc_cycles"`
-	AdmitLimit    float64 `json:"admit_limit"`
 	InFlight      float64 `json:"in_flight"`
 	Sheds         float64 `json:"sheds"`
 }

@@ -16,15 +16,13 @@ import (
 )
 
 // Metric names the joiner reads from the target's exposition. These
-// are the serving tier's own names (resilience.Stats, the adaptive
-// limiter, telemetry.RegisterRuntimeMetrics); the joiner degrades to
-// zero series when a target does not export one of them.
+// are the serving tier's own names (resilience.Stats,
+// telemetry.RegisterRuntimeMetrics); the joiner degrades to zero series
+// when a target does not export one of them.
 const (
-	metricAdmitLimit = "rne_admit_limit"
-	metricInFlight   = "rne_http_in_flight_requests"
-	metricShed       = "rne_http_requests_shed_total"
-	metricAdmitShed  = "rne_admit_shed_total"
-	metricHTTPLat    = "rne_http_request_duration_seconds"
+	metricInFlight = "rne_http_in_flight_requests"
+	metricShed     = "rne_http_requests_shed_total"
+	metricHTTPLat  = "rne_http_request_duration_seconds"
 )
 
 // joinSession scrapes every configured target while a step's clients
@@ -103,7 +101,6 @@ func (r *Runner) joinOne(ctx context.Context, sc ScrapeTarget, start time.Time) 
 	j.Timeline = append(j.Timeline, timelineSample(post, time.Since(start)))
 	j.CountersDelta = countersDelta(pre, post)
 	j.Gauges = map[string]float64{
-		metricAdmitLimit:           post[metricAdmitLimit],
 		metricInFlight:             post[metricInFlight],
 		telemetry.MetricGoroutines: post[telemetry.MetricGoroutines],
 		telemetry.MetricHeapBytes:  post[telemetry.MetricHeapBytes],
@@ -141,25 +138,18 @@ func (r *Runner) scrapeDetached(base string) (map[string]float64, error) {
 }
 
 // timelineSample projects one scrape onto the compact timeline row the
-// report keeps: runtime and admission gauges plus the cumulative shed
-// count, enough to see GC pressure or admission clamping move in step
-// with a latency knee.
+// report keeps: runtime gauges, requests in flight and the cumulative
+// shed count, enough to see GC pressure or shedding move in step with
+// a latency knee.
 func timelineSample(samples map[string]float64, offset time.Duration) TimelineSample {
-	ts := TimelineSample{
+	return TimelineSample{
 		OffsetSeconds: offset.Seconds(),
 		Goroutines:    samples[telemetry.MetricGoroutines],
 		HeapBytes:     samples[telemetry.MetricHeapBytes],
 		GCCycles:      samples[telemetry.MetricGCCycles],
-		AdmitLimit:    samples[metricAdmitLimit],
 		InFlight:      samples[metricInFlight],
 		Sheds:         samples[metricShed],
 	}
-	for k, v := range samples {
-		if strings.HasPrefix(k, metricAdmitShed) {
-			ts.Sheds += v
-		}
-	}
-	return ts
 }
 
 // countersDelta returns post-minus-pre for every rne_*_total series

@@ -52,23 +52,21 @@ func SetBudget(h http.Header, d time.Duration) {
 	h.Set(BudgetHeader, strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'f', 3, 64))
 }
 
-// retryAfterHint renders a Retry-After value of d spread by a uniform
-// ±jitter fraction, so a synchronized fleet of shed clients does not
-// retry in lockstep and re-saturate the replica at the same instant.
-// Sub-10s hints keep two decimals (our clients parse Retry-After as a
-// number); longer hints round to whole seconds.
-func retryAfterHint(d time.Duration, jitter float64) string {
-	secs := d.Seconds()
-	if jitter > 0 {
-		secs *= 1 + jitter*(2*rand.Float64()-1)
-	}
-	if secs < 0.01 {
-		secs = 0.01
-	}
-	if secs < 10 {
-		return strconv.FormatFloat(secs, 'f', 2, 64)
-	}
-	return strconv.Itoa(int(secs + 0.5))
+// The Retry-After hint every shed, timed-out or backed-off answer of
+// both tiers carries: one second, spread by a uniform ±20%.
+const (
+	retryAfter       = time.Second
+	retryAfterJitter = 0.2
+)
+
+// RetryAfterHint renders a Retry-After value: retryAfter spread by a
+// uniform ±retryAfterJitter fraction, so a synchronized fleet of shed
+// clients does not retry in lockstep and re-saturate the server at the
+// same instant. It keeps two decimals; the clients parse Retry-After
+// as a number.
+func RetryAfterHint() string {
+	secs := retryAfter.Seconds() * (1 + retryAfterJitter*(2*rand.Float64()-1))
+	return strconv.FormatFloat(secs, 'f', 2, 64)
 }
 
 // responseWriter is the pass's view of one response. It records the

@@ -58,7 +58,7 @@ func TestDeadlineZeroBudgetRejectedImmediately(t *testing.T) {
 	invoked := false
 	h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		invoked = true
-	}), Options{Timeout: time.Second, RetryAfterJitter: -1})
+	}), Options{Timeout: time.Second})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -127,7 +127,7 @@ func TestDeadlinePassThrough(t *testing.T) {
 		w.Header().Set("X-Custom", "yes")
 		w.WriteHeader(http.StatusCreated)
 		w.Write([]byte("done"))
-	}), Options{Timeout: time.Second, RetryAfterJitter: -1})
+	}), Options{Timeout: time.Second})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	resp, body := get(t, ts.URL)
@@ -143,7 +143,7 @@ func TestDeadlineCancelsHandlerContext(t *testing.T) {
 	h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done()
 		gotCancel <- r.Context().Err()
-	}), Options{Timeout: 20 * time.Millisecond, RetryAfterJitter: -1})
+	}), Options{Timeout: 20 * time.Millisecond})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	resp, _ := get(t, ts.URL)
@@ -185,7 +185,7 @@ func TestBudgetRoundTrip(t *testing.T) {
 func TestRetryAfterHintJitterBounds(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 64; i++ {
-		hint := retryAfterHint(time.Second, 0.2)
+		hint := RetryAfterHint()
 		secs, err := strconv.ParseFloat(hint, 64)
 		if err != nil {
 			t.Fatalf("hint %q not numeric", hint)
@@ -197,12 +197,6 @@ func TestRetryAfterHintJitterBounds(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatal("jitter produced a constant hint")
-	}
-	if hint := retryAfterHint(time.Second, 0); hint != "1.00" {
-		t.Fatalf("unjittered hint = %q, want 1.00", hint)
-	}
-	if hint := retryAfterHint(30*time.Second, 0); hint != "30" {
-		t.Fatalf("long hint = %q, want whole seconds", hint)
 	}
 }
 
@@ -274,72 +268,53 @@ func FuzzParseBudget(f *testing.F) {
 
 // At most the cap's worth of handlers run at once, also when their
 // deadline has passed and they keep working: a handler holds its
-// admission slot until it returns, and the adaptive limiter learns the
-// handler's whole latency, not the deadline's.
+// in-flight slot until it returns.
 func TestInFlightCapHoldsPastDeadline(t *testing.T) {
 	const timeout = 20 * time.Millisecond
-	for _, tc := range []struct {
-		name string
-		o    Options
-	}{
-		{"static", Options{MaxInFlight: 1, Timeout: timeout}},
-		{"adaptive", Options{Admission: &AdmissionConfig{TargetP99: time.Hour, Initial: 1, Min: 1, Max: 1}, Timeout: timeout}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var running, peak atomic.Int64
-			entered := make(chan time.Time, 1)
-			release := make(chan struct{})
-			h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				n := running.Add(1)
-				defer running.Add(-1)
-				for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
-				}
-				start := time.Now()
-				<-r.Context().Done() // the deadline passes; the work goes on
-				entered <- start
-				<-release
-			}), tc.o)
-			ts := httptest.NewServer(h)
-			defer ts.Close()
+	t.Run("static", func(t *testing.T) {
+		var running, peak atomic.Int64
+		entered := make(chan struct{}, 1)
+		release := make(chan struct{})
+		h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			n := running.Add(1)
+			defer running.Add(-1)
+			for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+			}
+			<-r.Context().Done() // the deadline passes; the work goes on
+			entered <- struct{}{}
+			<-release
+		}), Options{MaxInFlight: 1, Timeout: timeout})
+		ts := httptest.NewServer(h)
+		defer ts.Close()
 
-			first := make(chan int, 1)
-			go func() {
-				resp, err := http.Get(ts.URL + "/distance")
-				if err != nil {
-					first <- 0
-					return
-				}
-				resp.Body.Close()
-				first <- resp.StatusCode
-			}()
-			var handlerStart time.Time
-			select {
-			case handlerStart = <-entered:
-			case <-time.After(5 * time.Second):
-				t.Fatal("handler never saw its deadline")
-			}
-			for i := 0; i < 3; i++ {
-				resp, body := get(t, ts.URL+"/distance")
-				if resp.StatusCode != http.StatusTooManyRequests {
-					t.Fatalf("request %d past the cap: %d %q, want 429", i+2, resp.StatusCode, body)
-				}
-			}
-			time.Sleep(2 * timeout) // hold the slot well past the deadline
-			held := time.Since(handlerStart)
-			close(release)
-			if code := <-first; code != http.StatusServiceUnavailable {
-				t.Fatalf("expired request answered %d, want 503", code)
-			}
-			if p := peak.Load(); p != 1 {
-				t.Fatalf("%d handlers ran at once under a cap of 1", p)
-			}
-			if tc.o.Admission == nil {
+		first := make(chan int, 1)
+		go func() {
+			resp, err := http.Get(ts.URL + "/distance")
+			if err != nil {
+				first <- 0
 				return
 			}
-			win := h.(*pass).adaptive.window.Snapshot()
-			if win.Count != 1 || win.Sum < held.Seconds() {
-				t.Fatalf("limiter saw %d latencies summing %.3fs, want one of at least %.3fs", win.Count, win.Sum, held.Seconds())
+			resp.Body.Close()
+			first <- resp.StatusCode
+		}()
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("handler never saw its deadline")
+		}
+		for i := 0; i < 3; i++ {
+			resp, body := get(t, ts.URL+"/distance")
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("request %d past the cap: %d %q, want 429", i+2, resp.StatusCode, body)
 			}
-		})
-	}
+		}
+		time.Sleep(2 * timeout) // hold the slot well past the deadline
+		close(release)
+		if code := <-first; code != http.StatusServiceUnavailable {
+			t.Fatalf("expired request answered %d, want 503", code)
+		}
+		if p := peak.Load(); p != 1 {
+			t.Fatalf("%d handlers ran at once under a cap of 1", p)
+		}
+	})
 }

@@ -6,12 +6,10 @@
 // one 500, not the process), bounds each request by a deadline with
 // cross-tier budget propagation (a forwarded BudgetHeader bounds the
 // work a replica will attempt; exhaustion answers 504, local timeouts
-// 503), caps in-flight concurrency — either a static cap or the
-// adaptive AIMD limiter that tracks observed p99 latency and sheds
-// /batch before /distance — with 429 + jittered Retry-After, never
-// shedding health, metrics or admin requests under either, and
-// accounts each request on GET /metrics (Prometheus text, via
-// internal/telemetry).
+// 503), caps in-flight concurrency with a static semaphore, shedding
+// the excess with 429 + jittered Retry-After but never health, metrics
+// or admin requests, and accounts each request on GET /metrics
+// (Prometheus text, via internal/telemetry).
 package resilience
 
 import (
@@ -20,6 +18,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"repro/internal/telemetry"
@@ -32,20 +31,8 @@ type Options struct {
 	// MaxInFlight caps concurrently-served requests; excess requests
 	// are shed with 429 + Retry-After, except health, metrics and admin
 	// requests, which run past a full cap. Default 256; negative
-	// disables. Ignored when Admission configures the adaptive limiter.
+	// disables.
 	MaxInFlight int
-	// Admission, when non-nil, replaces the static MaxInFlight cap with
-	// the adaptive AIMD limiter: the concurrency limit tracks observed
-	// p99 latency against Admission.TargetP99, health/admin routes are
-	// never shed, and /batch sheds before /distance. An invalid config
-	// falls back to the static cap (and is logged).
-	Admission *AdmissionConfig
-	// RetryAfter is the hint returned with shed requests (default 1s).
-	RetryAfter time.Duration
-	// RetryAfterJitter spreads every Retry-After hint by a uniform
-	// ±fraction (default 0.2), so synchronized shed clients do not
-	// retry in lockstep. Negative disables jitter.
-	RetryAfterJitter float64
 	// Timeout bounds each request via its context deadline; requests
 	// whose deadline passes before the handler returns receive 503 — or
 	// 504 when the deadline came from a forwarded BudgetHeader budget
@@ -67,15 +54,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxInFlight == 0 {
 		o.MaxInFlight = 256
 	}
-	if o.RetryAfter == 0 {
-		o.RetryAfter = time.Second
-	}
-	if o.RetryAfterJitter == 0 {
-		o.RetryAfterJitter = 0.2
-	}
-	if o.RetryAfterJitter < 0 {
-		o.RetryAfterJitter = 0
-	}
 	if o.Timeout == 0 {
 		o.Timeout = 30 * time.Second
 	}
@@ -93,10 +71,7 @@ func (o Options) withDefaults() Options {
 type pass struct {
 	next http.Handler
 	o    Options
-	// Admission: the adaptive limiter, or else the static cap's
-	// semaphore; both nil when admission is off.
-	adaptive *AdaptiveLimiter
-	sem      chan struct{}
+	sem  chan struct{} // the in-flight cap's slots; nil when it is off
 
 	exhaustedLocal, exhaustedBudget *telemetry.Counter
 }
@@ -108,9 +83,9 @@ type pass struct {
 //   - accepts the client's well-formed X-Request-Id or mints one,
 //     echoes it on the response and stores it in the context;
 //   - starts the handler span when Tracer is set;
-//   - admits the request under the static cap or the adaptive limiter,
-//     or sheds it with 429 + Retry-After; a critical request (health,
-//     metrics, admin) is never shed;
+//   - admits the request under the in-flight cap, or sheds it with
+//     429 + Retry-After; a critical request (health, metrics, admin)
+//     is never shed;
 //   - answers 504 at once when a forwarded budget is already spent;
 //   - runs next under a context deadline, the tighter of Timeout and
 //     the forwarded budget, buffering its answer; when the deadline
@@ -124,15 +99,7 @@ type pass struct {
 func Wrap(next http.Handler, o Options) http.Handler {
 	o = o.withDefaults()
 	p := &pass{next: next, o: o}
-	if o.Admission != nil {
-		al, err := NewAdaptiveLimiter(*o.Admission, o.Stats.Registry())
-		if err == nil {
-			p.adaptive = al
-		} else {
-			o.Logger.Warn("adaptive admission disabled; using static cap", "error", err)
-		}
-	}
-	if p.adaptive == nil && o.MaxInFlight > 0 {
+	if o.MaxInFlight > 0 {
 		p.sem = make(chan struct{}, o.MaxInFlight)
 	}
 	const help = "Requests abandoned at their deadline, by budget source."
@@ -154,7 +121,7 @@ func (p *pass) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if held {
-		defer p.release(start)
+		defer p.release()
 	}
 
 	budget, fromBudget := p.o.Timeout, false
@@ -162,7 +129,7 @@ func (p *pass) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if b <= 0 {
 			p.exhaustedBudget.Inc()
 			span.Event("budget_exhausted", "spent before admission")
-			p.reject(rw, http.StatusGatewayTimeout, "deadline budget exhausted before the request was admitted")
+			rw.reject(http.StatusGatewayTimeout, "deadline budget exhausted before the request was admitted")
 			return
 		}
 		if budget <= 0 || b < budget {
@@ -188,12 +155,12 @@ func (p *pass) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			msg := fmt.Sprintf("deadline budget of %v exhausted", budget)
 			p.exhaustedBudget.Inc()
 			span.Event("budget_exhausted", msg)
-			p.reject(rw, http.StatusGatewayTimeout, msg)
+			rw.reject(http.StatusGatewayTimeout, msg)
 		} else {
 			msg := fmt.Sprintf("request exceeded %v deadline", budget)
 			p.exhaustedLocal.Inc()
 			span.Event("deadline_exceeded", msg)
-			p.reject(rw, http.StatusServiceUnavailable, msg)
+			rw.reject(http.StatusServiceUnavailable, msg)
 		}
 	default:
 		// The client went away: there is no one to answer.
@@ -202,63 +169,52 @@ func (p *pass) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // admit decides whether a request to path may run (ok) and whether it
-// then holds an admission slot that release must return (held). A
+// then holds an in-flight slot that release must return (held). A
 // request that may not run is shed with 429. A critical request that
-// finds the static cap full runs without a slot; the path is looked at
-// only then, so an unsaturated cap costs no more than the channel send.
+// finds the cap full runs without a slot; the path is looked at only
+// then, so an unsaturated cap costs no more than the channel send.
 func (p *pass) admit(rw *responseWriter, path string, span *telemetry.ReqSpan) (held, ok bool) {
-	var event, msg string
-	switch {
-	case p.adaptive != nil:
-		prio := PriorityForPath(path)
-		if p.adaptive.Acquire(prio) {
-			return true, true
-		}
-		event = fmt.Sprintf("admission limit %d, %s priority", p.adaptive.Limit(), prio)
-		msg = fmt.Sprintf("server saturated (admission limit %d, %s priority)", p.adaptive.Limit(), prio)
-	case p.sem != nil:
-		select {
-		case p.sem <- struct{}{}:
-			return true, true
-		default:
-		}
-		if PriorityForPath(path) == PriorityCritical {
-			return false, true
-		}
-		event = fmt.Sprintf("static limiter at %d in flight", cap(p.sem))
-		msg = fmt.Sprintf("server saturated (%d requests in flight)", cap(p.sem))
+	if p.sem == nil {
+		return false, true
+	}
+	select {
+	case p.sem <- struct{}{}:
+		return true, true
 	default:
+	}
+	if critical(path) {
 		return false, true
 	}
 	p.o.Stats.shed.Inc()
-	span.Event("shed", event)
-	hint := p.retryAfter(rw)
-	rw.reply(http.StatusTooManyRequests, msg+"; retry after "+hint+" s")
+	span.Event("shed", fmt.Sprintf("in-flight cap of %d reached", cap(p.sem)))
+	hint := rw.setRetryAfter()
+	rw.reply(http.StatusTooManyRequests, fmt.Sprintf("server saturated (%d requests in flight); retry after %s s", cap(p.sem), hint))
 	return false, false
 }
 
-// release returns the admission slot of a request that started at
-// start; the adaptive limiter learns its latency.
-func (p *pass) release(start time.Time) {
-	if p.adaptive != nil {
-		p.adaptive.Release(time.Since(start))
-	} else {
-		<-p.sem
-	}
+// critical reports whether path is a health, metrics or admin route,
+// which a full cap never sheds: an orchestrator must be able to see and
+// operate a saturated process, and ejecting a merely busy backend
+// because its /readyz was shed would turn overload into an outage.
+func critical(path string) bool {
+	return path == "/healthz" || path == "/readyz" || path == "/metrics" || strings.HasPrefix(path, "/admin/")
 }
 
-// retryAfter sets a jittered Retry-After hint on the response and
-// returns it.
-func (p *pass) retryAfter(rw *responseWriter) string {
-	hint := retryAfterHint(p.o.RetryAfter, p.o.RetryAfterJitter)
+// release returns the in-flight slot of an admitted request.
+func (p *pass) release() { <-p.sem }
+
+// setRetryAfter sets a Retry-After hint on the response and returns
+// it.
+func (rw *responseWriter) setRetryAfter() string {
+	hint := RetryAfterHint()
 	rw.w.Header().Set("Retry-After", hint)
 	return hint
 }
 
 // reject answers status with a Retry-After hint, discarding any
 // buffered answer.
-func (p *pass) reject(rw *responseWriter, status int, msg string) {
-	p.retryAfter(rw)
+func (rw *responseWriter) reject(status int, msg string) {
+	rw.setRetryAfter()
 	rw.reply(status, msg)
 }
 

@@ -98,7 +98,7 @@ func TestLimiterShedsPastCap(t *testing.T) {
 		<-release
 		w.WriteHeader(http.StatusOK)
 	})
-	h := Wrap(slow, Options{MaxInFlight: cap, RetryAfter: 2 * time.Second, Stats: st})
+	h := Wrap(slow, Options{MaxInFlight: cap, Stats: st})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -129,12 +129,12 @@ func TestLimiterShedsPastCap(t *testing.T) {
 		t.Fatalf("in flight %v, shed %v: want %d and 1",
 			m["rne_http_in_flight_requests"], m["rne_http_requests_shed_total"], cap)
 	}
-	// The hint is jittered ±20% around the configured 2s so shed
-	// clients spread their retries instead of stampeding in lockstep.
+	// The hint is jittered ±20% around 1s so shed clients spread
+	// their retries instead of stampeding in lockstep.
 	ra := resp.Header.Get("Retry-After")
 	secs, err := strconv.ParseFloat(ra, 64)
-	if err != nil || secs < 1.6-1e-9 || secs > 2.4+1e-9 {
-		t.Fatalf("Retry-After = %q, want a number in [1.6, 2.4]", ra)
+	if err != nil || secs < 0.8-1e-9 || secs > 1.2+1e-9 {
+		t.Fatalf("Retry-After = %q, want a number in [0.8, 1.2]", ra)
 	}
 	close(release)
 	wg.Wait()
@@ -213,8 +213,8 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
-// With the static cap full, health, metrics and admin requests still
-// run and a data request is shed.
+// With the cap full, health, metrics and admin requests still run and
+// every data request is shed.
 func TestStaticCapAdmitsCriticalRoutes(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{})
@@ -224,7 +224,7 @@ func TestStaticCapAdmitsCriticalRoutes(t *testing.T) {
 		<-release
 	})
 	ok := func(w http.ResponseWriter, r *http.Request) {}
-	for _, path := range []string{"/healthz", "/readyz", "/metrics", "/admin/reload", "/distance"} {
+	for _, path := range []string{"/healthz", "/readyz", "/metrics", "/admin/reload", "/distance", "/batch", "/knn"} {
 		mux.HandleFunc(path, ok)
 	}
 	h := Wrap(mux, Options{MaxInFlight: 1})
@@ -247,6 +247,8 @@ func TestStaticCapAdmitsCriticalRoutes(t *testing.T) {
 		{http.MethodGet, "/metrics", http.StatusOK},
 		{http.MethodPost, "/admin/reload", http.StatusOK},
 		{http.MethodGet, "/distance", http.StatusTooManyRequests},
+		{http.MethodPost, "/batch", http.StatusTooManyRequests},
+		{http.MethodGet, "/knn", http.StatusTooManyRequests},
 	} {
 		req, _ := http.NewRequest(c.method, ts.URL+c.path, nil)
 		resp, err := http.DefaultClient.Do(req)
@@ -266,6 +268,29 @@ func TestStaticCapAdmitsCriticalRoutes(t *testing.T) {
 	}
 	close(release)
 	<-held
+}
+
+// Health, metrics and admin paths are critical; every data path,
+// /batch included, is not.
+func TestPriorityForPath(t *testing.T) {
+	cases := map[string]bool{
+		"/healthz":      true,
+		"/readyz":       true,
+		"/metrics":      true,
+		"/admin/reload": true,
+		"/admin/":       true,
+		"/batch":        false,
+		"/distance":     false,
+		"/knn":          false,
+		"/explain":      false,
+		"/healthzx":     false,
+		"/administer":   false,
+	}
+	for path, want := range cases {
+		if got := critical(path); got != want {
+			t.Errorf("critical(%q) = %v, want %v", path, got, want)
+		}
+	}
 }
 
 // scrape reads st's series as a /metrics client does.

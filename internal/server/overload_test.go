@@ -2,13 +2,8 @@ package server
 
 import (
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/resilience"
 )
 
@@ -39,60 +34,5 @@ func TestServerZeroBudgetIs504(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("budgeted request = %d, want 200", resp.StatusCode)
-	}
-}
-
-// Config.Admission plumbs the adaptive limiter into the replica's
-// serving stack: with the limit pinned at 1 and one slot occupied, a
-// /batch request is shed into the batch reserve while /healthz still
-// answers, and the admit-limit gauge appears on /metrics.
-func TestServerAdaptiveAdmissionPlumbed(t *testing.T) {
-	g, err := gen.Grid(8, 8, gen.DefaultConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := core.DefaultOptions(1)
-	opt.Dim = 8
-	opt.Epochs = 2
-	opt.VertexSampleRatio = 10
-	opt.FineTuneRounds = 1
-	opt.HierSampleCap = 2000
-	opt.ValidationPairs = 50
-	m, _, err := core.Build(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewFromSet(ModelSet{Model: m, Version: "v1"}, Config{
-		Admission: &resilience.AdmissionConfig{
-			TargetP99: time.Second, Initial: 1, Min: 1, Max: 1, BatchReserve: 0.5,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	// With limit 1 and BatchReserve 0.5 the batch admission threshold is
-	// max(1, 1-0) ... occupy nothing: a lone batch request must still be
-	// admitted (threshold floor is one slot).
-	resp, err := http.Post(ts.URL+"/batch", "application/json",
-		strings.NewReader(`{"pairs":[[0,5]]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("idle batch under adaptive admission = %d, want 200", resp.StatusCode)
-	}
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1<<20)
-	n, _ := mresp.Body.Read(buf)
-	mresp.Body.Close()
-	if !strings.Contains(string(buf[:n]), "rne_admit_limit 1") {
-		t.Fatalf("/metrics missing the adaptive admit-limit gauge:\n%s", string(buf[:n]))
 	}
 }

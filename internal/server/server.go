@@ -35,15 +35,9 @@ import (
 // route table. Zero values select the documented defaults.
 type Config struct {
 	// MaxInFlight caps concurrently-served requests; excess load is
-	// shed with 429 + Retry-After (default 256, negative disables).
-	// Ignored when Admission is set.
+	// shed with 429 + Retry-After, except health, metrics and admin
+	// requests (default 256, negative disables).
 	MaxInFlight int
-	// Admission, when non-nil, replaces the static MaxInFlight cap with
-	// the adaptive AIMD concurrency limiter: the admitted-concurrency
-	// limit tracks observed p99 latency against Admission.TargetP99,
-	// health/admin routes are never shed, and /batch sheds before
-	// /distance (see resilience.AdmissionConfig).
-	Admission *resilience.AdmissionConfig
 	// RequestTimeout bounds each request (default 30s, negative
 	// disables); over-budget requests receive 503 — or 504 when the
 	// deadline came from a forwarded X-Rne-Budget-Ms budget, which the
@@ -251,7 +245,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /admin/reload", s.handleReload)
 	return resilience.Wrap(mux, resilience.Options{
 		MaxInFlight: s.cfg.MaxInFlight,
-		Admission:   s.cfg.Admission,
 		Timeout:     s.cfg.RequestTimeout,
 		Logger:      s.cfg.Logger,
 		Stats:       s.stats,

@@ -292,20 +292,21 @@ func TestOverload(t *testing.T) {
 	p99 := took[max(int(float64(len(took))*0.99), 1)-1]
 	t.Logf("%d offered, %d shed, p99 %.3fs; partial 206 merge verified", len(took), count[429], p99)
 	writeBench(t, "overload", struct {
-		Experiment  string  `json:"experiment"`
-		Dataset     string  `json:"dataset"`
-		Replicas    int     `json:"replicas"`
-		MaxInflight int     `json:"replica_max_inflight"`
-		Clients     int     `json:"parallel_clients"`
-		Offered     int     `json:"offered"`
-		Goodput     int     `json:"goodput"`
-		Shed        int     `json:"shed_429"`
-		Partial     int     `json:"partial_206"`
-		Timeout     int     `json:"timeout_504"`
-		GoodB       int     `json:"goodput_after_kill"`
-		P99         float64 `json:"client_p99_seconds"`
+		Experiment  string   `json:"experiment"`
+		Dataset     string   `json:"dataset"`
+		Replicas    int      `json:"replicas"`
+		MaxInflight int      `json:"replica_max_inflight"`
+		Clients     int      `json:"parallel_clients"`
+		Offered     int      `json:"offered"`
+		Goodput     int      `json:"goodput"`
+		Shed        int      `json:"shed_429"`
+		Partial     int      `json:"partial_206"`
+		Timeout     int      `json:"timeout_504"`
+		GoodB       int      `json:"goodput_after_kill"`
+		P99         float64  `json:"client_p99_seconds"`
+		Env         benchEnv `json:"env"`
 	}{"overload-smoke", "grid-10x10", 3, 1, 24, len(took), count[200] + count[206],
-		count[429], count[206], count[504], goodB, p99})
+		count[429], count[206], count[504], goodB, p99, newBenchEnv()})
 }
 
 // TestShard serves a bj-mini model cut into two level-1 region shards,

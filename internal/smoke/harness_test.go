@@ -26,6 +26,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -328,4 +329,36 @@ func writeBench(t *testing.T, name string, v any) {
 	if err := os.WriteFile(filepath.Join(benchDir, "BENCH_"+name+".json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// benchEnv is the environment block of a drill's BENCH_*.json, under
+// perfbench's key names, so a committed result says what it ran on. A
+// git_sha ending in -dirty names the commit the working tree had
+// uncommitted changes against.
+type benchEnv struct {
+	CPUModel   string `json:"cpu_model"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GitSHA     string `json:"git_sha"`
+}
+
+func newBenchEnv() benchEnv {
+	e := benchEnv{CPUModel: runtime.GOARCH, NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion: runtime.Version(), GitSHA: "unknown"}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				e.CPUModel = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		e.GitSHA = strings.TrimSpace(string(out))
+		if dirty, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(dirty) > 0 {
+			e.GitSHA += "-dirty"
+		}
+	}
+	return e
 }

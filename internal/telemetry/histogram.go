@@ -128,9 +128,8 @@ func (h *Histogram) bucketExemplar(i int) *Exemplar {
 
 // NewHistogram returns a standalone histogram over the given bucket
 // upper bounds (strictly increasing, finite; +Inf implicit), not
-// registered on any Registry — for internal windowed measurements such
-// as the adaptive admission limiter's per-interval p99, which must not
-// appear on /metrics.
+// registered on any Registry — for client-side measurements such as
+// rneload's per-route latencies, which must not appear on /metrics.
 func NewHistogram(bounds []float64) *Histogram { return newHistogram(bounds) }
 
 func newHistogram(bounds []float64) *Histogram {
