@@ -76,13 +76,14 @@ bench:
 
 # 200 iterations each of the in-process handler, serving-pass, gateway
 # routing and /batch fan-out, /batch wire codec and float formatter,
-# drift filing and spatial-index kNN benchmarks, so they keep compiling
-# and running.
+# drift filing and spatial-index kNN benchmarks, and 5 of ground-truth
+# labeling on the 90x90 grid, so they keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Handler|Wrap|Route|GatewayBatch' -benchtime 200x -benchmem ./internal/server ./internal/resilience ./internal/gateway
 	$(GO) test -run '^$$' -bench 'EncodeAnswer|MergeTwoLegs|DecodePairs|AppendFloat' -benchtime 200x -benchmem ./internal/batchwire
 	$(GO) test -run '^$$' -bench '^BenchmarkDriftObserveAll$$' -benchtime 200x -benchmem ./internal/telemetry
 	$(GO) test -run '^$$' -bench '^BenchmarkKNN$$' -benchtime 200x -benchmem ./internal/index
+	$(GO) test -run '^$$' -bench '^BenchmarkLabel$$/^90x90$$' -benchtime 5x -benchmem ./internal/sample
 
 # End-to-end drills through the real binaries, one Test each (see the
 # doc comments in internal/smoke): hot swap, gateway failover, autoheal

@@ -68,6 +68,9 @@ type report struct {
 	HierPhaseMS   float64 `json:"hier_phase_ms"`
 	VertexPhaseMS float64 `json:"vertex_phase_ms"`
 	FineTuneMS    float64 `json:"finetune_ms"`
+	// LabelingMS is the part of the setup and phase times spent
+	// labeling samples with exact distances.
+	LabelingMS float64 `json:"labeling_ms"`
 
 	SamplesUsed    int64 `json:"samples_used"`
 	SamplesSkipped int64 `json:"samples_skipped"`
@@ -205,8 +208,8 @@ func main() {
 		logger.Info("resumed from checkpoint", "path", *checkpoint)
 	}
 	logger.Info("build done",
-		"total", stats.Total.Round(time.Millisecond), "samples", stats.SamplesUsed,
-		"validation", stats.Validation.String())
+		"total", stats.Total.Round(time.Millisecond), "labeling", stats.Labeling.Round(time.Millisecond),
+		"samples", stats.SamplesUsed, "validation", stats.Validation.String())
 	if stats.SamplesSkipped > 0 {
 		logger.Warn("skipped samples with non-finite distances", "count", stats.SamplesSkipped)
 	}
@@ -230,6 +233,7 @@ func main() {
 			HierPhaseMS:   float64(stats.HierPhase.Nanoseconds()) / 1e6,
 			VertexPhaseMS: float64(stats.VertexPhase.Nanoseconds()) / 1e6,
 			FineTuneMS:    float64(stats.FineTune.Nanoseconds()) / 1e6,
+			LabelingMS:    float64(stats.Labeling.Nanoseconds()) / 1e6,
 
 			SamplesUsed:    stats.SamplesUsed,
 			SamplesSkipped: stats.SamplesSkipped,

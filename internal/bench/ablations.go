@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"text/tabwriter"
 	"time"
@@ -355,7 +354,7 @@ func Fig14(w io.Writer, cfg Config) error {
 	fmt.Fprintf(tw, "Euclidean\t-\t%.2f\n", euclid.MeanRel*100)
 	fmt.Fprintf(tw, "Manhattan\t-\t%.2f\n", manhattan.MeanRel*100)
 
-	oracleWS := sssp.NewTruthOracle(g, 128)
+	lab := sample.NewLabeler(g)
 	rng := rand.New(rand.NewSource(cfg.Seed + 19))
 	// DeepWalk depends only on the graph and seed; train it once and
 	// share it across every variant and training-set size.
@@ -371,7 +370,7 @@ func Fig14(w io.Writer, cfg Config) error {
 	}
 	for _, r := range ratios {
 		n := int(r * float64(g.NumVertices()))
-		trainSet := trainPairs(g, n, oracleWS, rng)
+		trainSet := sample.RandomPairs(g, n, 32, lab, rng)
 
 		for _, params := range variants {
 			drCfg, err := dr.Variant(params, cfg.Seed)
@@ -527,21 +526,4 @@ func Fig16(w io.Writer, cfg Config) error {
 		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
-}
-
-// trainPairs draws n exactly-labeled uniform pairs (shared by Fig14).
-func trainPairs(g *graph.Graph, n int, oracleWS *sssp.TruthOracle, rng *rand.Rand) []sample.Sample {
-	out := make([]sample.Sample, 0, n)
-	nv := g.NumVertices()
-	for attempts := 0; len(out) < n && attempts < 20*(n+1); attempts++ {
-		s := int32(rng.Intn(nv))
-		dist := oracleWS.FromSource(s)
-		for j := 0; j < 32 && len(out) < n; j++ {
-			t := int32(rng.Intn(nv))
-			if t != s && dist[t] < math.MaxFloat64 {
-				out = append(out, sample.Sample{S: s, T: t, Dist: dist[t]})
-			}
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/ach"
@@ -19,7 +20,8 @@ type method struct {
 	exact      bool
 	indexBytes int64
 	buildTime  time.Duration
-	skipTiming bool // coordinate baselines are O(1); timed anyway
+	skipTiming bool   // coordinate baselines are O(1); timed anyway
+	phases     string // RNE only: where the build time went
 }
 
 // rneOptions returns paper-style options for a dataset: d = 64 on the
@@ -58,15 +60,18 @@ func ltLandmarks(ds dataset, cfg Config) int {
 // buildRNE trains the RNE model for a dataset.
 func buildRNE(ds dataset, cfg Config) (*core.Model, method, error) {
 	start := time.Now()
-	m, _, err := core.Build(ds.g, rneOptions(ds, cfg))
+	m, st, err := core.Build(ds.g, rneOptions(ds, cfg))
 	if err != nil {
 		return nil, method{}, err
 	}
+	r := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
 	return m, method{
 		name:       "RNE",
 		estimate:   m.EstimateL1,
 		indexBytes: m.IndexBytes(),
 		buildTime:  time.Since(start),
+		phases: fmt.Sprintf("setup %v, hierarchy %v, vertex %v, fine-tune %v; labeling %v of it",
+			r(st.Setup), r(st.HierPhase), r(st.VertexPhase), r(st.FineTune), r(st.Labeling)),
 	}, nil
 }
 

@@ -80,6 +80,9 @@ func Table4(w io.Writer, cfg Config) error {
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%s\t%v\n",
 				ds.name, m.name, fmtBytes(m.indexBytes), m.buildTime.Round(time.Millisecond))
+			if m.phases != "" {
+				fmt.Fprintf(tw, "\t\t\t%s\n", m.phases)
+			}
 		}
 		fmt.Fprintln(tw, "\t\t\t")
 	}

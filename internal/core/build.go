@@ -22,6 +22,10 @@ type BuildStats struct {
 	Setup time.Duration
 	// HierPhase, VertexPhase and FineTune time phases ①–③.
 	HierPhase, VertexPhase, FineTune time.Duration
+	// Labeling is the wall time spent labeling samples with exact
+	// distances, summed over Setup and the three phases (whose times
+	// include it).
+	Labeling time.Duration
 	// Total is the end-to-end build time (the Table IV "building time").
 	Total time.Duration
 	// SamplesUsed counts SGD sample presentations across all epochs.
@@ -218,6 +222,7 @@ func run(g *graph.Graph, opt Options, what string, warmStart func(*Trainer)) (_ 
 	ph = startPhase(root, "finalize", log)
 	st.SamplesUsed = tr.SamplesUsed()
 	st.SamplesSkipped = tr.SamplesSkipped()
+	st.Labeling = tr.lab.Elapsed()
 	st.FinalLR = tr.LR()
 	st.Validation = tr.Validate()
 	m := tr.Finalize()

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -215,20 +216,32 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// The same seed must give the same model bytes, whatever the number of
+// labeling workers: labels are drawn first and each source's group is
+// labeled independently of which worker runs it.
 func TestBuildDeterministic(t *testing.T) {
 	g := testGraph(t, 10)
 	opt := fastOptions(11)
-	m1, _, err := Build(g, opt)
-	if err != nil {
-		t.Fatal(err)
+	build := func(procs int) ([]byte, BuildStats) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		m, st, err := Build(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), st
 	}
-	m2, _, err := Build(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m1.Matrix().Data() {
-		if m1.Matrix().Data()[i] != m2.Matrix().Data()[i] {
-			t.Fatal("same seed produced different models")
+	b1, st1 := build(1)
+	for _, procs := range []int{1, 4} {
+		b, st := build(procs)
+		if !bytes.Equal(b, b1) {
+			t.Fatalf("GOMAXPROCS(%d) build wrote different model bytes than GOMAXPROCS(1)", procs)
+		}
+		if st.SamplesUsed != st1.SamplesUsed {
+			t.Fatalf("GOMAXPROCS(%d) build used %d samples, GOMAXPROCS(1) %d", procs, st.SamplesUsed, st1.SamplesUsed)
 		}
 	}
 }
@@ -284,7 +297,7 @@ func TestValidationAgainstFreshPairs(t *testing.T) {
 	valErr := tr.Validate().MeanRel
 
 	m := tr.Finalize()
-	fresh := sample.RandomPairs(g, 500, 8, newOracle(g), newRng(99))
+	fresh := sample.RandomPairs(g, 500, 8, sample.NewLabeler(g), newRng(99))
 	pairs := make([]metrics.Pair, len(fresh))
 	for i, s := range fresh {
 		pairs[i] = metrics.Pair{S: s.S, T: s.T, Dist: s.Dist}

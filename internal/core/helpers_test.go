@@ -1,12 +1,5 @@
 package core
 
-import (
-	"math/rand"
-
-	"repro/internal/graph"
-	"repro/internal/sssp"
-)
-
-func newOracle(g *graph.Graph) *sssp.TruthOracle { return sssp.NewTruthOracle(g, 64) }
+import "math/rand"
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -79,12 +79,10 @@ type Options struct {
 	// estimate bucket errors each round (default 30).
 	ProbesPerBucket int
 
-	// PerSource groups this many samples per Dijkstra source during
-	// labeling (default 64).
+	// PerSource is how many targets a selector draws per source (default
+	// 64). Samples that share a source are labeled by one Dijkstra
+	// search, which stops once the last of them settles.
 	PerSource int
-	// OracleCache bounds the number of cached SSSP trees (default
-	// max(Landmarks+8, 128)).
-	OracleCache int
 	// ValidationPairs sizes the held-out exact validation set
 	// (default 2000).
 	ValidationPairs int
@@ -236,12 +234,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.PerSource == 0 {
 		o.PerSource = def.PerSource
-	}
-	if o.OracleCache == 0 {
-		o.OracleCache = o.Landmarks + 8
-		if o.OracleCache < 128 {
-			o.OracleCache = 128
-		}
 	}
 	if o.ValidationPairs == 0 {
 		o.ValidationPairs = def.ValidationPairs

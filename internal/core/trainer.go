@@ -28,7 +28,7 @@ type Trainer struct {
 	hier *emb.Hier   // hierarchical mode
 	flat *emb.Matrix // naive mode
 
-	oracle    *sssp.TruthOracle
+	lab       *sample.Labeler
 	rng       *rand.Rand
 	scale     float64
 	landmarks []int32
@@ -53,10 +53,10 @@ func NewTrainer(g *graph.Graph, opt Options) (*Trainer, error) {
 		return nil, fmt.Errorf("core: graph needs at least 2 vertices")
 	}
 	t := &Trainer{
-		g:      g,
-		opt:    opt,
-		oracle: sssp.NewTruthOracle(g, opt.OracleCache),
-		rng:    rand.New(rand.NewSource(opt.Seed)),
+		g:   g,
+		opt: opt,
+		lab: sample.NewLabeler(g),
+		rng: rand.New(rand.NewSource(opt.Seed)),
 		// For the L1 metric every coordinate of both endpoints moves by
 		// lr*2*err per update, shifting the estimate by ~4*d*lr*err, so
 		// the stable step size scales as 1/d. Normalizing here keeps
@@ -127,7 +127,7 @@ func NewTrainer(g *graph.Graph, opt Options) (*Trainer, error) {
 	}
 
 	sp = opt.Trace.Child("validation-set", time.Now())
-	valSamples := sample.RandomPairs(g, opt.ValidationPairs, opt.PerSource, t.oracle, t.rng)
+	valSamples := sample.RandomPairs(g, opt.ValidationPairs, opt.PerSource, t.lab, t.rng)
 	t.val = make([]metrics.Pair, len(valSamples))
 	for i, s := range valSamples {
 		t.val[i] = metrics.Pair{S: s.S, T: s.T, Dist: s.Dist}
@@ -258,7 +258,7 @@ func (t *Trainer) RunHierPhaseFrom(fromLevel int, afterLevel func(lev int) error
 		if n < 500 {
 			n = 500
 		}
-		samples := sample.SubgraphLevel(h, lev, n, t.opt.PerSource, t.oracle, t.rng)
+		samples := sample.SubgraphLevel(h, lev, n, t.opt.PerSource, t.lab, t.rng)
 		poisonIfInjected(FailpointHierSamplesNaN, samples)
 		rates := train.LevelRates(t.lr, lev, maxLevel)
 		for e := 0; e < t.opt.Epochs; e++ {
@@ -288,9 +288,9 @@ func (t *Trainer) GenVertexSamples(n int) []sample.Sample {
 	var out []sample.Sample
 	switch t.opt.VertexStrategy {
 	case VertexRandom:
-		out = sample.RandomPairs(t.g, n, t.opt.PerSource, t.oracle, t.rng)
+		out = sample.RandomPairs(t.g, n, t.opt.PerSource, t.lab, t.rng)
 	default:
-		out = sample.LandmarkBased(t.g, t.landmarks, n, t.oracle, t.rng)
+		out = sample.LandmarkBased(t.g, t.landmarks, n, t.lab, t.rng)
 	}
 	poisonIfInjected(FailpointVertexSamplesNaN, out)
 	return out
@@ -378,7 +378,7 @@ func (t *Trainer) RunVertexPhaseFrom(fromEpoch int, afterEpoch func(epoch int) e
 // BucketErrors probes the current model's per-bucket relative errors
 // on the fine-tuning grid.
 func (t *Trainer) BucketErrors() []float64 {
-	return t.gb.ProbeErrors(t.Estimate, t.opt.ProbesPerBucket, t.opt.PerSource, t.oracle, t.rng)
+	return t.gb.ProbeErrors(t.Estimate, t.opt.ProbesPerBucket, t.opt.PerSource, t.lab, t.rng)
 }
 
 // RunFineTuneRound executes one phase-③ round: probe bucket errors,
@@ -390,7 +390,7 @@ func (t *Trainer) RunFineTuneRound(round int) {
 	if n < 500 {
 		n = 500
 	}
-	samples := t.gb.ErrorBased(errs, t.opt.FineTuneMode, n, t.opt.PerSource, t.oracle, t.rng)
+	samples := t.gb.ErrorBased(errs, t.opt.FineTuneMode, n, t.opt.PerSource, t.lab, t.rng)
 	if len(samples) == 0 {
 		return
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/sample"
-	"repro/internal/sssp"
 )
 
 func testData(t *testing.T) (*graph.Graph, []sample.Sample, []metrics.Pair) {
@@ -17,10 +16,10 @@ func testData(t *testing.T) (*graph.Graph, []sample.Sample, []metrics.Pair) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := sssp.NewTruthOracle(g, 64)
+	lab := sample.NewLabeler(g)
 	rng := rand.New(rand.NewSource(2))
-	train := sample.RandomPairs(g, 20000, 16, oracle, rng)
-	valRaw := sample.RandomPairs(g, 500, 16, oracle, rng)
+	train := sample.RandomPairs(g, 20000, 16, lab, rng)
+	valRaw := sample.RandomPairs(g, 500, 16, lab, rng)
 	val := make([]metrics.Pair, len(valRaw))
 	for i, s := range valRaw {
 		val[i] = metrics.Pair{S: s.S, T: s.T, Dist: s.Dist}

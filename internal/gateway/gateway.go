@@ -224,6 +224,7 @@ type Gateway struct {
 	batchPartial   *telemetry.Counter
 	pairErrors     *telemetry.Counter
 	staleRoutes    *telemetry.Counter
+	sheds          *telemetry.Counter
 	backendLatency map[string]*telemetry.Histogram // by proxied route
 	retryTokens    *retryBudget
 	tracer         *telemetry.RequestTracer // nil disables tracing
@@ -279,6 +280,8 @@ func New(cfg Config) (*Gateway, error) {
 		"Individual batch pairs answered with an error entry instead of a distance.")
 	g.staleRoutes = reg.Counter("rne_gateway_stale_routes_total",
 		"Backend 421 answers: the replica disowned a vertex this gateway routed to it (stale shard map).")
+	g.sheds = reg.Counter("rne_gateway_shed_total",
+		"429 answers from the gateway's handlers: a replica's 429 relayed, or a retry the budget refused. Sheds at the gateway's own in-flight cap count in rne_http_requests_shed_total.")
 	// A one-region fleet routes every backend from the start; a sharded
 	// one routes a backend once a probe has reported its shard.
 	g.regions = 1
@@ -610,6 +613,13 @@ func (g *Gateway) fail(w http.ResponseWriter, status int, format string, args ..
 	g.writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// shed answers 429 with a jittered Retry-After and counts it.
+func (g *Gateway) shed(w http.ResponseWriter, format string, args ...any) {
+	g.sheds.Inc()
+	w.Header().Set("Retry-After", resilience.RetryAfterHint())
+	g.fail(w, http.StatusTooManyRequests, format, args...)
+}
+
 func (g *Gateway) backendStates() []map[string]any {
 	out := make([]map[string]any, len(g.backends))
 	for i, b := range g.backends {
@@ -733,10 +743,12 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, errBudgetExhausted):
 		g.fail(w, http.StatusGatewayTimeout, "deadline budget exhausted before backend call")
 	case busy != nil:
+		if busy.status == http.StatusTooManyRequests {
+			g.sheds.Inc()
+		}
 		busy.relayTo(w)
 	case errors.Is(err, errRetryDenied) && g.retryTokens.enabled():
-		w.Header().Set("Retry-After", resilience.RetryAfterHint())
-		g.fail(w, http.StatusTooManyRequests, "retry budget exhausted for vertex %d; back off", src)
+		g.shed(w, "retry budget exhausted for vertex %d; back off", src)
 	default:
 		w.Header().Set("Retry-After", resilience.RetryAfterHint())
 		g.fail(w, http.StatusServiceUnavailable, "shard %d degraded: no healthy replica for vertex %d", region, src)
@@ -1162,9 +1174,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// Every shard failed, but at least one failure was shed load or
 			// a budget-denied retry: the fleet is saturated, not down.
 			// Answer 429 so clients back off and retry, not 502.
-			w.Header().Set("Retry-After", resilience.RetryAfterHint())
-			g.fail(w, http.StatusTooManyRequests,
-				"fleet saturated: every backend sub-batch was shed (%d pairs)", len(ss))
+			g.shed(w, "fleet saturated: every backend sub-batch was shed (%d pairs)", len(ss))
 			return
 		}
 		g.fail(w, http.StatusBadGateway, "every backend sub-batch failed (%d pairs)", len(ss))

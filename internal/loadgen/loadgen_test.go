@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
 )
@@ -186,6 +187,57 @@ func TestTimelineShedsMatchClient429s(t *testing.T) {
 	tl := res.Servers[0].Timeline
 	if last := tl[len(tl)-1]; shed4xx < 1 || last.Sheds != float64(shed4xx) {
 		t.Fatalf("closing timeline row counts %v sheds, clients saw %d 4xx answers: want equal and at least 1", last.Sheds, shed4xx)
+	}
+}
+
+// Against a gateway the 429s come from its handlers, not its in-flight
+// cap: here its only replica sheds every request, the gateway relays
+// that 429 or refuses the retry, and the timeline's sheds must still
+// equal the 429s the clients saw.
+func TestTimelineShedsCountGateway429s(t *testing.T) {
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" || r.URL.Path == "/healthz" {
+			json.NewEncoder(w).Encode(map[string]any{"status": "ready"})
+			return
+		}
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, `{"error":"overloaded"}`, http.StatusTooManyRequests)
+	}))
+	defer replica.Close()
+	gw, err := gateway.New(gateway.Config{Backends: []string{replica.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	ts := httptest.NewServer(gw.Handler())
+	defer ts.Close()
+
+	r, err := New(context.Background(), Config{
+		Target:         ts.URL,
+		Vertices:       64,
+		Mix:            Mix{Distance: 1},
+		Seed:           7,
+		ScrapeInterval: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.RunStep(context.Background(), Step{Clients: 2, Duration: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shed4xx int64
+	for _, rs := range res.Routes {
+		if rs.Class == "4xx" {
+			shed4xx += rs.Count
+		}
+	}
+	if len(res.Servers) != 1 || len(res.Servers[0].Timeline) == 0 {
+		t.Fatalf("no timeline joined: %+v", res.Servers)
+	}
+	tl := res.Servers[0].Timeline
+	if last := tl[len(tl)-1]; shed4xx < 1 || last.Sheds != float64(shed4xx) {
+		t.Fatalf("closing timeline row counts %v sheds, clients saw %d 4xx answers from the gateway: want equal and at least 1", last.Sheds, shed4xx)
 	}
 }
 

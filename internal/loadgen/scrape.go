@@ -20,9 +20,10 @@ import (
 // telemetry.RegisterRuntimeMetrics); the joiner degrades to zero series
 // when a target does not export one of them.
 const (
-	metricInFlight = "rne_http_in_flight_requests"
-	metricShed     = "rne_http_requests_shed_total"
-	metricHTTPLat  = "rne_http_request_duration_seconds"
+	metricInFlight    = "rne_http_in_flight_requests"
+	metricShed        = "rne_http_requests_shed_total"
+	metricGatewayShed = "rne_gateway_shed_total"
+	metricHTTPLat     = "rne_http_request_duration_seconds"
 )
 
 // joinSession scrapes every configured target while a step's clients
@@ -140,7 +141,9 @@ func (r *Runner) scrapeDetached(base string) (map[string]float64, error) {
 // timelineSample projects one scrape onto the compact timeline row the
 // report keeps: runtime gauges, requests in flight and the cumulative
 // shed count, enough to see GC pressure or shedding move in step with
-// a latency knee.
+// a latency knee. Sheds counts every 429 the target answered: those of
+// the serving pass's in-flight cap and, on a gateway, those its
+// handlers answer (a relayed replica 429 or a refused retry).
 func timelineSample(samples map[string]float64, offset time.Duration) TimelineSample {
 	return TimelineSample{
 		OffsetSeconds: offset.Seconds(),
@@ -148,7 +151,7 @@ func timelineSample(samples map[string]float64, offset time.Duration) TimelineSa
 		HeapBytes:     samples[telemetry.MetricHeapBytes],
 		GCCycles:      samples[telemetry.MetricGCCycles],
 		InFlight:      samples[metricInFlight],
-		Sheds:         samples[metricShed],
+		Sheds:         samples[metricShed] + samples[metricGatewayShed],
 	}
 }
 

@@ -63,11 +63,14 @@ func (h *IndexedHeap) Push(id int32, key float64) {
 // It must only be called when Len() > 0.
 func (h *IndexedHeap) Pop() (int32, float64) {
 	id, key := h.ids[0], h.keys[0]
+	h.pos[id] = -1
 	last := len(h.ids) - 1
-	h.swap(0, last)
+	if last > 0 {
+		h.ids[0], h.keys[0] = h.ids[last], h.keys[last]
+		h.pos[h.ids[0]] = 0
+	}
 	h.ids = h.ids[:last]
 	h.keys = h.keys[:last]
-	h.pos[id] = -1
 	if last > 0 {
 		h.down(0)
 	}
@@ -78,39 +81,51 @@ func (h *IndexedHeap) Pop() (int32, float64) {
 // It must only be called when Len() > 0.
 func (h *IndexedHeap) Peek() (int32, float64) { return h.ids[0], h.keys[0] }
 
-func (h *IndexedHeap) swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-	h.pos[h.ids[i]] = int32(i)
-	h.pos[h.ids[j]] = int32(j)
-}
-
+// up and down move the item at slot i through a hole: each level costs
+// one write of ids, keys and pos, and the item lands once at the end.
+// They make the comparisons a swap per level would, in the same order,
+// so the pop order (ties included) is the swap heap's.
 func (h *IndexedHeap) up(i int) {
+	id, key := h.ids[i], h.keys[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.keys[parent] <= h.keys[i] {
-			return
+		if h.keys[parent] <= key {
+			break
 		}
-		h.swap(i, parent)
+		h.move(i, parent)
 		i = parent
 	}
+	h.place(i, id, key)
 }
 
 func (h *IndexedHeap) down(i int) {
 	n := len(h.ids)
+	id, key := h.ids[i], h.keys[i]
 	for {
 		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.keys[l] < h.keys[smallest] {
-			smallest = l
+		smallest, sk := i, key
+		if l < n && h.keys[l] < sk {
+			smallest, sk = l, h.keys[l]
 		}
-		if r < n && h.keys[r] < h.keys[smallest] {
+		if r < n && h.keys[r] < sk {
 			smallest = r
 		}
 		if smallest == i {
-			return
+			break
 		}
-		h.swap(i, smallest)
+		h.move(i, smallest)
 		i = smallest
 	}
+	h.place(i, id, key)
+}
+
+// move copies the item at slot from into slot to.
+func (h *IndexedHeap) move(to, from int) {
+	h.ids[to], h.keys[to] = h.ids[from], h.keys[from]
+	h.pos[h.ids[to]] = int32(to)
+}
+
+func (h *IndexedHeap) place(i int, id int32, key float64) {
+	h.ids[i], h.keys[i] = id, key
+	h.pos[id] = int32(i)
 }

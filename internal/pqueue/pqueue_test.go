@@ -189,3 +189,127 @@ func BenchmarkIndexedHeapPushPop(b *testing.B) {
 		}
 	}
 }
+
+// swapHeap is the IndexedHeap as it was before sifting through a hole:
+// every level swaps two slots. It is the reference for the pop order.
+type swapHeap struct {
+	ids  []int32
+	keys []float64
+	pos  []int32
+}
+
+func newSwapHeap(n int) *swapHeap {
+	pos := make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	return &swapHeap{pos: pos}
+}
+
+func (h *swapHeap) Reset() {
+	for _, id := range h.ids {
+		h.pos[id] = -1
+	}
+	h.ids = h.ids[:0]
+	h.keys = h.keys[:0]
+}
+
+func (h *swapHeap) Push(id int32, key float64) {
+	if p := h.pos[id]; p >= 0 {
+		if key < h.keys[p] {
+			h.keys[p] = key
+			h.up(int(p))
+		}
+		return
+	}
+	h.ids = append(h.ids, id)
+	h.keys = append(h.keys, key)
+	h.pos[id] = int32(len(h.ids) - 1)
+	h.up(len(h.ids) - 1)
+}
+
+func (h *swapHeap) Pop() (int32, float64) {
+	id, key := h.ids[0], h.keys[0]
+	last := len(h.ids) - 1
+	h.swap(0, last)
+	h.ids = h.ids[:last]
+	h.keys = h.keys[:last]
+	h.pos[id] = -1
+	if last > 0 {
+		h.down(0)
+	}
+	return id, key
+}
+
+func (h *swapHeap) swap(i, j int) {
+	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
+	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
+	h.pos[h.ids[i]] = int32(i)
+	h.pos[h.ids[j]] = int32(j)
+}
+
+func (h *swapHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.keys[parent] <= h.keys[i] {
+			return
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+func (h *swapHeap) down(i int) {
+	n := len(h.ids)
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && h.keys[l] < h.keys[smallest] {
+			smallest = l
+		}
+		if r < n && h.keys[r] < h.keys[smallest] {
+			smallest = r
+		}
+		if smallest == i {
+			return
+		}
+		h.swap(i, smallest)
+		i = smallest
+	}
+}
+
+// Dijkstra's Path and the CH witness search depend on which of several
+// equal keys pops first, so the hole-based sift must pop exactly what
+// the swap-based one did. Keys come from a handful of values, so most
+// comparisons are ties.
+func TestIndexedHeapPopOrderMatchesSwapHeap(t *testing.T) {
+	const n = 64
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h, ref := New(n), newSwapHeap(n)
+		for op := 0; op < 2000; op++ {
+			switch r := rng.Intn(20); {
+			case r < 10: // push a new id or decrease-key a queued one
+				id, key := int32(rng.Intn(n)), float64(rng.Intn(6))
+				h.Push(id, key)
+				ref.Push(id, key)
+			case r < 19:
+				if len(ref.ids) == 0 {
+					continue
+				}
+				gotID, gotKey := h.Pop()
+				wantID, wantKey := ref.Pop()
+				if gotID != wantID || gotKey != wantKey {
+					t.Fatalf("seed %d op %d: Pop = (%d, %v), swap heap pops (%d, %v)",
+						seed, op, gotID, gotKey, wantID, wantKey)
+				}
+			default:
+				h.Reset()
+				ref.Reset()
+			}
+			if h.Len() != len(ref.ids) {
+				t.Fatalf("seed %d op %d: Len = %d, swap heap holds %d", seed, op, h.Len(), len(ref.ids))
+			}
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/sssp"
 )
 
 // GridBuckets approximates the R equal-length distance intervals of
@@ -148,27 +147,33 @@ func (gb *GridBuckets) PickPair(d int, rng *rand.Rand) (sa, sb []int32, ok bool)
 // FromBucket draws n labeled samples from bucket d, grouping perSource
 // samples per Dijkstra source. It may return fewer than n samples if
 // the bucket is empty.
-func (gb *GridBuckets) FromBucket(d, n, perSource int, oracle *sssp.TruthOracle, rng *rand.Rand) []Sample {
+func (gb *GridBuckets) FromBucket(d, n, perSource int, lab *Labeler, rng *rand.Rand) []Sample {
+	out := gb.draw(make([]Sample, 0, n), d, n, perSource, lab, rng)
+	lab.Label(out)
+	return out
+}
+
+// draw appends up to n unlabeled samples from bucket d to out.
+func (gb *GridBuckets) draw(out []Sample, d, n, perSource int, lab *Labeler, rng *rand.Rand) []Sample {
 	if perSource < 1 {
 		perSource = 1
 	}
-	out := make([]Sample, 0, n)
 	if gb.BucketEmpty(d) {
 		return out
 	}
+	want := len(out) + n
 	// Attempt cap prevents spinning when a bucket only contains
 	// singleton cells paired with themselves (no valid s != t pairs).
-	for attempts := 0; len(out) < n && attempts < 20*(n+1); attempts++ {
+	for attempts := 0; len(out) < want && attempts < 20*(n+1); attempts++ {
 		sa, sb, ok := gb.PickPair(d, rng)
 		if !ok {
 			break
 		}
 		s := sa[rng.Intn(len(sa))]
-		dist := oracle.FromSource(s)
-		for j := 0; j < perSource && len(out) < n; j++ {
+		for j := 0; j < perSource && len(out) < want; j++ {
 			t := sb[rng.Intn(len(sb))]
-			if dd := dist[t]; t != s && dd < sssp.Inf {
-				out = append(out, Sample{S: s, T: t, Dist: dd})
+			if lab.Accepts(s, t) {
+				out = append(out, Sample{S: s, T: t})
 			} else if len(sb) == 1 && t == s {
 				break // singleton cell paired with itself; try a new pair
 			}
@@ -205,7 +210,7 @@ func (m Mode) String() string {
 // ErrorBased draws n samples according to the per-bucket relative
 // errors from the last validation round (Algorithm 2, lines 9–17).
 // Buckets with no cell pairs are ignored.
-func (gb *GridBuckets) ErrorBased(errors []float64, mode Mode, n, perSource int, oracle *sssp.TruthOracle, rng *rand.Rand) []Sample {
+func (gb *GridBuckets) ErrorBased(errors []float64, mode Mode, n, perSource int, lab *Labeler, rng *rand.Rand) []Sample {
 	R := gb.NumBuckets()
 	if len(errors) != R {
 		return nil
@@ -221,7 +226,7 @@ func (gb *GridBuckets) ErrorBased(errors []float64, mode Mode, n, perSource int,
 		if best < 0 {
 			return nil
 		}
-		return gb.FromBucket(best, n, perSource, oracle, rng)
+		return gb.FromBucket(best, n, perSource, lab, rng)
 	case Global:
 		var total float64
 		for d := 0; d < R; d++ {
@@ -241,8 +246,9 @@ func (gb *GridBuckets) ErrorBased(errors []float64, mode Mode, n, perSource int,
 			if quota == 0 {
 				continue
 			}
-			out = append(out, gb.FromBucket(d, quota, perSource, oracle, rng)...)
+			out = gb.draw(out, d, quota, perSource, lab, rng)
 		}
+		lab.Label(out)
 		return out
 	default:
 		return nil
@@ -251,22 +257,28 @@ func (gb *GridBuckets) ErrorBased(errors []float64, mode Mode, n, perSource int,
 
 // ProbeErrors estimates the mean relative error of est on each bucket
 // using probesPerBucket fresh labeled pairs. Empty buckets report zero.
-func (gb *GridBuckets) ProbeErrors(est func(s, t int32) float64, probesPerBucket, perSource int, oracle *sssp.TruthOracle, rng *rand.Rand) []float64 {
+// Every bucket's probes are drawn before any is labeled.
+func (gb *GridBuckets) ProbeErrors(est func(s, t int32) float64, probesPerBucket, perSource int, lab *Labeler, rng *rand.Rand) []float64 {
 	R := gb.NumBuckets()
-	out := make([]float64, R)
+	var probes []Sample
+	ends := make([]int, R)
 	for d := 0; d < R; d++ {
-		probes := gb.FromBucket(d, probesPerBucket, perSource, oracle, rng)
-		if len(probes) == 0 {
-			continue
-		}
+		probes = gb.draw(probes, d, probesPerBucket, perSource, lab, rng)
+		ends[d] = len(probes)
+	}
+	lab.Label(probes)
+	out := make([]float64, R)
+	begin := 0
+	for d := 0; d < R; d++ {
 		var sum float64
 		cnt := 0
-		for _, p := range probes {
+		for _, p := range probes[begin:ends[d]] {
 			if p.Dist > 0 {
 				sum += math.Abs(est(p.S, p.T)-p.Dist) / p.Dist
 				cnt++
 			}
 		}
+		begin = ends[d]
 		if cnt > 0 {
 			out[d] = sum / float64(cnt)
 		}

@@ -12,7 +12,7 @@ import (
 	"repro/internal/sssp"
 )
 
-func testSetup(t *testing.T) (*graph.Graph, *partition.Hierarchy, *sssp.TruthOracle, *rand.Rand) {
+func testSetup(t *testing.T) (*graph.Graph, *partition.Hierarchy, *Labeler, *rand.Rand) {
 	t.Helper()
 	g, err := gen.Grid(14, 14, gen.DefaultConfig(1))
 	if err != nil {
@@ -22,7 +22,7 @@ func testSetup(t *testing.T) (*graph.Graph, *partition.Hierarchy, *sssp.TruthOra
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, h, sssp.NewTruthOracle(g, 64), rand.New(rand.NewSource(7))
+	return g, h, NewLabeler(g), rand.New(rand.NewSource(7))
 }
 
 func checkLabels(t *testing.T, g *graph.Graph, samples []Sample) {
@@ -40,9 +40,9 @@ func checkLabels(t *testing.T, g *graph.Graph, samples []Sample) {
 }
 
 func TestSubgraphLevelSamples(t *testing.T) {
-	g, h, oracle, rng := testSetup(t)
+	g, h, lab, rng := testSetup(t)
 	for _, lev := range []int{1, h.MaxDepth() / 2, h.MaxDepth()} {
-		samples := SubgraphLevel(h, lev, 300, 16, oracle, rng)
+		samples := SubgraphLevel(h, lev, 300, 16, lab, rng)
 		if len(samples) != 300 {
 			t.Fatalf("level %d: got %d samples, want 300", lev, len(samples))
 		}
@@ -51,12 +51,12 @@ func TestSubgraphLevelSamples(t *testing.T) {
 }
 
 func TestLandmarkBasedSamples(t *testing.T) {
-	g, _, oracle, rng := testSetup(t)
+	g, _, lab, rng := testSetup(t)
 	ls, err := landmark.Random(g, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := LandmarkBased(g, ls, 400, oracle, rng)
+	samples := LandmarkBased(g, ls, 400, lab, rng)
 	if len(samples) != 400 {
 		t.Fatalf("got %d samples, want 400", len(samples))
 	}
@@ -70,16 +70,16 @@ func TestLandmarkBasedSamples(t *testing.T) {
 		}
 	}
 	checkLabels(t, g, samples[:30])
-	// With the oracle cache >= |U|, labeling needs at most |U| Dijkstras.
-	_, misses := oracle.Stats()
-	if misses > int64(len(ls)) {
-		t.Fatalf("labeling used %d Dijkstras for %d landmarks", misses, len(ls))
+	// Samples are grouped by source, so labeling needs at most |U|
+	// Dijkstras.
+	if n := lab.Searches(); n > int64(len(ls)) {
+		t.Fatalf("labeling used %d Dijkstras for %d landmarks", n, len(ls))
 	}
 }
 
 func TestRandomPairsSamples(t *testing.T) {
-	g, _, oracle, rng := testSetup(t)
-	samples := RandomPairs(g, 250, 8, oracle, rng)
+	g, _, lab, rng := testSetup(t)
+	samples := RandomPairs(g, 250, 8, lab, rng)
 	if len(samples) != 250 {
 		t.Fatalf("got %d samples, want 250", len(samples))
 	}
@@ -119,13 +119,13 @@ func TestGridBucketsConstruction(t *testing.T) {
 func TestGridBucketsSampleDistanceMonotone(t *testing.T) {
 	// Average sampled network distance should grow with bucket index:
 	// cell distance approximates network distance on a near-planar graph.
-	g, _, oracle, rng := testSetup(t)
+	g, _, lab, rng := testSetup(t)
 	gb, err := NewGridBuckets(g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mean := func(d int) float64 {
-		samples := gb.FromBucket(d, 120, 8, oracle, rng)
+		samples := gb.FromBucket(d, 120, 8, lab, rng)
 		if len(samples) == 0 {
 			return -1
 		}
@@ -142,11 +142,11 @@ func TestGridBucketsSampleDistanceMonotone(t *testing.T) {
 	if !(m1 < m6 && m6 < m12) {
 		t.Fatalf("bucket means not monotone: %v %v %v", m1, m6, m12)
 	}
-	checkLabels(t, g, gb.FromBucket(3, 20, 4, oracle, rng))
+	checkLabels(t, g, gb.FromBucket(3, 20, 4, lab, rng))
 }
 
 func TestErrorBasedLocalPicksWorstBucket(t *testing.T) {
-	g, _, oracle, rng := testSetup(t)
+	g, _, lab, rng := testSetup(t)
 	gb, err := NewGridBuckets(g, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -156,16 +156,16 @@ func TestErrorBasedLocalPicksWorstBucket(t *testing.T) {
 	worst := 4
 	errs[worst] = 1.0
 	errs[2] = 0.1
-	samples := gb.ErrorBased(errs, Local, 100, 8, oracle, rng)
+	samples := gb.ErrorBased(errs, Local, 100, 8, lab, rng)
 	if len(samples) == 0 {
 		t.Fatal("no samples")
 	}
 	// All samples must come from bucket `worst`: verify their cell
 	// distance. Recompute cells from coordinates.
-	want := gb.FromBucket(worst, 5, 1, oracle, rng)
+	want := gb.FromBucket(worst, 5, 1, lab, rng)
 	_ = want
 	var lo, hi float64 = math.Inf(1), 0
-	for _, s := range gb.FromBucket(worst, 200, 8, oracle, rng) {
+	for _, s := range gb.FromBucket(worst, 200, 8, lab, rng) {
 		if s.Dist < lo {
 			lo = s.Dist
 		}
@@ -181,7 +181,7 @@ func TestErrorBasedLocalPicksWorstBucket(t *testing.T) {
 }
 
 func TestErrorBasedGlobalSpreads(t *testing.T) {
-	g, _, oracle, rng := testSetup(t)
+	g, _, lab, rng := testSetup(t)
 	gb, err := NewGridBuckets(g, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -191,22 +191,22 @@ func TestErrorBasedGlobalSpreads(t *testing.T) {
 	for d := 0; d < R; d++ {
 		errs[d] = 1
 	}
-	samples := gb.ErrorBased(errs, Global, 300, 8, oracle, rng)
+	samples := gb.ErrorBased(errs, Global, 300, 8, lab, rng)
 	if len(samples) < 200 {
 		t.Fatalf("global selection yielded only %d samples", len(samples))
 	}
 	// Wrong-length error vector is rejected.
-	if got := gb.ErrorBased(errs[:R-1], Global, 10, 1, oracle, rng); got != nil {
+	if got := gb.ErrorBased(errs[:R-1], Global, 10, 1, lab, rng); got != nil {
 		t.Fatal("short error vector accepted")
 	}
 	// Zero errors yield nothing.
-	if got := gb.ErrorBased(make([]float64, R), Global, 10, 1, oracle, rng); len(got) != 0 {
+	if got := gb.ErrorBased(make([]float64, R), Global, 10, 1, lab, rng); len(got) != 0 {
 		t.Fatal("zero errors produced samples")
 	}
 }
 
 func TestProbeErrors(t *testing.T) {
-	g, _, oracle, rng := testSetup(t)
+	g, _, lab, rng := testSetup(t)
 	gb, err := NewGridBuckets(g, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestProbeErrors(t *testing.T) {
 	// A 10%-off estimator probes at ~10% everywhere non-empty.
 	ws := sssp.NewWorkspace(g)
 	est := func(s, u int32) float64 { return ws.Distance(s, u) * 1.1 }
-	errs := gb.ProbeErrors(est, 10, 4, oracle, rng)
+	errs := gb.ProbeErrors(est, 10, 4, lab, rng)
 	if len(errs) != gb.NumBuckets() {
 		t.Fatalf("got %d bucket errors", len(errs))
 	}

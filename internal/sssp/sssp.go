@@ -27,6 +27,11 @@ type Workspace struct {
 	touched []int32
 	heap    *pqueue.IndexedHeap
 
+	// DistanceToAll's pending targets: mark[v] == stamp. Allocated on
+	// first use.
+	mark  []uint32
+	stamp uint32
+
 	// second search side for bidirectional queries
 	distB    []float64
 	touchedB []int32
@@ -144,36 +149,40 @@ func (ws *Workspace) FromSource(s int32, out []float64) []float64 {
 // DistanceToAll runs Dijkstra from s until every target is settled (or
 // the graph is exhausted) and returns the distances in target order —
 // far cheaper than a full SSSP when the targets cluster near s, the
-// overfetch-and-rerank shape of dispatch workloads. Unreachable targets
-// get Inf.
+// overfetch-and-rerank shape of dispatch workloads and of training-
+// sample labeling. A target's distance is bit-identical to FromSource's:
+// the search is a prefix of the full one. Unreachable targets get Inf.
 func (ws *Workspace) DistanceToAll(s int32, targets []int32, out []float64) []float64 {
 	if cap(out) < len(targets) {
 		out = make([]float64, len(targets))
 	}
 	out = out[:len(targets)]
 	ws.reset()
+	// Pending targets carry the current stamp (a target listed twice
+	// counts once), so marking them costs no clearing pass and no
+	// allocation after the first call.
+	if ws.mark == nil {
+		ws.mark = make([]uint32, ws.g.NumVertices())
+	}
+	ws.stamp++
+	if ws.stamp == 0 {
+		clear(ws.mark)
+		ws.stamp = 1
+	}
+	remaining := 0
+	for _, t := range targets {
+		if t != s && ws.mark[t] != ws.stamp {
+			ws.mark[t] = ws.stamp
+			remaining++
+		}
+	}
 	ws.dist[s] = 0
 	ws.touched = append(ws.touched, s)
 	ws.heap.Push(s, 0)
-	remaining := 0
-	pending := make(map[int32]int, len(targets))
-	for i, t := range targets {
-		if t == s {
-			out[i] = 0
-			continue
-		}
-		// The same target may appear twice; remember one slot and copy
-		// at the end.
-		if _, dup := pending[t]; !dup {
-			pending[t] = i
-			remaining++
-		}
-		out[i] = Inf
-	}
 	for ws.heap.Len() > 0 && remaining > 0 {
 		v, d := ws.heap.Pop()
-		if _, ok := pending[v]; ok {
-			delete(pending, v)
+		if ws.mark[v] == ws.stamp {
+			ws.mark[v] = 0
 			remaining--
 		}
 		ts, wts := ws.g.Neighbors(v)
@@ -189,9 +198,7 @@ func (ws *Workspace) DistanceToAll(s int32, targets []int32, out []float64) []fl
 		}
 	}
 	for i, t := range targets {
-		if t != s {
-			out[i] = ws.dist[t]
-		}
+		out[i] = ws.dist[t]
 	}
 	return out
 }

@@ -220,55 +220,47 @@ func TestWorkspaceReuse(t *testing.T) {
 	}
 }
 
-func TestTruthOracleCaching(t *testing.T) {
-	g := randomGraph(t, 19, 10, 10)
-	o := NewTruthOracle(g, 2)
-	ws := NewWorkspace(g)
-	n := int32(g.NumVertices())
-
-	// Repeated queries from the same source should incur one miss.
-	for i := int32(0); i < 20; i++ {
-		want := ws.Distance(0, i%n)
-		got := o.Distance(0, i%n)
-		if math.Abs(want-got) > 1e-9 {
-			t.Fatalf("oracle(0,%d) = %v, want %v", i%n, got, want)
+// DistanceToAll is the labeler's search: each target's distance must be
+// bit-identical to a full FromSource's, across calls that reuse one
+// workspace (and so its target stamps), with duplicate targets, the
+// source itself among them and targets in another component.
+func TestDistanceToAllMatchesFromSource(t *testing.T) {
+	const half = 60
+	b := graph.NewBuilder(2*half, 8*half)
+	rng := rand.New(rand.NewSource(21))
+	for c := int32(0); c < 2; c++ {
+		for i := int32(0); i < half; i++ {
+			b.AddVertex(float64(i), float64(c))
+		}
+		for k := 0; k < 4*half; k++ {
+			u, v := c*half+int32(rng.Intn(half)), c*half+int32(rng.Intn(half))
+			if u == v {
+				continue
+			}
+			if err := b.AddEdge(u, v, float64(1+rng.Intn(4))); err != nil { // small weights make ties
+				t.Fatal(err)
+			}
 		}
 	}
-	if q, m := o.Stats(); q != 20 || m != 1 {
-		t.Fatalf("stats = %d queries %d misses, want 20/1", q, m)
-	}
-
-	// Reverse lookup reuses the cached source (undirected symmetry).
-	want := ws.Distance(5, 0)
-	if got := o.Distance(5, 0); math.Abs(want-got) > 1e-9 {
-		t.Fatalf("oracle(5,0) = %v, want %v", got, want)
-	}
-	if _, m := o.Stats(); m != 1 {
-		t.Fatalf("reverse lookup should hit cache, misses = %d", m)
-	}
-
-	// Eviction: fill beyond capacity, then the oldest source misses again.
-	o.FromSource(1)
-	o.FromSource(2) // evicts source 0 (capacity 2, LRU)
-	_, before := o.Stats()
-	o.FromSource(0)
-	if _, after := o.Stats(); after != before+1 {
-		t.Fatalf("expected eviction-induced miss, misses %d -> %d", before, after)
-	}
-}
-
-func TestTruthOracleMatchesDijkstraRandom(t *testing.T) {
-	g := randomGraph(t, 20, 9, 9)
-	o := NewTruthOracle(g, 4)
-	ws := NewWorkspace(g)
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		s := int32(rng.Intn(g.NumVertices()))
-		tt := int32(rng.Intn(g.NumVertices()))
-		want := ws.Distance(s, tt)
-		got := o.Distance(s, tt)
-		if math.Abs(want-got) > 1e-9 {
-			t.Fatalf("oracle(%d,%d) = %v, want %v", s, tt, got, want)
+	g := b.Build()
+	ws, full := NewWorkspace(g), NewWorkspace(g)
+	var out, want []float64
+	for call := 0; call < 300; call++ {
+		s := int32(rng.Intn(2 * half))
+		targets := make([]int32, 1+rng.Intn(12))
+		for i := range targets {
+			targets[i] = int32(rng.Intn(2 * half))
+		}
+		targets = append(targets, s, targets[0])
+		if call == 150 {
+			ws.stamp = ^uint32(0) // the next call wraps and clears the marks
+		}
+		out = ws.DistanceToAll(s, targets, out)
+		want = full.FromSource(s, want)
+		for i, tt := range targets {
+			if out[i] != want[tt] {
+				t.Fatalf("call %d: DistanceToAll(%d)[%d] = %v, FromSource = %v", call, s, tt, out[i], want[tt])
+			}
 		}
 	}
 }

@@ -82,8 +82,8 @@ func TestHierStepTrainsHierarchy(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	hh.Local.RandomInit(rng, 0.001)
 
-	oracle := sssp.NewTruthOracle(g, 32)
-	samples := sample.RandomPairs(g, 2000, 16, oracle, rng)
+	lab := sample.NewLabeler(g)
+	samples := sample.RandomPairs(g, 2000, 16, lab, rng)
 	scale := 3000.0
 
 	loss := func() float64 {
@@ -124,8 +124,8 @@ func TestHierStepFrozenLevels(t *testing.T) {
 	hh.Local.RandomInit(rng, 0.01)
 	snapshot := hh.Local.Clone()
 
-	oracle := sssp.NewTruthOracle(g, 16)
-	samples := sample.RandomPairs(g, 500, 8, oracle, rng)
+	lab := sample.NewLabeler(g)
+	samples := sample.RandomPairs(g, 500, 8, lab, rng)
 	rates := VertexOnlyRates(0.01, h.MaxDepth())
 	HierStep(hh, rates, samples, 1, 1000)
 
@@ -310,8 +310,8 @@ func TestAdamHierRespectsFrozenLevels(t *testing.T) {
 	snapshot := hh.Local.Clone()
 	adam := NewAdam(h.NumNodes(), 8)
 
-	oracle := sssp.NewTruthOracle(g, 16)
-	samples := sample.RandomPairs(g, 300, 8, oracle, rng)
+	lab := sample.NewLabeler(g)
+	samples := sample.RandomPairs(g, 300, 8, lab, rng)
 	HierStepAdam(hh, adam, VertexOnlyRates(1e-3, h.MaxDepth()), samples, 1, 1000)
 
 	for node := int32(0); node < int32(h.NumNodes()); node++ {
