@@ -42,8 +42,10 @@ perfbench-check:
 # build checkpoint, ALT guard, spatial index, shard routing map and
 # shard model), the X-Rne-Budget-Ms header, the replica's query-string
 # parser, the W3C traceparent header, the X-Request-Id header and the
-# Prometheus exposition parser — 16 targets, a smoke pass catching
-# regressions in input hardening, not a deep campaign.
+# Prometheus exposition parser, plus five on the bucket-queue search
+# against the heap over fuzzed graphs — 17 targets, a smoke pass
+# catching regressions in input hardening and search parity, not a
+# deep campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequest$$' -fuzztime=5s ./internal/batchwire
@@ -61,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceParent$$' -fuzztime=5s ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz='^FuzzInboundRequestID$$' -fuzztime=5s ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz='^FuzzParseExposition$$' -fuzztime=5s ./internal/telemetry
+	$(GO) test -run='^$$' -fuzz='^FuzzSearchMatchesHeap$$' -fuzztime=5s ./internal/sssp
 
 # Known-vulnerability scan; skips gracefully where govulncheck or the
 # vulndb is unavailable (offline CI, hermetic builders).
@@ -76,14 +79,17 @@ bench:
 
 # 200 iterations each of the in-process handler, serving-pass, gateway
 # routing and /batch fan-out, /batch wire codec and float formatter,
-# drift filing and spatial-index kNN benchmarks, and 5 of ground-truth
-# labeling on the 90x90 grid, so they keep compiling and running.
+# drift filing and spatial-index kNN benchmarks, 5 of ground-truth
+# labeling on the 90x90 grid, 200 of each 90x90 label-setting search
+# and 5 of the vertex-only SGD pass, so they keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Handler|Wrap|Route|GatewayBatch' -benchtime 200x -benchmem ./internal/server ./internal/resilience ./internal/gateway
 	$(GO) test -run '^$$' -bench 'EncodeAnswer|MergeTwoLegs|DecodePairs|AppendFloat' -benchtime 200x -benchmem ./internal/batchwire
 	$(GO) test -run '^$$' -bench '^BenchmarkDriftObserveAll$$' -benchtime 200x -benchmem ./internal/telemetry
 	$(GO) test -run '^$$' -bench '^BenchmarkKNN$$' -benchtime 200x -benchmem ./internal/index
 	$(GO) test -run '^$$' -bench '^BenchmarkLabel$$/^90x90$$' -benchtime 5x -benchmem ./internal/sample
+	$(GO) test -run '^$$' -bench '^BenchmarkSearch$$/^90x90' -benchtime 200x -benchmem ./internal/sssp
+	$(GO) test -run '^$$' -bench '^BenchmarkVertexStep$$' -benchtime 5x -benchmem ./internal/train
 
 # End-to-end drills through the real binaries, one Test each (see the
 # doc comments in internal/smoke): hot swap, gateway failover, autoheal

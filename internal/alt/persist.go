@@ -32,12 +32,13 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	nU := int64(len(idx.landmarks))
 	size := 2*8 + nU*4 + int64(len(idx.labels))*8
 	return fsx.WriteSection(w, altMagic, size, func(w io.Writer) error {
-		for _, v := range []any{[]int64{int64(idx.n), nU}, idx.landmarks, idx.labels} {
-			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-				return err
-			}
+		if err := binary.Write(w, binary.LittleEndian, []int64{int64(idx.n), nU}); err != nil {
+			return err
 		}
-		return nil
+		if err := fsx.WriteSlice(w, idx.landmarks); err != nil {
+			return err
+		}
+		return fsx.WriteSlice(w, idx.labels)
 	})
 }
 

@@ -302,11 +302,10 @@ func (t *Trainer) GenVertexSamples(n int) []sample.Sample {
 func (t *Trainer) VertexStep(samples []sample.Sample, lr float64) {
 	var skipped int
 	if t.hier != nil {
-		rates := train.VertexOnlyRates(lr, t.hier.H.MaxDepth())
 		if t.adam != nil {
-			skipped = train.HierStepAdam(t.hier, t.adam, rates, samples, t.opt.P, t.scale)
+			skipped = train.VertexStepAdam(t.hier, t.adam, lr, samples, t.opt.P, t.scale)
 		} else {
-			skipped = train.HierStep(t.hier, rates, samples, t.opt.P, t.scale)
+			skipped = train.VertexStep(t.hier, lr, samples, t.opt.P, t.scale)
 		}
 	} else if t.adam != nil {
 		skipped = train.FlatStepAdam(t.flat, t.adam, samples, lr, t.opt.P, t.scale)

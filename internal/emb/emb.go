@@ -86,7 +86,7 @@ func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
 		return written, err
 	}
 	written += 16
-	if err := binary.Write(bw, binary.LittleEndian, m.data); err != nil {
+	if err := fsx.WriteSlice(bw, m.data); err != nil {
 		return written, err
 	}
 	written += int64(8 * len(m.data))

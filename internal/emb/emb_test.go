@@ -3,8 +3,10 @@ package emb
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -75,6 +77,22 @@ func TestMatrixSerializationRoundTrip(t *testing.T) {
 		if m.Data()[i] != m2.Data()[i] {
 			t.Fatalf("data changed at %d", i)
 		}
+	}
+}
+
+// Writing a matrix streams it: a 64 MiB matrix allocates under 1 MiB,
+// where binary.Write would first copy all 64 MiB.
+func TestMatrixWriteToAllocatesLittle(t *testing.T) {
+	m := NewMatrix(1<<17, 64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := m.WriteTo(io.Discard)
+	runtime.ReadMemStats(&after)
+	if err != nil || n != MatrixFileSize(m.Rows(), m.Dim()) {
+		t.Fatalf("WriteTo = %d, %v; want %d bytes", n, err, MatrixFileSize(m.Rows(), m.Dim()))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("writing a 64 MiB matrix allocated %d bytes", got)
 	}
 }
 

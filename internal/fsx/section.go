@@ -120,7 +120,8 @@ func (s *Section) Close() error {
 }
 
 // sliceChunk is the most bytes ReadSlice reads at once, and so the
-// most it allocates ahead of the input.
+// most it allocates ahead of the input; WriteSlice encodes that many
+// at once.
 const sliceChunk = 1 << 16
 
 // ReadSlice reads n little-endian elements from r. Storage starts at
@@ -162,6 +163,39 @@ func ReadSlice[T uint8 | int32 | float64](r io.Reader, n int) ([]T, error) {
 		k += m
 	}
 	return out, nil
+}
+
+// WriteSlice writes s to w as little-endian elements: the bytes
+// binary.Write writes, which first encodes the whole slice into a copy
+// of its own size. WriteSlice encodes one chunk at a time into one
+// buffer, so writing a slice costs at most a chunk of memory.
+func WriteSlice[T uint8 | int32 | float64](w io.Writer, s []T) error {
+	switch s := any(s).(type) {
+	case []uint8:
+		_, err := w.Write(s)
+		return err
+	case []int32:
+		return writeChunks(w, s, 4, func(b []byte, x int32) { binary.LittleEndian.PutUint32(b, uint32(x)) })
+	case []float64:
+		return writeChunks(w, s, 8, func(b []byte, x float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(x)) })
+	}
+	return nil
+}
+
+func writeChunks[T int32 | float64](w io.Writer, s []T, size int, put func(b []byte, x T)) error {
+	step := sliceChunk / size
+	buf := make([]byte, size*min(len(s), step))
+	for len(s) > 0 {
+		m := min(len(s), step)
+		for i, x := range s[:m] {
+			put(buf[size*i:], x)
+		}
+		if _, err := w.Write(buf[:size*m]); err != nil {
+			return err
+		}
+		s = s[m:]
+	}
+	return nil
 }
 
 // crcWriter counts and checksums everything written through it.

@@ -178,6 +178,35 @@ func testReadSlice[T uint8 | int32 | float64](t *testing.T, value func(i int) T)
 	}
 }
 
+// WriteSlice writes exactly binary.Write's bytes for each element type,
+// on and around the chunk boundaries.
+func TestWriteSlice(t *testing.T) {
+	testWriteSlice(t, func(i int) uint8 { return uint8(i*7 + 1) })
+	testWriteSlice(t, func(i int) int32 { return int32(i*7919) - 1<<30 })
+	testWriteSlice(t, func(i int) float64 { return float64(i)*1.5 - math.Pi })
+}
+
+func testWriteSlice[T uint8 | int32 | float64](t *testing.T, value func(i int) T) {
+	var zero T
+	chunk := sliceChunk / binary.Size(zero)
+	for _, n := range []int{0, 1, chunk - 1, chunk, chunk + 1, 2*chunk + 3} {
+		s := make([]T, n)
+		for i := range s {
+			s[i] = value(i)
+		}
+		var want, got bytes.Buffer
+		if err := binary.Write(&want, binary.LittleEndian, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteSlice(&got, s); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%T n=%d: WriteSlice wrote %d bytes unlike binary.Write's %d", zero, n, got.Len(), want.Len())
+		}
+	}
+}
+
 // Left reports the declared payload still unread, exactly up to the
 // largest length a header can hold, so a codec can bound a count by
 // Left before multiplying it; and a count bounded that way but not

@@ -60,10 +60,8 @@ func (t *Tree) writePayload(w io.Writer) error {
 			if err := binary.Write(w, binary.LittleEndian, int64(len(s))); err != nil {
 				return err
 			}
-			if len(s) > 0 {
-				if err := binary.Write(w, binary.LittleEndian, s); err != nil {
-					return err
-				}
+			if err := fsx.WriteSlice(w, s); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -75,11 +73,11 @@ func (t *Tree) writePayload(w io.Writer) error {
 		return err
 	}
 	for _, vec := range t.vectors {
-		if err := binary.Write(w, binary.LittleEndian, vec); err != nil {
+		if err := fsx.WriteSlice(w, vec); err != nil {
 			return err
 		}
 	}
-	return binary.Write(w, binary.LittleEndian, t.radius)
+	return fsx.WriteSlice(w, t.radius)
 }
 
 // Save serializes the tree structure (not the model) in the current

@@ -1,8 +1,9 @@
 // Package pqueue provides an indexed binary min-heap keyed by float64
-// priorities. It is the workhorse of every search algorithm in this
-// repository (Dijkstra, A*, CH witness search, kNN traversal):
-// DecreaseKey avoids the duplicate-entry growth of container/heap-based
-// queues on dense road networks.
+// priorities. A*, bidirectional Dijkstra, CH witness search and kNN
+// traversal run on it, and so does sssp's label-setting search on a
+// graph whose weights spread too wide for its bucket queue. Its
+// combined push/decrease-key avoids the duplicate-entry growth of
+// container/heap-based queues on dense road networks.
 package pqueue
 
 // IndexedHeap is a binary min-heap over items identified by dense int32

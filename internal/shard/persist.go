@@ -108,10 +108,18 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	return fsx.WriteSection(w, shardMagic, size, func(w io.Writer) error {
 		hdr := []int64{int64(m.shardID), int64(m.numShards), int64(m.cutLevel),
 			int64(m.n), int64(len(m.ownedIDs)), int64(m.owned.Dim())}
-		for _, v := range []any{hdr, []float64{m.p, m.scale}, m.ownedIDs, m.coverIdx, m.owner} {
+		for _, v := range []any{hdr, []float64{m.p, m.scale}} {
 			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
 				return err
 			}
+		}
+		for _, ids := range [][]int32{m.ownedIDs, m.coverIdx} {
+			if err := fsx.WriteSlice(w, ids); err != nil {
+				return err
+			}
+		}
+		if err := fsx.WriteSlice(w, m.owner); err != nil {
+			return err
 		}
 		if _, err := m.owned.WriteTo(w); err != nil {
 			return err

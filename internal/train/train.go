@@ -167,7 +167,8 @@ func LevelRates(alpha0 float64, lev, maxLevel int) []float64 {
 }
 
 // VertexOnlyRates returns the phase-②/③ schedule: every level frozen
-// except the deepest (vertex) level, trained at alpha.
+// except the deepest (vertex) level, trained at alpha. VertexStep runs
+// HierStep under this schedule without re-summing frozen ancestors.
 func VertexOnlyRates(alpha float64, maxLevel int) []float64 {
 	out := make([]float64, maxLevel+1)
 	out[maxLevel] = alpha
