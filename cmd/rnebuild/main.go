@@ -1,32 +1,34 @@
-// Command rnebuild trains an RNE model over a road network and saves
-// it to disk.
+// Command rnebuild trains an RNE model over a road network and
+// publishes it as a new immutable version in a model registry, the
+// unit rneserver replicas serve and hot-swap to on SIGHUP or
+// /admin/reload, and rnequery reads.
 //
 // Usage:
 //
-//	rnebuild -graph bj.txt -o bj.rne
-//	rnebuild -preset bj-mini -dim 64 -o bj.rne
+//	rnebuild -graph bj.txt -registry ./models -publish bj
+//	rnebuild -preset bj-mini -dim 64 -registry ./models -publish bj -target-frac 0.1 -alt-landmarks 16
+//
+// A version holds the model plus the siblings a run asks for:
+// -target-frac F adds a spatial index over that fraction of vertices
+// (for /knn and /range), -alt-landmarks N an N-landmark ALT guard (for
+// guard mode), and -publish-shards the geo-shard cut (for rneserver
+// -shard and rnegate -shard-map).
 //
 // Long builds can be made restartable with -checkpoint: training state
 // is written atomically as phases complete, and a killed build rerun
 // with -resume restarts from the last completed hierarchy level /
 // epoch instead of from scratch. The checkpoint file is removed once
-// the final model has been saved.
+// the version has been published, so a failed publish can still
+// resume.
 //
-//	rnebuild -preset usw-mini -o usw.rne -checkpoint usw.ckpt
-//	rnebuild -preset usw-mini -o usw.rne -checkpoint usw.ckpt -resume
+//	rnebuild -preset usw-mini -registry ./models -publish usw -checkpoint usw.ckpt
+//	rnebuild -preset usw-mini -registry ./models -publish usw -checkpoint usw.ckpt -resume
 //
 // Training runs under a divergence sentinel: a non-finite embedding or
 // a validation-error spike rolls training back to the last good state,
 // halves the learning rate, and retries, up to -max-recoveries times.
 // An unusable -resume checkpoint is discarded with a warning unless
-// -strict-resume is set. -alt-out additionally saves an ALT landmark
-// index for rneserver's guard mode.
-//
-// With -registry and -publish the built artifacts are additionally
-// published as a new immutable version in a model registry, which
-// rneserver -registry replicas hot-swap to on SIGHUP or /admin/reload:
-//
-//	rnebuild -preset bj-mini -registry ./models -publish bj
+// -strict-resume is set.
 //
 // Every build is traced as one span tree rooted at a "build" span:
 // setup and its steps, the hierarchy, vertex and fine-tune phases with
@@ -93,24 +95,21 @@ type report struct {
 func main() {
 	graphPath := flag.String("graph", "", "input graph in edge-list format")
 	preset := flag.String("preset", "", "built-in preset instead of -graph")
-	out := flag.String("o", "model.rne", "output model file")
 	dim := flag.Int("dim", 64, "embedding dimension d")
 	seed := flag.Int64("seed", 42, "training seed")
 	epochs := flag.Int("epochs", 0, "SGD epochs per phase (0 = default)")
 	naive := flag.Bool("naive", false, "flat vertex embedding instead of hierarchical")
 	noAFT := flag.Bool("no-finetune", false, "disable active fine-tuning")
-	indexOut := flag.String("index-out", "", "also build and save a spatial index here")
-	targetFrac := flag.Float64("target-frac", 0.1, "fraction of vertices indexed (with -index-out)")
-	checkpoint := flag.String("checkpoint", "", "write training checkpoints to this file (removed on success)")
+	targetFrac := flag.Float64("target-frac", 0, "publish a spatial index over this fraction of vertices, for /knn and /range (0 = none)")
+	checkpoint := flag.String("checkpoint", "", "write training checkpoints to this file (removed once the version is published)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "epochs between checkpoint writes (with -checkpoint)")
 	resume := flag.Bool("resume", false, "resume from -checkpoint if it exists")
 	strictResume := flag.Bool("strict-resume", false, "fail instead of restarting when the -resume checkpoint is unusable")
 	maxRecoveries := flag.Int("max-recoveries", 3, "divergence-sentinel rollbacks before the build fails")
-	altOut := flag.String("alt-out", "", "also build and save an ALT landmark index here (for rneserver -alt-index)")
-	altLandmarks := flag.Int("alt-landmarks", 16, "landmark count for -alt-out")
-	registryRoot := flag.String("registry", "", "versioned model registry root (see rneserver -registry)")
-	publishName := flag.String("publish", "", "publish the built artifacts to -registry as a new version under this model name")
-	publishShards := flag.Bool("publish-shards", false, "with -publish: also cut the model into region shards and store them (for rneserver -shard / rnegate -shard-map)")
+	altLandmarks := flag.Int("alt-landmarks", 0, "publish an ALT guard with this many landmarks, for guard mode (0 = none)")
+	registryRoot := flag.String("registry", "", "versioned model registry root to publish into, required (see rneserver -registry)")
+	publishName := flag.String("publish", "default", "model name to publish the new version under")
+	publishShards := flag.Bool("publish-shards", false, "also cut the model into region shards and publish them (for rneserver -shard / rnegate -shard-map)")
 	shardLevel := flag.Int("shard-level", 1, "hierarchy depth to cut shards at (with -publish-shards)")
 	shardCount := flag.Int("shard-count", 0, "shard count K for -publish-shards (0 = one shard per cut-level region)")
 	reportPath := flag.String("report", "build-report.json", "write the machine-readable build report here (empty disables)")
@@ -138,20 +137,14 @@ func main() {
 	if *strictResume && !*resume {
 		usage("-strict-resume requires -resume")
 	}
-	if *altOut != "" && *altLandmarks < 1 {
-		usage(fmt.Sprintf("-alt-landmarks must be >= 1, got %d", *altLandmarks))
+	if *registryRoot == "" {
+		usage("-registry is required (every build publishes a version)")
+	}
+	if *altLandmarks < 0 {
+		usage(fmt.Sprintf("-alt-landmarks must be >= 0, got %d", *altLandmarks))
 	}
 	if *targetFrac < 0 || math.IsNaN(*targetFrac) {
 		usage(fmt.Sprintf("-target-frac must be non-negative, got %v", *targetFrac))
-	}
-	if *publishName != "" && *registryRoot == "" {
-		usage("-publish requires -registry")
-	}
-	if *registryRoot != "" && *publishName == "" {
-		usage("-registry requires -publish (the model name to publish as)")
-	}
-	if *publishShards && *publishName == "" {
-		usage("-publish-shards requires -publish")
 	}
 	if *publishShards && *naive {
 		usage("-publish-shards requires hierarchical training (drop -naive)")
@@ -173,6 +166,17 @@ func main() {
 	}
 	if err != nil {
 		usage(err.Error())
+	}
+
+	// Open the registry and read the name's manifest before training, so
+	// an unusable root, an invalid name or a corrupt manifest fails
+	// before the build rather than after it.
+	store, err := rne.OpenModelRegistry(*registryRoot)
+	if err != nil {
+		fail(err)
+	}
+	if _, err := store.Versions(*publishName); err != nil {
+		fail(err)
 	}
 
 	opt := rne.DefaultOptions(*seed)
@@ -263,20 +267,8 @@ func main() {
 		logger.Info("wrote build report", "path", *reportPath)
 	}
 
-	if err := model.SaveFile(*out); err != nil {
-		fail(err)
-	}
-	logger.Info("saved model", "path", *out, "bytes", model.IndexBytes())
-	if *checkpoint != "" {
-		if err := os.Remove(*checkpoint); err == nil {
-			logger.Info("removed checkpoint", "path", *checkpoint)
-		} else if !os.IsNotExist(err) {
-			logger.Warn("could not remove checkpoint", "path", *checkpoint, "error", err)
-		}
-	}
-
 	var idx *rne.SpatialIndex
-	if *indexOut != "" {
+	if *targetFrac > 0 {
 		targets, err := rne.SampleTargets(g, *targetFrac, *seed+1)
 		if err != nil {
 			fail(err)
@@ -285,62 +277,52 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if err := idx.SaveFile(*indexOut); err != nil {
-			fail(err)
-		}
-		logger.Info("saved spatial index", "path", *indexOut, "targets", idx.Size())
+		logger.Info("built spatial index", "targets", idx.Size())
 	}
 
 	var lt *rne.ALTIndex
-	if *altOut != "" {
+	if *altLandmarks > 0 {
 		lt, err = rne.BuildALTIndex(g, *altLandmarks, *seed+2)
 		if err != nil {
 			fail(err)
 		}
-		if err := lt.SaveFile(*altOut); err != nil {
-			fail(err)
-		}
-		logger.Info("saved ALT index", "path", *altOut,
-			"landmarks", lt.NumLandmarks(), "bytes", lt.IndexBytes())
+		logger.Info("built ALT index", "landmarks", lt.NumLandmarks(), "bytes", lt.IndexBytes())
 	}
 
-	// Publishing is additive to the file outputs: the registry version
-	// carries the model plus whatever siblings this run built (-alt-out's
-	// guard index, -index-out's spatial index, and the geo-shard
-	// artifacts with -publish-shards). rneserver -registry replicas
-	// pick the new version up on their next SIGHUP or POST
-	// /admin/reload.
-	if *publishName != "" {
-		var split *rne.ShardSplit
-		if *publishShards {
-			split, err = rne.CutShards(model, lt, rne.ShardConfig{
-				CutLevel: *shardLevel,
-				Shards:   *shardCount,
-			})
-			if err != nil {
-				fail(err)
-			}
-			for _, sm := range split.Shards {
-				logger.Info("cut shard", "shard", sm.ShardID(), "of", sm.NumShards(),
-					"owned", sm.OwnedVertices(), "embedding_bytes", sm.EmbeddingBytes())
-			}
-		}
-		store, err := rne.OpenModelRegistry(*registryRoot)
-		if err != nil {
-			fail(err)
-		}
-		version, err := store.Publish(*publishName, rne.RegistryArtifacts{
-			Model:  model,
-			ALT:    lt,
-			Index:  idx,
-			Shards: split,
+	var split *rne.ShardSplit
+	if *publishShards {
+		split, err = rne.CutShards(model, lt, rne.ShardConfig{
+			CutLevel: *shardLevel,
+			Shards:   *shardCount,
 		})
 		if err != nil {
 			fail(err)
 		}
-		logger.Info("published to registry", "root", *registryRoot,
-			"name", *publishName, "version", version,
-			"guard", lt != nil, "spatial", idx != nil,
-			"shards", *publishShards)
+		for _, sm := range split.Shards {
+			logger.Info("cut shard", "shard", sm.ShardID(), "of", sm.NumShards(),
+				"owned", sm.OwnedVertices(), "embedding_bytes", sm.EmbeddingBytes())
+		}
+	}
+
+	// rneserver -registry replicas pick the new version up on their
+	// next SIGHUP or POST /admin/reload.
+	version, err := store.Publish(*publishName, rne.RegistryArtifacts{
+		Model:  model,
+		ALT:    lt,
+		Index:  idx,
+		Shards: split,
+	})
+	if err != nil {
+		fail(err)
+	}
+	logger.Info("published to registry", "root", *registryRoot,
+		"name", *publishName, "version", version, "model_bytes", model.IndexBytes(),
+		"guard", lt != nil, "spatial", idx != nil, "shards", *publishShards)
+	if *checkpoint != "" {
+		if err := os.Remove(*checkpoint); err == nil {
+			logger.Info("removed checkpoint", "path", *checkpoint)
+		} else if !os.IsNotExist(err) {
+			logger.Warn("could not remove checkpoint", "path", *checkpoint, "error", err)
+		}
 	}
 }

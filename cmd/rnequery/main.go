@@ -1,25 +1,24 @@
-// Command rnequery answers shortest-path distance queries from a saved
-// RNE model. Queries are "s t" vertex-id pairs, one per line on stdin,
-// or a single pair via -s/-t flags.
+// Command rnequery answers shortest-path distance queries from a model
+// version in a registry (published by rnebuild), as a replica of that
+// version would: clamped into the certified landmark interval when the
+// version carries an ALT guard. It reads the version -name resolves to
+// and changes nothing in the registry. Queries are "s t" vertex-id
+// pairs, one per line on stdin, or a single pair via -s/-t flags.
 //
-// -explain prints the estimate's provenance instead of the bare value:
-// the per-hierarchy-level contribution breakdown (models re-trained in
-// process; saved models drop the partition tree and report the total
-// only) and, with -alt-index, the certified guard interval with the
-// landmarks that produced it and the clamp direction.
-//
-// -knn and -range switch to spatial queries over a saved index
-// (-index, from rnebuild -index-out): the k nearest indexed targets to
-// -s, or all targets within -tau. Both print the triangle-inequality
+// -explain prints the raw model estimate and, on a guarded version,
+// the certified interval with the landmarks that produced it and the
+// clamp direction. A published model keeps no partition tree, so
+// there is no per-level breakdown (rnereplay attributes error per
+// level from a model it retrains). -knn and -range query the
+// version's spatial index (rnebuild -target-frac) and print its
 // pruning counters with -explain.
 //
 // Usage:
 //
-//	rnequery -model bj.rne -s 17 -t 4242
-//	rnequery -model bj.rne -alt-index bj.alt -s 17 -t 4242 -explain
-//	rnequery -model bj.rne -index bj.idx -s 17 -knn 5
-//	rnequery -model bj.rne -index bj.idx -s 17 -range 2500
-//	shuf pairs.txt | rnequery -model bj.rne
+//	rnequery -registry ./models -name bj -s 17 -t 4242 [-explain]
+//	rnequery -registry ./models -name bj -s 17 -knn 5
+//	rnequery -registry ./models -name bj -s 17 -range 2500
+//	shuf pairs.txt | rnequery -registry ./models -name bj
 package main
 
 import (
@@ -34,54 +33,63 @@ import (
 )
 
 func main() {
-	modelPath := flag.String("model", "", "model file from rnebuild")
-	indexPath := flag.String("index", "", "spatial index from rnebuild -index-out (for -knn/-range)")
-	altPath := flag.String("alt-index", "", "ALT index from rnebuild -alt-out: adds certified bounds and clamp provenance")
+	registryRoot := flag.String("registry", "", "versioned model registry root (rnebuild -publish), required")
+	regName := flag.String("name", "default", "model name within -registry")
 	s := flag.Int("s", -1, "source vertex (with -t, -knn or -range)")
 	t := flag.Int("t", -1, "target vertex")
-	k := flag.Int("knn", 0, "return the k nearest indexed targets to -s (requires -index)")
-	tau := flag.Float64("range", -1, "return indexed targets within this distance of -s (requires -index)")
-	explain := flag.Bool("explain", false, "print estimate provenance (per-level contributions, guard bounds, traversal stats)")
+	k := flag.Int("knn", 0, "return the k nearest indexed targets to -s (needs the version's spatial index)")
+	tau := flag.Float64("range", -1, "return indexed targets within this distance of -s (needs the version's spatial index)")
+	explain := flag.Bool("explain", false, "print estimate provenance (raw estimate, guard bounds, traversal stats)")
 	flag.Parse()
 
 	fatal := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "rnequery: "+format+"\n", args...)
 		os.Exit(1)
 	}
-	if *modelPath == "" {
-		fmt.Fprintln(os.Stderr, "rnequery: -model required")
+	if *registryRoot == "" {
+		fmt.Fprintln(os.Stderr, "rnequery: -registry is required")
 		os.Exit(2)
 	}
-	model, err := rne.LoadModel(*modelPath)
+	if *k < 0 {
+		fmt.Fprintf(os.Stderr, "rnequery: -knn must be >= 0, got %d\n", *k)
+		os.Exit(2)
+	}
+	// Opening a Store creates a missing root, and LoadLatest quarantines
+	// a version that fails to load; a query tool does neither.
+	if _, err := os.Stat(*registryRoot); err != nil {
+		fatal("%v", err)
+	}
+	store, err := rne.OpenModelRegistry(*registryRoot)
 	if err != nil {
 		fatal("%v", err)
 	}
+	version, err := store.Latest(*regName)
+	if err != nil {
+		fatal("%v", err)
+	}
+	set, err := store.LoadVersion(*regName, version, rne.RegistryLoadOpts{})
+	if err != nil {
+		fatal("%v", err)
+	}
+	model := set.Model
 	n := model.NumVertices()
 
 	var guard *rne.BoundedEstimator
-	if *altPath != "" {
-		altIdx, err := rne.LoadALTIndex(*altPath)
-		if err != nil {
-			fatal("%v", err)
-		}
-		guard, err = rne.NewBoundedEstimatorFromIndex(model, altIdx)
+	if set.ALT != nil {
+		guard, err = rne.NewBoundedEstimatorFromIndex(model, set.ALT)
 		if err != nil {
 			fatal("%v", err)
 		}
 	}
 
 	if *k > 0 || *tau >= 0 {
-		if *indexPath == "" {
-			fatal("-knn and -range need -index")
+		if set.Index == nil {
+			fatal("-knn and -range need a spatial index, and %s %s has none (publish with rnebuild -target-frac)", *regName, version)
 		}
 		if *s < 0 || *s >= n {
 			fatal("-knn and -range need a valid -s, got %d", *s)
 		}
-		idx, err := rne.LoadSpatialIndex(*indexPath, model)
-		if err != nil {
-			fatal("%v", err)
-		}
-		spatial(model, idx, int32(*s), *k, *tau, *explain)
+		spatial(model, set.Index, int32(*s), *k, *tau, *explain)
 		return
 	}
 
@@ -136,55 +144,42 @@ func main() {
 
 // explainPair prints the provenance view of one estimate.
 func explainPair(model *rne.Model, guard *rne.BoundedEstimator, s, t int32) {
-	ex := model.ExplainEstimate(s, t)
-	est := ex.Estimate
-	var prov rne.GuardProvenance
-	if guard != nil {
-		prov = guard.Explain(s, t)
-		est = prov.Est
+	if guard == nil {
+		raw := model.Estimate(s, t)
+		fmt.Printf("%d %d %.2f\n  raw model estimate %.2f, unguarded\n", s, t, raw, raw)
+		return
 	}
-	fmt.Printf("%d %d %.2f\n", s, t, est)
-	if ex.HasHierarchy {
-		fmt.Printf("  raw model estimate %.2f, dominant level %d\n", ex.Estimate, ex.DominantLevel())
-		for _, lc := range ex.Levels {
-			shared := ""
-			if lc.Shared {
-				shared = "  (shared subtree)"
-			}
-			fmt.Printf("  level %2d  nodes (%d,%d)  partial %10.2f  contribution %+10.2f%s\n",
-				lc.Level, lc.NodeS, lc.NodeT, lc.Partial, lc.Contribution, shared)
-		}
-	} else {
-		fmt.Printf("  raw model estimate %.2f (no hierarchy retained: per-level breakdown unavailable)\n", ex.Estimate)
+	prov := guard.Explain(s, t)
+	fmt.Printf("%d %d %.2f\n  raw model estimate %.2f\n", s, t, prov.Est, prov.Raw)
+	clamp := "within bounds"
+	switch {
+	case prov.ClampedLow:
+		clamp = "clamped up to lo"
+	case prov.ClampedHigh:
+		clamp = "clamped down to hi"
 	}
-	if guard != nil {
-		clamp := "within bounds"
-		switch {
-		case prov.ClampedLow:
-			clamp = "clamped up to lo"
-		case prov.ClampedHigh:
-			clamp = "clamped down to hi"
-		}
-		fmt.Printf("  guard: certified [%.2f, %.2f] via landmarks (lo %d, hi %d), raw %.2f %s\n",
-			prov.Lo, prov.Hi, prov.LoLandmark, prov.HiLandmark, prov.Raw, clamp)
-	}
+	fmt.Printf("  guard: certified [%.2f, %.2f] via landmarks (lo %d, hi %d), raw %.2f %s\n",
+		prov.Lo, prov.Hi, prov.LoLandmark, prov.HiLandmark, prov.Raw, clamp)
 }
 
 // spatial runs one -knn or -range query, with traversal counters under
-// -explain.
+// -explain. kNN prints the distances the index ranked by, as /knn does.
 func spatial(model *rne.Model, idx *rne.SpatialIndex, s int32, k int, tau float64, explain bool) {
 	var targets []int32
+	var dists []float64
 	var st rne.IndexQueryStats
-	what := ""
+	what := fmt.Sprintf("knn k=%d", k)
 	if k > 0 {
-		targets, st = idx.KNNStats(s, k)
-		what = fmt.Sprintf("knn k=%d", k)
+		targets, dists, st = idx.KNNDistances(s, k, nil)
 	} else {
 		targets, st = idx.RangeStats(s, tau)
+		for _, v := range targets {
+			dists = append(dists, model.Estimate(s, v))
+		}
 		what = fmt.Sprintf("range tau=%.2f", tau)
 	}
-	for _, v := range targets {
-		fmt.Printf("%d %d %.2f\n", s, v, model.Estimate(s, v))
+	for i, v := range targets {
+		fmt.Printf("%d %d %.2f\n", s, v, dists[i])
 	}
 	if explain {
 		fmt.Printf("  %s: %d results; visited %d nodes, pruned %d, scanned %d vertices\n",

@@ -7,19 +7,18 @@
 // ok/regression verdict, exiting non-zero on regression so CI can gate
 // model changes on recorded production traffic.
 //
-// The graph is always required (it is the ground-truth oracle). The
-// model is either re-trained from it deterministically (-seed; gives
-// per-level error attribution) or loaded with -model (per-level
-// attribution is then unavailable: saved models drop the partition
-// tree). -landmarks adds an ALT guard so drift bands are scored the
+// The graph is always required: it is the ground-truth oracle, and the
+// model is retrained from it deterministically (-seed), which keeps the
+// partition tree behind per-level error attribution (a published model
+// drops it). -landmarks adds an ALT guard so drift bands are scored the
 // way a guarded server would.
 //
 // With -traces, rnereplay instead runs tail-latency attribution: it
 // reads span JSONL files written by traced rnegate/rneserver
 // processes (-trace-out), stitches spans into whole traces, and
 // reports the queue/network/kernel/guard share of request p50/p95/p99
-// plus the slowest concrete traces to go read. No graph, model or
-// query log is needed in this mode.
+// plus the slowest concrete traces to go read. No graph or query log
+// is needed in this mode.
 //
 // Usage:
 //
@@ -45,8 +44,7 @@ import (
 func main() {
 	graphPath := flag.String("graph", "", "graph file: the exact-distance oracle (required unless -preset)")
 	preset := flag.String("preset", "", "built-in preset instead of -graph")
-	modelPath := flag.String("model", "", "pre-trained model; omit to retrain from the graph with -seed")
-	seed := flag.Int64("seed", 42, "training seed when retraining")
+	seed := flag.Int64("seed", 42, "training seed")
 	quick := flag.Bool("quick", false, "cheap training settings for smoke tests (small dim, one epoch)")
 	logPath := flag.String("log", "", "query log (JSONL from rneserver -qlog) to replay")
 	genN := flag.Int("gen", 0, "generate this many random queries instead of -log")
@@ -117,26 +115,18 @@ func main() {
 		usage("need -log or -gen")
 	}
 
-	var model *rne.Model
-	if *modelPath != "" {
-		model, err = rne.LoadModel(*modelPath)
-		if err != nil {
-			fatal("loading model: %v", err)
-		}
-	} else {
-		opt := rne.DefaultOptions(*seed)
-		if *quick {
-			opt.Dim = 8
-			opt.Epochs = 1
-			opt.VertexSampleRatio = 5
-			opt.FineTuneRounds = 1
-			opt.HierSampleCap = 1000
-			opt.ValidationPairs = 50
-		}
-		model, _, err = rne.Build(g, opt)
-		if err != nil {
-			fatal("training: %v", err)
-		}
+	opt := rne.DefaultOptions(*seed)
+	if *quick {
+		opt.Dim = 8
+		opt.Epochs = 1
+		opt.VertexSampleRatio = 5
+		opt.FineTuneRounds = 1
+		opt.HierSampleCap = 1000
+		opt.ValidationPairs = 50
+	}
+	model, _, err := rne.Build(g, opt)
+	if err != nil {
+		fatal("training: %v", err)
 	}
 
 	var guard *rne.BoundedEstimator

@@ -1,37 +1,33 @@
-// Command rneserver serves RNE distance queries over HTTP.
+// Command rneserver serves RNE distance queries over HTTP from a
+// versioned model registry (rnebuild publishes into it).
 //
-// With -graph (or -preset) it trains a model on startup and serves the
-// full API including /knn and /range over the given target vertices;
-// with -model it loads a pre-trained model and serves /distance and
-// /batch only (the partition tree is not persisted) — /readyz then
-// reports degraded mode unless -index supplies a saved spatial index.
+// It serves the latest good version of -name under -registry and
+// hot-swaps to a newer one — validated first, with automatic rollback
+// — on SIGHUP or POST /admin/reload, without dropping a request.
+// Corrupt versions are quarantined with fallback to the newest good
+// one. A version with a spatial index (rnebuild -target-frac) serves
+// the full API including /knn and /range; without one /readyz reports
+// degraded mode. -shard k serves geo-shard k of a sharded version
+// (rnebuild -publish-shards): exact answers inside its region,
+// upper-level estimates for cross-shard pairs, and 421 with an owner
+// hint for sources it does not own — put rnegate -shard-map in front
+// to route by region.
 //
-// With -registry (a versioned model store written by rnebuild
-// -publish) it serves the latest good version of -name and hot-swaps
-// to a newer one — validated first, with automatic rollback — on
-// SIGHUP or POST /admin/reload, without dropping a request. Corrupt
-// versions are quarantined with fallback to the newest good one.
-// -shard k serves geo-shard k of a sharded version (rnebuild
-// -publish-shards): exact answers inside its region, upper-level
-// estimates for cross-shard pairs, and 421 with an owner hint for
-// sources it does not own — put rnegate -shard-map in front to route
-// by region.
+// A version with an ALT guard (rnebuild -alt-landmarks) is served in
+// guard mode: every /distance and /batch estimate is clamped into the
+// certified landmark interval [lo, hi] containing the true distance,
+// responses report the interval and whether clamping occurred, and
+// clamp counters appear on /metrics along with the online
+// accuracy-drift monitor guard mode feeds.
 //
-// With -alt-index (a file saved by rnebuild -alt-out) or, in training
-// mode, -alt-landmarks, the server runs in guard mode: every /distance
-// and /batch estimate is clamped into the certified landmark interval
-// [lo, hi] containing the true distance, responses report the interval
-// and whether clamping occurred, and clamp counters appear on /metrics
-// along with the online accuracy-drift monitor guard mode feeds.
-//
-// With -autoheal (registry mode only) the server closes the loop under
-// dynamic edge weights: a background controller probes served estimates
-// against exact distances computed over -heal-graph, and when drift
-// stays past -heal-budget for -heal-dwell ticks it fine-tunes the
-// serving model against the live graph, publishes the result and
-// hot-swaps it through the validated reload path — rolling back and
-// cooling down when the retrain or validation fails. Controller state
-// appears on /metrics as the rne_autoheal_* families. -faults arms
+// With -autoheal the server closes the loop under dynamic edge
+// weights: a background controller probes served estimates against
+// exact distances computed over -heal-graph, and when drift stays past
+// -heal-budget for -heal-dwell ticks it fine-tunes the serving model
+// against the live graph, publishes the result and hot-swaps it
+// through the validated reload path — rolling back and cooling down
+// when the retrain or validation fails. Controller state appears on
+// /metrics as the rne_autoheal_* families. -faults arms
 // fault-injection failpoints for chaos drills.
 //
 // The server runs hardened for production traffic: handler panics are
@@ -51,8 +47,8 @@
 //
 // Usage:
 //
-//	rneserver -preset bj-mini -addr :8080
-//	rneserver -model bj.rne -addr :8080
+//	rnebuild -preset bj-mini -registry ./models -publish bj -target-frac 0.1
+//	rneserver -registry ./models -name bj -addr :8080
 //	curl 'localhost:8080/distance?s=17&t=4242'
 //	curl 'localhost:8080/metrics'
 package main
@@ -63,7 +59,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -80,19 +75,17 @@ import (
 	"repro/internal/telemetry"
 )
 
+// healSeed seeds the autoheal loop: its prober draws pairs from
+// healSeed+11, its fine-tune trains from healSeed+17 and its rebuilt
+// ALT guard picks landmarks from healSeed+2, so a heal is
+// reproducible byte for byte.
+const healSeed = 42
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	modelPath := flag.String("model", "", "pre-trained model (with -index, full API; else distance/batch only)")
-	indexPath := flag.String("index", "", "spatial index saved by rnebuild -index-out (requires -model)")
-	registryRoot := flag.String("registry", "", "versioned model registry root (rnebuild -publish): serve the latest good version of -name and hot-swap it on SIGHUP or POST /admin/reload")
+	registryRoot := flag.String("registry", "", "versioned model registry root (rnebuild -publish), required: serve the latest good version of -name and hot-swap it on SIGHUP or POST /admin/reload")
 	regName := flag.String("name", "default", "model name within -registry")
-	shardID := flag.Int("shard", -1, "serve geo-shard k of a sharded registry version (requires -registry; out-of-region sources answer 421, /knn and /range answer 501)")
-	graphPath := flag.String("graph", "", "graph file: train on startup, full API")
-	preset := flag.String("preset", "", "built-in preset instead of -graph")
-	targetFrac := flag.Float64("target-frac", 0.1, "fraction of vertices indexed as spatial targets (clamped to [0,1])")
-	altIndexPath := flag.String("alt-index", "", "ALT index saved by rnebuild -alt-out: guard mode clamps every estimate into certified landmark bounds")
-	altLandmarks := flag.Int("alt-landmarks", 0, "with -graph/-preset: build an ALT guard index with this many landmarks at startup (0 disables)")
-	seed := flag.Int64("seed", 42, "training seed")
+	shardID := flag.Int("shard", -1, "serve geo-shard k of a sharded registry version (out-of-region sources answer 421, /knn and /range answer 501)")
 	maxInFlight := flag.Int("max-inflight", 256, "in-flight request cap before shedding with 429 (negative disables)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline (negative disables)")
 	shutdownGrace := flag.Duration("shutdown-grace", 15*time.Second, "drain budget for graceful shutdown")
@@ -102,7 +95,7 @@ func main() {
 	trace := flag.Bool("trace", false, "distributed tracing: handler/admission/kernel/guard spans, gateway traceparent honored, sampled span JSONL at -trace-out")
 	traceOut := flag.String("trace-out", "server.spans.jsonl", "with -trace: span JSONL output path")
 	traceSample := flag.Int("trace-sample", 1, "with -trace: keep one locally-rooted trace in N (gateway-sampled traces are always kept)")
-	autoHeal := flag.Bool("autoheal", false, "run the drift→retrain→swap controller (requires -registry and -heal-graph)")
+	autoHeal := flag.Bool("autoheal", false, "run the drift→retrain→swap controller (requires -heal-graph)")
 	healGraphPath := flag.String("heal-graph", "", "live graph file the autoheal controller probes for exact truth and retrains against (picked up again when the file changes)")
 	healInterval := flag.Duration("heal-interval", 2*time.Second, "autoheal probe tick period")
 	healProbes := flag.Int("heal-probes", 32, "autoheal probe pairs per tick")
@@ -117,6 +110,10 @@ func main() {
 	logFormat := flag.String("log-format", "text", "log encoding: text or json")
 	flag.Parse()
 
+	if *registryRoot == "" {
+		fmt.Fprintln(os.Stderr, "rneserver: -registry is required (publish a version with rnebuild -registry DIR -publish NAME)")
+		os.Exit(2)
+	}
 	level, err := telemetry.ParseLevel(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rneserver:", err)
@@ -127,146 +124,47 @@ func main() {
 		logger.Error(msg, args...)
 		os.Exit(1)
 	}
-	if *targetFrac < 0 || math.IsNaN(*targetFrac) {
-		fatal("-target-frac must be non-negative", "got", *targetFrac)
-	}
 	if spec := *faults; spec != "" {
 		if err := faultinject.EnableSpec(spec); err != nil {
 			fatal("arming failpoints", "error", err)
 		}
 		logger.Warn("fault injection armed", "spec", spec)
 	}
-	if *autoHeal && (*registryRoot == "" || *healGraphPath == "") {
-		fatal("-autoheal requires -registry and -heal-graph")
+	if *autoHeal && *healGraphPath == "" {
+		fatal("-autoheal requires -heal-graph")
 	}
-	if *shardID >= 0 {
-		if *registryRoot == "" {
-			fatal("-shard requires -registry (shards are published by rnebuild -publish-shards)")
-		}
-		if *autoHeal {
-			fatal("-autoheal needs the full model to retrain; run it on a full replica that republishes shards, not on a -shard replica")
-		}
+	if *shardID >= 0 && *autoHeal {
+		fatal("-autoheal needs the full model to retrain; run it on a full replica, not on a -shard replica (a heal publishes the model and its guard without shards)")
 	}
 
-	var set server.ModelSet
-	var reloader func() (server.ModelSet, error)
-	var store *rne.ModelRegistry
-
-	var model *rne.Model
-	var idx *rne.SpatialIndex
-	var altIdx *rne.ALTIndex
-	switch {
-	case *registryRoot != "":
-		if *modelPath != "" || *graphPath != "" || *preset != "" {
-			fatal("-registry is exclusive with -model, -graph and -preset")
-		}
-		store, err = rne.OpenModelRegistry(*registryRoot)
-		if err != nil {
-			fatal("opening registry", "error", err)
-		}
-		loadSet := func() (server.ModelSet, error) {
-			var rs *rne.RegistrySet
-			var err error
-			if *shardID >= 0 {
-				rs, err = store.LoadLatestShard(*regName, *shardID)
-			} else {
-				rs, err = store.LoadLatest(*regName, rne.RegistryLoadOpts{})
-			}
-			if err != nil {
-				return server.ModelSet{}, err
-			}
-			return registrySet(rs)
-		}
-		set, err = loadSet()
-		if err != nil {
-			fatal("loading from registry", "error", err)
-		}
-		reloader = loadSet
-		if set.Shard != nil {
-			logger.Info("loaded shard from registry", "name", *regName, "version", set.Version,
-				"shard", set.Shard.ShardID(), "of", set.Shard.NumShards(),
-				"owned", set.Shard.OwnedVertices(), "guard", set.Guard != nil)
-		} else {
-			logger.Info("loaded from registry", "name", *regName, "version", set.Version,
-				"guard", set.Guard != nil, "spatial", set.Index != nil)
-		}
-	case *modelPath != "":
+	store, err := rne.OpenModelRegistry(*registryRoot)
+	if err != nil {
+		fatal("opening registry", "error", err)
+	}
+	reloader := func() (server.ModelSet, error) {
+		var rs *rne.RegistrySet
 		var err error
-		model, err = rne.LoadModel(*modelPath)
-		if err != nil {
-			fatal("loading model", "error", err)
-		}
-		logger.Info("loaded model", "vertices", model.NumVertices(), "dim", model.Dim())
-		if *indexPath != "" {
-			idx, err = rne.LoadSpatialIndex(*indexPath, model)
-			if err != nil {
-				fatal("loading spatial index", "error", err)
-			}
-			logger.Info("loaded spatial index", "targets", idx.Size())
+		if *shardID >= 0 {
+			rs, err = store.LoadLatestShard(*regName, *shardID)
 		} else {
-			logger.Warn("no spatial index: serving degraded (/knn and /range disabled)")
-		}
-	case *graphPath != "" || *preset != "":
-		var g *rne.Graph
-		var err error
-		if *graphPath != "" {
-			g, err = rne.LoadGraph(*graphPath)
-		} else {
-			g, err = rne.Preset(*preset)
+			rs, err = store.LoadLatest(*regName, rne.RegistryLoadOpts{})
 		}
 		if err != nil {
-			fatal("loading graph", "error", err)
+			return server.ModelSet{}, err
 		}
-		logger.Info("training", "vertices", g.NumVertices())
-		start := time.Now()
-		var stats rne.BuildStats
-		opt := rne.DefaultOptions(*seed)
-		opt.Logger = logger
-		model, stats, err = rne.Build(g, opt)
-		if err != nil {
-			fatal("training", "error", err)
-		}
-		logger.Info("trained", "duration", time.Since(start).Round(time.Millisecond),
-			"validation", stats.Validation.String())
-
-		targets, err := rne.SampleTargets(g, *targetFrac, *seed)
-		if err != nil {
-			fatal("sampling targets", "error", err)
-		}
-		idx, err = rne.NewSpatialIndex(model, targets)
-		if err != nil {
-			fatal("building spatial index", "error", err)
-		}
-		logger.Info("spatial index ready", "targets", idx.Size())
-
-		if *altIndexPath == "" && *altLandmarks > 0 {
-			altIdx, err = rne.BuildALTIndex(g, *altLandmarks, *seed+2)
-			if err != nil {
-				fatal("building ALT guard index", "error", err)
-			}
-			logger.Info("built ALT guard index", "landmarks", altIdx.NumLandmarks())
-		}
-	default:
-		fatal("need -registry, -model, -graph or -preset")
+		return registrySet(rs)
 	}
-
-	if *registryRoot == "" {
-		if *altIndexPath != "" {
-			var err error
-			altIdx, err = rne.LoadALTIndex(*altIndexPath)
-			if err != nil {
-				fatal("loading ALT index", "error", err)
-			}
-			logger.Info("loaded ALT index",
-				"landmarks", altIdx.NumLandmarks(), "vertices", altIdx.NumVertices())
-		}
-		set, err = registrySet(&rne.RegistrySet{Model: model, Index: idx, ALT: altIdx, Version: "boot"})
-		if err != nil {
-			fatal("enabling guard mode", "error", err)
-		}
-		if set.Guard != nil {
-			logger.Info("guard mode on: estimates clamped into certified landmark bounds, drift monitor active")
-		}
+	set, err := reloader()
+	if err != nil {
+		fatal("loading from registry", "error", err)
+	}
+	if set.Shard != nil {
+		logger.Info("loaded shard from registry", "name", *regName, "version", set.Version,
+			"shard", set.Shard.ShardID(), "of", set.Shard.NumShards(),
+			"owned", set.Shard.OwnedVertices(), "guard", set.Guard != nil)
+	} else {
+		logger.Info("loaded from registry", "name", *regName, "version", set.Version,
+			"guard", set.Guard != nil, "spatial", set.Index != nil)
 	}
 
 	srvCfg := server.Config{
@@ -295,10 +193,6 @@ func main() {
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		for range hup {
-			if reloader == nil {
-				logger.Warn("SIGHUP ignored: started without -registry, nothing to reload")
-				continue
-			}
 			previous := srv.ActiveVersion()
 			version, err := srv.Reload()
 			if err != nil {
@@ -323,10 +217,10 @@ func main() {
 	// result and drives the same validated hot-swap path as SIGHUP.
 	healCancel := func() {}
 	if *autoHeal {
-		prober := autoheal.NewGraphProber(*healGraphPath, *seed+11, srv.Estimate)
+		prober := autoheal.NewGraphProber(*healGraphPath, healSeed+11, srv.Estimate)
 		ctrl, err := autoheal.New(autoheal.Config{
 			Sample:   prober.Sample,
-			Heal:     newHealer(store, srv, prober, *regName, *healEpochs, *healRounds, *seed, logger),
+			Heal:     newHealer(store, srv, prober, *regName, *healEpochs, *healRounds, logger),
 			Version:  srv.ActiveVersion,
 			MaxDist:  srv.Scale,
 			Interval: *healInterval,
@@ -407,7 +301,7 @@ func main() {
 // through the server's validated reload. A version that publishes but
 // fails swap validation is quarantined so later reloads skip it.
 func newHealer(store *rne.ModelRegistry, srv *server.Server, prober *autoheal.GraphProber,
-	name string, epochs, rounds int, seed int64, logger *slog.Logger) func(context.Context) (string, error) {
+	name string, epochs, rounds int, logger *slog.Logger) func(context.Context) (string, error) {
 	return func(ctx context.Context) (string, error) {
 		g := prober.Graph()
 		if g == nil {
@@ -419,7 +313,7 @@ func newHealer(store *rne.ModelRegistry, srv *server.Server, prober *autoheal.Gr
 			return "", fmt.Errorf("heal: loading warm-start %s %s: %w", name, serving, err)
 		}
 
-		opt := rne.DefaultOptions(seed + 17)
+		opt := rne.DefaultOptions(healSeed + 17)
 		opt.Epochs = epochs
 		opt.FineTuneRounds = rounds
 		opt.Logger = logger
@@ -444,7 +338,7 @@ func newHealer(store *rne.ModelRegistry, srv *server.Server, prober *autoheal.Gr
 
 		art := rne.RegistryArtifacts{Model: tuned}
 		if warm.ALT != nil {
-			art.ALT, err = rne.BuildALTIndex(g, warm.ALT.NumLandmarks(), seed+2)
+			art.ALT, err = rne.BuildALTIndex(g, warm.ALT.NumLandmarks(), healSeed+2)
 			if err != nil {
 				return "", fmt.Errorf("heal: rebuilding ALT guard: %w", err)
 			}
@@ -471,10 +365,9 @@ func newHealer(store *rne.ModelRegistry, srv *server.Server, prober *autoheal.Gr
 	}
 }
 
-// registrySet converts a registry version (or the -model boot
-// artifacts) into the server's swap unit, building the ALT guard over
-// whichever model kind it carries (the region-restricted guard, on a
-// shard).
+// registrySet converts a registry version into the server's swap
+// unit, building the ALT guard over whichever model kind it carries
+// (the region-restricted guard, on a shard).
 func registrySet(rs *rne.RegistrySet) (server.ModelSet, error) {
 	set := server.ModelSet{
 		Model:   rs.Model,

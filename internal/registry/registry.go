@@ -130,6 +130,12 @@ type Set struct {
 	ShardMap *shard.Map
 }
 
+// ErrNoShard marks a shard request a version cannot answer: a
+// negative shard id, a version published without shards, or an id
+// past its shard count. It is the caller's mismatch, not corruption,
+// so LoadLatestShard returns it at once and quarantines nothing.
+var ErrNoShard = errors.New("no such shard")
+
 // LoadOpts tunes version loading. It has no settings today; the
 // parameter keeps LoadVersion and LoadLatest call sites stable.
 type LoadOpts struct{}
@@ -560,6 +566,9 @@ func (s *Store) loadLatest(name string, load func(version string) (*Set, error))
 		if err == nil {
 			return set, nil
 		}
+		if errors.Is(err, ErrNoShard) {
+			return nil, err
+		}
 		if firstErr == nil {
 			firstErr = err
 		}
@@ -571,25 +580,26 @@ func (s *Store) loadLatest(name string, load func(version string) (*Set, error))
 
 // LoadShard loads shard k of one specific version: the shard model,
 // the version's routing map (cross-checked against it) and, when
-// present, the shard's region-restricted guard. Like LoadVersion it
-// never quarantines — that policy lives in LoadLatestShard.
+// present, the shard's region-restricted guard. A request the version
+// cannot answer fails with ErrNoShard. Like LoadVersion it never
+// quarantines — that policy lives in LoadLatestShard.
 func (s *Store) LoadShard(name, version string, k int) (*Set, error) {
 	if err := checkName(name); err != nil {
 		return nil, err
 	}
 	if k < 0 {
-		return nil, fmt.Errorf("registry: shard id must be >= 0, got %d", k)
+		return nil, fmt.Errorf("registry: %w: shard id must be >= 0, got %d", ErrNoShard, k)
 	}
 	dir := s.Path(name, version)
 	sm, err := shard.LoadMapFile(filepath.Join(dir, ShardMapFile))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("registry: %s/%s is not a sharded version (no %s)", name, version, ShardMapFile)
+			return nil, fmt.Errorf("registry: %w: %s/%s is not a sharded version (no %s)", ErrNoShard, name, version, ShardMapFile)
 		}
 		return nil, fmt.Errorf("registry: %s/%s shard map: %w", name, version, err)
 	}
 	if k >= sm.NumShards() {
-		return nil, fmt.Errorf("registry: %s/%s has %d shards, no shard %d", name, version, sm.NumShards(), k)
+		return nil, fmt.Errorf("registry: %w: %s/%s has %d shards, no shard %d", ErrNoShard, name, version, sm.NumShards(), k)
 	}
 	mdl, err := shard.LoadModelFile(filepath.Join(dir, ShardModelFile(k)))
 	if err != nil {
@@ -612,8 +622,10 @@ func (s *Store) LoadShard(name, version string, k int) (*Set, error) {
 
 // LoadLatestShard resolves the latest version and loads shard k of it,
 // with the same quarantine-and-fall-back policy as LoadLatest: a
-// version whose shard artifacts are corrupt (or that is not sharded at
-// all) is quarantined and the next-newest version is tried.
+// version whose shard artifacts are corrupt is quarantined and the
+// next-newest version is tried. A version that has no shard k (it was
+// published without shards, or with fewer) fails with ErrNoShard and
+// stays as it is: it may serve full replicas, and it is not corrupt.
 func (s *Store) LoadLatestShard(name string, k int) (*Set, error) {
 	return s.loadLatest(name, func(version string) (*Set, error) { return s.LoadShard(name, version, k) })
 }

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -150,4 +151,69 @@ func TestLoadLatestShardAllCorruptFails(t *testing.T) {
 	if _, err := s.LoadLatestShard("demo", 0); err == nil {
 		t.Fatal("load succeeded with every sharded version corrupt")
 	}
+}
+
+// A shard request a version cannot answer is the caller's mismatch,
+// not corruption: it fails with ErrNoShard and quarantines nothing, so
+// a typo'd shard id or a shard replica reloading onto an unsharded
+// version (what autoheal publishes) never takes a good version away
+// from the replicas that can serve it.
+func TestShardRequestNeverQuarantines(t *testing.T) {
+	requireNone := func(t *testing.T, s *Store) {
+		t.Helper()
+		vs, err := s.Versions("demo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vs {
+			if v.Quarantined {
+				t.Fatalf("%s quarantined by a shard request it cannot answer: %+v", v.Version, vs)
+			}
+		}
+	}
+	requireLatest := func(t *testing.T, s *Store, want string) {
+		t.Helper()
+		set, err := s.LoadLatest("demo", LoadOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set.Version != want {
+			t.Fatalf("LoadLatest = %s, want %s", set.Version, want)
+		}
+	}
+
+	t.Run("unsharded", func(t *testing.T) {
+		s := openStore(t)
+		_, m := quickBuild(t, 1)
+		if _, err := s.Publish("demo", Artifacts{Model: m}); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{0, -1} {
+			if _, err := s.LoadLatestShard("demo", k); !errors.Is(err, ErrNoShard) {
+				t.Fatalf("LoadLatestShard(%d) on an unsharded version = %v, want ErrNoShard", k, err)
+			}
+			requireNone(t, s)
+		}
+		requireLatest(t, s, "v1")
+	})
+
+	t.Run("past the shard count", func(t *testing.T) {
+		s := openStore(t)
+		publishSharded(t, s, 1)
+		publishSharded(t, s, 2)
+		for _, k := range []int{5, -1} {
+			if _, err := s.LoadLatestShard("demo", k); !errors.Is(err, ErrNoShard) {
+				t.Fatalf("LoadLatestShard(%d) on 2-shard versions = %v, want ErrNoShard", k, err)
+			}
+			requireNone(t, s)
+		}
+		set, err := s.LoadLatestShard("demo", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set.Version != "v2" || set.Shard.ShardID() != 0 {
+			t.Fatalf("LoadLatestShard(0) = %s shard %d, want v2 shard 0", set.Version, set.Shard.ShardID())
+		}
+		requireLatest(t, s, "v2")
+	})
 }

@@ -50,7 +50,7 @@ func TestAnswersMatchEncodingJSON(t *testing.T) {
 	srv, m, guard := guardedIndexServer(t)
 	h := srv.Handler()
 	n := int32(m.NumVertices())
-	plain, err := NewWithConfig(m, srv.active.Load().idx, Config{})
+	plain, err := NewFromSet(ModelSet{Model: m, Index: srv.active.Load().idx}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestKNNDistancesMatchEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(m, idx)
+		srv, err := NewFromSet(ModelSet{Model: m, Index: idx}, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,7 +50,7 @@ func guardedIndexServer(tb testing.TB) (*Server, *core.Model, *hybrid.Estimator)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv, err := NewWithConfig(m, idx, Config{Guard: guard})
+	srv, err := NewFromSet(ModelSet{Model: m, Index: idx, Guard: guard}, Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -211,7 +211,7 @@ func TestKNNRangeExplainStats(t *testing.T) {
 func TestQueryLogRecordsServedQueries(t *testing.T) {
 	m := smallModel(t, 11)
 	path := filepath.Join(t.TempDir(), "queries.jsonl")
-	srv, err := NewWithConfig(m, nil, Config{QueryLog: qlog.Config{Path: path}})
+	srv, err := NewFromSet(ModelSet{Model: m}, Config{QueryLog: qlog.Config{Path: path}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestQueryLogGuardProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "queries.jsonl")
-	srv, err := NewWithConfig(m, nil, Config{Guard: est, QueryLog: qlog.Config{Path: path}})
+	srv, err := NewFromSet(ModelSet{Model: m, Guard: est}, Config{QueryLog: qlog.Config{Path: path}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestQueryLogNonBlockingUnderLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "queries.jsonl")
 	release := make(chan struct{})
 	var once sync.Once
-	srv, err := NewWithConfig(m, nil, Config{QueryLog: qlog.Config{
+	srv, err := NewFromSet(ModelSet{Model: m}, Config{QueryLog: qlog.Config{
 		Path:      path,
 		QueueSize: 1,
 		// Wedge the writer on its first record so the queue saturates.
@@ -381,7 +381,7 @@ func TestQueryLogNonBlockingUnderLoad(t *testing.T) {
 // A broken query log path fails server construction loudly.
 func TestQueryLogBadPathRejected(t *testing.T) {
 	m := smallModel(t, 14)
-	_, err := NewWithConfig(m, nil, Config{QueryLog: qlog.Config{
+	_, err := NewFromSet(ModelSet{Model: m}, Config{QueryLog: qlog.Config{
 		Path: filepath.Join(t.TempDir(), "no", "such", "dir", "q.jsonl"),
 	}})
 	if err == nil {

@@ -43,7 +43,7 @@ func newGuardedServer(t *testing.T) (*httptest.Server, *core.Model, *alt.Index) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewWithConfig(m, nil, Config{Guard: est})
+	srv, err := NewFromSet(ModelSet{Model: m, Guard: est}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,7 @@ import (
 	"time"
 
 	"repro/internal/batchwire"
-	"repro/internal/core"
 	"repro/internal/hybrid"
-	"repro/internal/index"
 	"repro/internal/qlog"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
@@ -50,15 +48,6 @@ type Config struct {
 	// tagged with the request ID (nil disables logging; counters and
 	// /metrics still work).
 	Logger *slog.Logger
-	// Guard enables ALT-backed guardrails: every /distance and /batch
-	// estimate is clamped into the certified landmark interval
-	// [lo, hi] containing the true distance, responses report whether
-	// clamping occurred, and clamp counters are exported on /metrics.
-	// Guard mode also feeds the online accuracy-drift monitor exported
-	// on /metrics. nil serves raw model estimates (the default).
-	// (Convenience for the boot set; swapped-in sets carry their own
-	// guard in ModelSet.Guard.)
-	Guard *hybrid.Estimator
 	// QueryLog, when its Path is non-empty, samples served /distance and
 	// /batch queries into an async JSONL log (see internal/qlog) that
 	// cmd/rnereplay can re-run offline. The server owns the logger
@@ -75,8 +64,8 @@ type Config struct {
 	Trace telemetry.TraceConfig
 	// Reloader, when non-nil, supplies a fresh ModelSet on demand: it
 	// backs POST /admin/reload and Server.Reload (which rneserver also
-	// invokes on SIGHUP). Typically it re-resolves the latest version
-	// from a registry.Store or re-reads the model files from disk.
+	// invokes on SIGHUP). rneserver's reloader re-resolves the latest
+	// good version from its registry.
 	Reloader func() (ModelSet, error)
 }
 
@@ -107,28 +96,13 @@ type Server struct {
 	tracer *telemetry.RequestTracer
 }
 
-// New returns a server for the model with default hardening; idx may
-// be nil for distance-only serving (e.g. when the model was loaded
-// from disk and the partition tree is gone) — the server then reports
-// degraded readiness and answers /knn and /range with 501.
-func New(model *core.Model, idx *index.Tree) (*Server, error) {
-	return NewWithConfig(model, idx, Config{})
-}
-
-// NewWithConfig returns a server with explicit resilience settings.
-func NewWithConfig(model *core.Model, idx *index.Tree, cfg Config) (*Server, error) {
-	return NewFromSet(ModelSet{Model: model, Index: idx, Guard: cfg.Guard, Version: "boot"}, cfg)
-}
-
-// NewFromSet returns a server booted from an explicit model set — the
-// entry point for registry-resolved and shard serving. cfg.Guard is
-// ignored when set.Guard is non-nil.
+// NewFromSet returns a server booted from a model set: a full model or
+// one geo-shard, with its optional spatial index and ALT guard. A set
+// without a spatial index reports degraded readiness and answers /knn
+// and /range with 501.
 func NewFromSet(set ModelSet, cfg Config) (*Server, error) {
 	if cfg.MaxBatchBytes == 0 {
 		cfg.MaxBatchBytes = defaultMaxBatchBytes
-	}
-	if set.Guard == nil {
-		set.Guard = cfg.Guard
 	}
 	s := &Server{cfg: cfg, stats: resilience.NewStats("/distance", "/batch", "/knn", "/range", "/admin/reload")}
 	reg := s.stats.Registry()

@@ -45,7 +45,7 @@ func newTestServer(t *testing.T, withIndex bool) (*httptest.Server, *core.Model)
 			t.Fatal(err)
 		}
 	}
-	srv, err := New(m, idx)
+	srv, err := NewFromSet(ModelSet{Model: m, Index: idx}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestConcurrentRequests(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, nil); err == nil {
+	if _, err := NewFromSet(ModelSet{}, Config{}); err == nil {
 		t.Fatal("nil model accepted")
 	}
 }
@@ -304,7 +304,7 @@ func TestBatchBodyTooLargeGets413(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewWithConfig(m, nil, Config{MaxBatchBytes: 64})
+	srv, err := NewFromSet(ModelSet{Model: m}, Config{MaxBatchBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestHandlerSurvivesBurstPastCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewWithConfig(m, nil, Config{MaxInFlight: 2})
+	srv, err := NewFromSet(ModelSet{Model: m}, Config{MaxInFlight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ type ModelSet struct {
 	// Guard enables ALT-backed clamping and the drift monitor. In
 	// shard mode this is the region-restricted guard.
 	Guard *hybrid.Estimator
-	// Version labels this set ("v3", "boot", ...); empty defaults to
+	// Version labels this set ("v3", ...); empty defaults to
 	// "unversioned".
 	Version string
 }
@@ -292,7 +292,7 @@ func (s *Server) Reload() (string, error) {
 // response, so operators see the rollback explicitly.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Reloader == nil {
-		s.fail(w, http.StatusNotImplemented, "no reloader configured (start rneserver with -registry or -model)")
+		s.fail(w, http.StatusNotImplemented, "no reloader configured (rneserver sets one from -registry)")
 		return
 	}
 	previous := s.ActiveVersion()

@@ -4,10 +4,12 @@ package smoke
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -26,12 +28,22 @@ import (
 // The serving version must flip to v2 while a request hammer sees zero
 // failed requests, and v1's build report must carry the build's span
 // tree: the root, setup, the three training phases, finalize, and
-// units carrying their loss.
+// units carrying their loss. At each version rnequery must print the
+// replica's /distance answer, and rneserver without -registry must
+// refuse to start.
 func TestSwap(t *testing.T) {
 	f := newFleet(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	noReg := exec.CommandContext(ctx, filepath.Join(binDir, "rneserver"), "-addr", "127.0.0.1:0")
+	noReg.Dir = f.dir
+	if out, err := noReg.CombinedOutput(); err == nil || !strings.Contains(string(out), "-registry") {
+		t.Fatalf("rneserver without -registry: %v, output %q; want a non-zero exit naming -registry", err, out)
+	}
+
 	f.run("genroad", "-rows", "10", "-cols", "10", "-seed", "7", "-o", "g.txt")
 	f.run("rnebuild", "-graph", "g.txt", "-dim", "8", "-epochs", "2", "-seed", "1", "-report", "report.json",
-		"-o", "m1.rne", "-registry", "reg", "-publish", "demo")
+		"-registry", "reg", "-publish", "demo")
 	var rep struct{ Trace []telemetry.SpanRecord }
 	if err := json.Unmarshal(f.readFile("report.json"), &rep); err != nil {
 		t.Fatal(err)
@@ -51,9 +63,23 @@ func TestSwap(t *testing.T) {
 	if v := version(srv); v != "v1" {
 		t.Fatalf("serving %q, want registry v1", v)
 	}
+	// query checks rnequery's answer for 3→77, read from the registry,
+	// against the replica's /distance at the version it serves.
+	query := func() {
+		t.Helper()
+		var d struct{ Distance float64 }
+		if code := getJSON(srv.url+"/distance?s=3&t=77", &d); code != http.StatusOK {
+			t.Fatalf("/distance = %d", code)
+		}
+		got := strings.TrimSpace(f.run("rnequery", "-registry", "reg", "-name", "demo", "-s", "3", "-t", "77"))
+		if want := fmt.Sprintf("3 77 %.2f", d.Distance); got != want {
+			t.Fatalf("rnequery at %s = %q, replica /distance = %q", version(srv), got, want)
+		}
+	}
+	query()
 	stop := hammer(t, srv.url+"/distance?s=3&t=77")
 	f.run("rnebuild", "-graph", "g.txt", "-dim", "8", "-epochs", "2", "-seed", "2", "-report", "",
-		"-o", "m2.rne", "-registry", "reg", "-publish", "demo")
+		"-registry", "reg", "-publish", "demo")
 	srv.cmd.Process.Signal(syscall.SIGHUP)
 	waitFor(t, "the serving version to flip to v2", 100, func() bool { return version(srv) == "v2" })
 	if n := stop(); n > 0 {
@@ -62,6 +88,7 @@ func TestSwap(t *testing.T) {
 	if n := metrics(srv.url)["rne_model_swaps_total"]; n != 1 {
 		t.Fatalf("rne_model_swaps_total = %v, want 1", n)
 	}
+	query()
 }
 
 // TestGate is the scale-out tier: rnegate over two replicas. A
@@ -72,8 +99,8 @@ func TestSwap(t *testing.T) {
 func TestGate(t *testing.T) {
 	f := newFleet(t)
 	f.grid()
-	a := f.start("a", "rneserver", "-model", "m.rne")
-	b := f.start("b", "rneserver", "-model", "m.rne")
+	a := f.start("a", "rneserver", "-registry", "reg", "-name", "demo")
+	b := f.start("b", "rneserver", "-registry", "reg", "-name", "demo")
 	gate := f.start("gate", "rnegate", "-backends", a.url+","+b.url,
 		"-health-interval", "100ms", "-eject-after", "1", "-backoff-base", "100ms")
 	batch := func(when string) {
@@ -116,7 +143,7 @@ func TestHeal(t *testing.T) {
 	f.run("genroad", append(graph, "-o", "g.txt")...)
 	f.run("genroad", append(graph, "-regime", "rush-am", "-regime-seed", "9", "-o", "g2.txt")...)
 	f.run("rnebuild", "-graph", "g.txt", "-dim", "8", "-epochs", "2", "-seed", "1", "-report", "",
-		"-o", "m1.rne", "-registry", "reg", "-publish", "demo")
+		"-registry", "reg", "-publish", "demo")
 	srv := f.start("server", "rneserver", "-registry", "reg", "-name", "demo", "-autoheal", "-heal-graph", "g.txt",
 		"-heal-interval", "100ms", "-heal-probes", "16", "-heal-budget", fmt.Sprint(budget), "-heal-dwell", "2",
 		"-heal-cooldown", "500ms", "-heal-warmup", "24", "-heal-epochs", "2", "-heal-rounds", "2",
@@ -188,7 +215,7 @@ func TestOverload(t *testing.T) {
 	f.grid()
 	var replicas []*proc
 	for _, name := range []string{"a", "b", "c"} {
-		replicas = append(replicas, f.start(name, "rneserver", "-model", "m.rne", "-max-inflight", "1", "-request-timeout", "5s"))
+		replicas = append(replicas, f.start(name, "rneserver", "-registry", "reg", "-name", "demo", "-max-inflight", "1", "-request-timeout", "5s"))
 	}
 	backends := replicas[0].url + "," + replicas[1].url + "," + replicas[2].url
 	gate := f.start("gate", "rnegate", "-backends", backends,
@@ -324,15 +351,17 @@ func TestOverload(t *testing.T) {
 //     vertices answer 503, the other region keeps answering 200, and
 //     /readyz lists the dead shard;
 //  5. a short rneload ramp against the full replica and the sharded
-//     gateway lands in one BENCH_shard.json.
+//     gateway lands in one BENCH_shard.json;
+//  6. rnequery -explain on the guarded version prints the full
+//     replica's answer and the certified guard interval.
 func TestShard(t *testing.T) {
 	f := newFleet(t)
 	f.boot = 200
 	// One build, one publish: the version carries the full model, the
 	// ALT guard and the two shard artifacts cut at level 1.
 	f.run("rnebuild", "-preset", "bj-mini", "-dim", "16", "-epochs", "2", "-seed", "1", "-report", "",
-		"-alt-out", "alt.idx", "-alt-landmarks", "16", "-registry", "models", "-publish", "bj",
-		"-publish-shards", "-shard-level", "1", "-shard-count", "2", "-o", "m.rne")
+		"-alt-landmarks", "16", "-registry", "models", "-publish", "bj",
+		"-publish-shards", "-shard-level", "1", "-shard-count", "2")
 	shardMap := "models/bj/v1/shards/shardmap.rnemap"
 	if _, err := os.Stat(filepath.Join(f.dir, shardMap)); err != nil {
 		t.Fatalf("shard map not published: %v", err)
@@ -382,6 +411,16 @@ func TestShard(t *testing.T) {
 	}
 	if intra < 1 || cross < 1 {
 		t.Fatalf("workload did not exercise both regimes (intra=%d cross=%d)", intra, cross)
+	}
+	// rnequery applies the version's guard as the full replica does.
+	var fd struct{ Distance float64 }
+	if code := getJSON(full.url+"/distance?s=7&t=4050", &fd); code != http.StatusOK {
+		t.Fatalf("full replica /distance = %d", code)
+	}
+	q := f.run("rnequery", "-registry", "models", "-name", "bj", "-s", "7", "-t", "4050", "-explain")
+	want := fmt.Sprintf("7 4050 %.2f", fd.Distance)
+	if first, _, _ := strings.Cut(q, "\n"); first != want || !strings.Contains(q, "guard: certified") {
+		t.Fatalf("rnequery -explain:\n%s\nwant first line %q and a guard: certified line", q, want)
 	}
 
 	// 3: each shard's resident embedding rows are below the full replica's.

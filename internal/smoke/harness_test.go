@@ -1,9 +1,9 @@
 //go:build smoke
 
 // Package smoke drives the serving binaries end to end. Each Test is
-// one drill: it builds a model, starts real rneserver and rnegate
-// processes on free loopback ports, sends traffic, and asserts what
-// the fleet answered, exported on /metrics and wrote to disk. The
+// one drill: it publishes a model version, starts real rneserver and
+// rnegate processes on free loopback ports, sends traffic, and asserts
+// what the fleet answered, exported on /metrics and wrote to disk. The
 // smoke build tag keeps the drills out of plain builds and tests:
 //
 //	go test -tags smoke -count=1 ./internal/smoke
@@ -56,9 +56,7 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, "smoke:", err)
 		os.Exit(1)
 	}
-	build := exec.Command("go", "build", "-o", binDir+string(filepath.Separator), "repro/cmd/genroad",
-		"repro/cmd/rnebuild", "repro/cmd/rneserver", "repro/cmd/rnegate", "repro/cmd/rneload",
-		"repro/cmd/rnereplay", "repro/cmd/rnebench")
+	build := exec.Command("go", "build", "-o", binDir+string(filepath.Separator), "repro/cmd/...")
 	build.Stdout, build.Stderr = os.Stderr, os.Stderr
 	code := 1
 	if err := build.Run(); err != nil {
@@ -126,12 +124,14 @@ func (f *fleet) run(bin string, args ...string) string {
 	return stdout.String()
 }
 
-// grid writes the 10×10 road grid (seed 7) most drills serve to g.txt
-// and trains m.rne on it: dim 8, 2 epochs, seed 1.
+// grid writes the 10×10 road grid (seed 7) most drills serve to g.txt,
+// trains a model on it (dim 8, 2 epochs, seed 1) and publishes it as
+// version v1 of "demo" in the registry reg.
 func (f *fleet) grid() {
 	f.t.Helper()
 	f.run("genroad", "-rows", "10", "-cols", "10", "-seed", "7", "-o", "g.txt")
-	f.run("rnebuild", "-graph", "g.txt", "-dim", "8", "-epochs", "2", "-seed", "1", "-report", "", "-o", "m.rne")
+	f.run("rnebuild", "-graph", "g.txt", "-dim", "8", "-epochs", "2", "-seed", "1", "-report", "",
+		"-registry", "reg", "-publish", "demo")
 }
 
 // start launches rneserver or rnegate with -addr on a free loopback

@@ -38,8 +38,8 @@ func TestTrace(t *testing.T) {
 			srvFlags = []string{"-trace"}
 			gwFlags = []string{"-trace", "-trace-out", prefix + "gw.spans.jsonl"}
 		}
-		a := f.start(prefix+"a", "rneserver", append(srvFlags, "-model", "m.rne", "-trace-out", prefix+"sa.spans.jsonl")...)
-		b := f.start(prefix+"b", "rneserver", append(srvFlags, "-model", "m.rne", "-trace-out", prefix+"sb.spans.jsonl")...)
+		a := f.start(prefix+"a", "rneserver", append(srvFlags, "-registry", "reg", "-name", "demo", "-trace-out", prefix+"sa.spans.jsonl")...)
+		b := f.start(prefix+"b", "rneserver", append(srvFlags, "-registry", "reg", "-name", "demo", "-trace-out", prefix+"sb.spans.jsonl")...)
 		gate := f.start(prefix+"gate", "rnegate", append(gwFlags, "-backends", a.url+","+b.url,
 			"-health-interval", "100ms", "-retry-budget", "1",
 			"-hedge", "-hedge-min-delay", "1us", "-hedge-max-delay", "20us")...)
@@ -171,8 +171,8 @@ func TestLoad(t *testing.T) {
 	f := newFleet(t)
 	f.grid()
 	debug := freeAddr(t)
-	a := f.start("a", "rneserver", "-model", "m.rne", "-debug-addr", debug, "-request-timeout", "5s")
-	b := f.start("b", "rneserver", "-model", "m.rne", "-request-timeout", "5s")
+	a := f.start("a", "rneserver", "-registry", "reg", "-name", "demo", "-debug-addr", debug, "-request-timeout", "5s")
+	b := f.start("b", "rneserver", "-registry", "reg", "-name", "demo", "-request-timeout", "5s")
 	steps := "c=2,qps=0,d=1s,w=300ms;c=2,qps=100,d=1s,w=300ms"
 	f.run("rneload", "-target", a.url, "-steps", steps,
 		"-mix", "distance=8,batch=1,knn=1", "-batch-size", "8",
