@@ -79,7 +79,7 @@ bench:
 
 # 200 iterations each of the in-process handler, serving-pass, gateway
 # routing and /batch fan-out, /batch wire codec and float formatter,
-# drift filing and spatial-index kNN benchmarks, 5 of ground-truth
+# drift filing, spatial-index kNN and bj-mini guard benchmarks, 5 of ground-truth
 # labeling on the 90x90 grid, 200 of each 90x90 label-setting search
 # and 5 of the vertex-only SGD pass, so they keep compiling and running.
 bench-smoke:
@@ -87,6 +87,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'EncodeAnswer|MergeTwoLegs|DecodePairs|AppendFloat' -benchtime 200x -benchmem ./internal/batchwire
 	$(GO) test -run '^$$' -bench '^BenchmarkDriftObserveAll$$' -benchtime 200x -benchmem ./internal/telemetry
 	$(GO) test -run '^$$' -bench '^BenchmarkKNN$$' -benchtime 200x -benchmem ./internal/index
+	$(GO) test -run '^$$' -bench '^BenchmarkGuard$$/^bj-mini$$' -benchtime 200x -benchmem ./internal/hybrid
 	$(GO) test -run '^$$' -bench '^BenchmarkLabel$$/^90x90$$' -benchtime 5x -benchmem ./internal/sample
 	$(GO) test -run '^$$' -bench '^BenchmarkSearch$$/^90x90' -benchtime 200x -benchmem ./internal/sssp
 	$(GO) test -run '^$$' -bench '^BenchmarkVertexStep$$' -benchtime 5x -benchmem ./internal/train

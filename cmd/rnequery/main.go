@@ -54,12 +54,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rnequery: -knn must be >= 0, got %d\n", *k)
 		os.Exit(2)
 	}
-	// Opening a Store creates a missing root, and LoadLatest quarantines
-	// a version that fails to load; a query tool does neither.
-	if _, err := os.Stat(*registryRoot); err != nil {
-		fatal("%v", err)
-	}
-	store, err := rne.OpenModelRegistry(*registryRoot)
+	// LoadLatest quarantines a version that fails to load; a query tool
+	// reads the latest version as it is, and creates no missing root.
+	store, err := rne.OpenExistingModelRegistry(*registryRoot)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -149,17 +146,17 @@ func explainPair(model *rne.Model, guard *rne.BoundedEstimator, s, t int32) {
 		fmt.Printf("%d %d %.2f\n  raw model estimate %.2f, unguarded\n", s, t, raw, raw)
 		return
 	}
-	prov := guard.Explain(s, t)
-	fmt.Printf("%d %d %.2f\n  raw model estimate %.2f\n", s, t, prov.Est, prov.Raw)
+	g := guard.Guard(s, t)
+	fmt.Printf("%d %d %.2f\n  raw model estimate %.2f\n", s, t, g.Est, g.Raw)
 	clamp := "within bounds"
 	switch {
-	case prov.ClampedLow:
+	case g.ClampedLow:
 		clamp = "clamped up to lo"
-	case prov.ClampedHigh:
+	case g.ClampedHigh:
 		clamp = "clamped down to hi"
 	}
 	fmt.Printf("  guard: certified [%.2f, %.2f] via landmarks (lo %d, hi %d), raw %.2f %s\n",
-		prov.Lo, prov.Hi, prov.LoLandmark, prov.HiLandmark, prov.Raw, clamp)
+		g.Lo, g.Hi, g.LoLandmark, g.HiLandmark, g.Raw, clamp)
 }
 
 // spatial runs one -knn or -range query, with traversal counters under

@@ -137,7 +137,7 @@ func main() {
 		fatal("-autoheal needs the full model to retrain; run it on a full replica, not on a -shard replica (a heal publishes the model and its guard without shards)")
 	}
 
-	store, err := rne.OpenModelRegistry(*registryRoot)
+	store, err := rne.OpenExistingModelRegistry(*registryRoot)
 	if err != nil {
 		fatal("opening registry", "error", err)
 	}

@@ -69,6 +69,6 @@ func ExampleNewBoundedEstimator() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, lo, hi := be.EstimateWithBounds(5, 4242)
-	fmt.Printf("d ≈ %.0f, certainly within [%.0f, %.0f]\n", est, lo, hi)
+	r := be.Guard(5, 4242)
+	fmt.Printf("d ≈ %.0f, certainly within [%.0f, %.0f]\n", r.Est, r.Lo, r.Hi)
 }

@@ -12,6 +12,7 @@ package alt
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/landmark"
@@ -100,70 +101,76 @@ func (idx *Index) Restrict(keep []int) (*Index, error) {
 	return out, nil
 }
 
-// Bounds returns the landmark lower and upper bounds on d(s,t).
-func (idx *Index) Bounds(s, t int32) (lo, hi float64) {
-	hi = sssp.Inf
-	for i := 0; i < len(idx.landmarks); i++ {
-		ds := idx.labels[i*idx.n+int(s)]
-		dt := idx.labels[i*idx.n+int(t)]
-		if ds == sssp.Inf || dt == sssp.Inf {
-			continue
-		}
-		diff := ds - dt
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > lo {
-			lo = diff
-		}
-		if sum := ds + dt; sum < hi {
-			hi = sum
-		}
-	}
-	// When a landmark lies on the s-t shortest path lo equals hi
-	// mathematically; floating-point rounding can leave lo one ulp
-	// above. Keep the interval well-formed.
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
-
-// BoundsInfo is the provenance of one landmark interval: the bounds
-// plus the landmark vertex that produced each (the tightest of the
-// |U| candidates). Landmark fields are -1 when no landmark had finite
-// labels for both endpoints (disconnected components).
+// BoundsInfo is one landmark interval and its provenance: the bounds
+// plus the landmark vertex that produced each (the tightest of the |U|
+// candidates, the first one on a tie). Landmark fields are -1 when no
+// landmark had finite labels for both endpoints (disconnected
+// components).
 type BoundsInfo struct {
 	Lo, Hi                 float64
 	LoLandmark, HiLandmark int32
 }
 
-// BoundsDetail returns the landmark bounds on d(s,t) together with the
-// landmark responsible for each side of the interval, for query
-// explainability. The interval matches Bounds exactly.
-func (idx *Index) BoundsDetail(s, t int32) BoundsInfo {
-	info := BoundsInfo{Hi: sssp.Inf, LoLandmark: -1, HiLandmark: -1}
-	for i := 0; i < len(idx.landmarks); i++ {
-		ds := idx.labels[i*idx.n+int(s)]
-		dt := idx.labels[i*idx.n+int(t)]
-		if ds == sssp.Inf || dt == sssp.Inf {
+// span is the one pass over the landmark labels of a and b behind every
+// bound query: Lo = max_u |d(u,a)-d(u,b)|, not yet clipped to Hi, and
+// Hi = min_u d(u,a)+d(u,b), each with the first landmark that attains
+// it. A landmark missing either endpoint bounds nothing and is skipped.
+//
+// Every label is finite and carries no sign bit (Read refuses anything
+// else, and a search writes +0 at its source), so each |difference| and
+// sum is a non-negative float, and the IEEE bits of non-negative floats
+// order exactly as their values do. The pass takes math.Abs on the
+// floats, then max and min on their bits as integers, and follows the
+// landmark ids through integer-only conditionals. All of it compiles to
+// conditional moves, so a connected pair takes no data-dependent branch,
+// and the bits it keeps are the ones a scan comparing floats keeps.
+func (idx *Index) span(a, b int32) BoundsInfo {
+	// lo starts below every key, so the first landmark that reaches
+	// both endpoints names the lower side even at 0; it is raised to 0
+	// when none does.
+	lo, hi := int64(-1), key(sssp.Inf)
+	loLm, hiLm := int32(-1), int32(-1)
+	for i, u := range idx.landmarks {
+		da := idx.labels[i*idx.n+int(a)]
+		db := idx.labels[i*idx.n+int(b)]
+		if da == sssp.Inf || db == sssp.Inf {
 			continue
 		}
-		diff := ds - dt
-		if diff < 0 {
-			diff = -diff
+		diff, sum := key(math.Abs(da-db)), key(da+db)
+		if diff > lo {
+			loLm = u
 		}
-		if diff > info.Lo || info.LoLandmark < 0 {
-			info.Lo, info.LoLandmark = diff, idx.landmarks[i]
+		if sum < hi {
+			hiLm = u
 		}
-		if sum := ds + dt; sum < info.Hi {
-			info.Hi, info.HiLandmark = sum, idx.landmarks[i]
-		}
+		lo, hi = max(lo, diff), min(hi, sum)
 	}
+	return BoundsInfo{Lo: unkey(max(lo, 0)), Hi: unkey(hi), LoLandmark: loLm, HiLandmark: hiLm}
+}
+
+// key maps a non-negative float to an integer that orders as it does:
+// its IEEE bits. unkey is its inverse.
+func key(f float64) int64   { return int64(math.Float64bits(f)) }
+func unkey(k int64) float64 { return math.Float64frombits(uint64(k)) }
+
+// BoundsDetail returns the landmark bounds on d(s,t) together with the
+// landmark responsible for each side of the interval, for query
+// explainability and the guard.
+func (idx *Index) BoundsDetail(s, t int32) BoundsInfo {
+	info := idx.span(s, t)
+	// When a landmark lies on the s-t shortest path lo equals hi
+	// mathematically; floating-point rounding can leave lo one ulp
+	// above. Keep the interval well-formed.
 	if info.Lo > info.Hi {
 		info.Lo = info.Hi
 	}
 	return info
+}
+
+// Bounds returns the landmark lower and upper bounds on d(s,t).
+func (idx *Index) Bounds(s, t int32) (lo, hi float64) {
+	info := idx.BoundsDetail(s, t)
+	return info.Lo, info.Hi
 }
 
 // Estimate returns the LT distance estimate: the midpoint of the
@@ -180,25 +187,9 @@ func (idx *Index) Estimate(s, t int32) float64 {
 	return (lo + hi) / 2
 }
 
-// LowerBound returns the admissible A* heuristic to target t at vertex v.
-func (idx *Index) LowerBound(v, t int32) float64 {
-	var lo float64
-	for i := 0; i < len(idx.landmarks); i++ {
-		dv := idx.labels[i*idx.n+int(v)]
-		dt := idx.labels[i*idx.n+int(t)]
-		if dv == sssp.Inf || dt == sssp.Inf {
-			continue
-		}
-		diff := dv - dt
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > lo {
-			lo = diff
-		}
-	}
-	return lo
-}
+// LowerBound returns the admissible A* heuristic to target t at vertex
+// v: the lower bound, not clipped to the upper one.
+func (idx *Index) LowerBound(v, t int32) float64 { return idx.span(v, t).Lo }
 
 // SearchDistance runs the exact ALT A* search from s to t using the
 // landmark heuristic, returning the distance and the number of settled

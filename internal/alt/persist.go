@@ -16,10 +16,11 @@ import (
 // never leaves a truncated index behind, and every load verifies length
 // and checksum before any data is trusted.
 //
-// A loaded Index carries no graph: Bounds, Estimate and LowerBound are
-// pure label-matrix lookups and keep working, which is exactly what the
-// server guard mode needs. Graph-dependent queries (SearchDistance)
-// require an index built in-process via Build/BuildWithLandmarks.
+// A loaded Index carries no graph: the bound queries (Bounds,
+// BoundsDetail, Estimate), all one pass over the label matrix, keep
+// working, which is exactly what the server guard mode needs. The A*
+// search (SearchDistance) walks the graph, so it needs an index built
+// in-process via Build/BuildWithLandmarks.
 
 const altMagic = "RNEALT1\n"
 
@@ -51,8 +52,12 @@ func (idx *Index) SaveFile(path string) error {
 }
 
 // Read loads an index written by WriteTo. The returned Index has no
-// graph attached: estimation queries (Bounds, Estimate, LowerBound)
-// work; SearchDistance does not.
+// graph attached: the bound queries work; SearchDistance does not.
+// Every label must be a distance a search writes: finite and without a
+// sign bit (sssp.Inf, the largest float, marks an unreached vertex).
+// NaN, ±Inf, negatives and -0 are refused: the bound pass orders
+// distances by their bits, which only non-negative finite floats allow
+// (and -0 would order below +0).
 func Read(r io.Reader) (*Index, error) {
 	sec, err := fsx.ReadSection(r, altMagic, "alt", "index")
 	if err != nil {
@@ -86,7 +91,7 @@ func Read(r io.Reader) (*Index, error) {
 		}
 	}
 	for i, v := range idx.labels {
-		if math.IsNaN(v) || v < 0 {
+		if math.IsNaN(v) || math.IsInf(v, 0) || math.Signbit(v) {
 			return nil, fmt.Errorf("alt: invalid label %v at offset %d", v, i)
 		}
 	}

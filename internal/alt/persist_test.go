@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"repro/internal/sssp"
 )
 
 func TestIndexRoundTrip(t *testing.T) {
@@ -179,9 +181,15 @@ func resign(raw []byte) []byte {
 
 // FuzzALTRead feeds arbitrary bytes to Read, as they are and re-signed:
 // no input may panic, and any input Read accepts must write back to
-// exactly the same bytes.
+// exactly the same bytes and answer bound queries on a few pairs, its
+// first, last and middle vertices, exactly as the reference loops do.
 func FuzzALTRead(f *testing.F) {
 	f.Add(mustHex(f, indexPin))
+	var unreached bytes.Buffer
+	if _, err := (&Index{labels: []float64{0, 1, sssp.Inf, 2, 0, sssp.Inf}, landmarks: []int32{0, 1}, n: 3}).WriteTo(&unreached); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(unreached.Bytes())
 	for _, c := range craftedHeaders {
 		f.Add(c.raw)
 	}
@@ -201,6 +209,10 @@ func FuzzALTRead(f *testing.F) {
 			}
 			if !bytes.Equal(buf.Bytes(), in) {
 				t.Fatalf("accepted %d bytes but wrote %d different ones", len(in), buf.Len())
+			}
+			n := int32(idx.NumVertices())
+			for _, p := range [][2]int32{{0, 0}, {0, n - 1}, {n - 1, n / 2}, {n / 2, 0}} {
+				matchReference(t, idx, p[0], p[1])
 			}
 		}
 	})

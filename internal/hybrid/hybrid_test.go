@@ -58,16 +58,16 @@ func TestEstimateWithinCertifiedBounds(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		s := int32(rng.Intn(n))
 		u := int32(rng.Intn(n))
-		est, lo, hi := e.EstimateWithBounds(s, u)
-		if est < lo || est > hi {
-			t.Fatalf("(%d,%d): estimate %v outside own bounds [%v,%v]", s, u, est, lo, hi)
+		g := e.Guard(s, u)
+		if g.Est < g.Lo || g.Est > g.Hi {
+			t.Fatalf("(%d,%d): estimate %v outside own bounds [%v,%v]", s, u, g.Est, g.Lo, g.Hi)
 		}
 		exact := ws.Distance(s, u)
-		if exact < lo-1e-9 || exact > hi+1e-9 {
-			t.Fatalf("(%d,%d): exact %v outside certified bounds [%v,%v]", s, u, exact, lo, hi)
+		if exact < g.Lo-1e-9 || exact > g.Hi+1e-9 {
+			t.Fatalf("(%d,%d): exact %v outside certified bounds [%v,%v]", s, u, exact, g.Lo, g.Hi)
 		}
-		if got := e.Estimate(s, u); got != est {
-			t.Fatalf("Estimate and EstimateWithBounds disagree: %v vs %v", got, est)
+		if got := e.Estimate(s, u); got != g.Est {
+			t.Fatalf("Estimate and Guard disagree: %v vs %v", got, g.Est)
 		}
 	}
 	if e.Estimate(5, 5) != 0 {
@@ -104,8 +104,8 @@ func TestClampImprovesTail(t *testing.T) {
 	if clamped.MeanRel > plain.MeanRel+1e-9 {
 		t.Fatalf("clamping worsened mean: %v -> %v", plain.MeanRel, clamped.MeanRel)
 	}
-	if e.IndexBytes() <= m.IndexBytes() {
-		t.Fatal("combined index should account for both components")
+	if want := int64(24*g.NumVertices()) * 8; e.LandmarkBytes() != want {
+		t.Fatalf("LandmarkBytes = %d, want the 24 x %d label matrix, %d", e.LandmarkBytes(), g.NumVertices(), want)
 	}
 }
 
@@ -155,10 +155,10 @@ func syntheticModel(t *testing.T, rows [][]float64, scale float64) *core.Model {
 	return m
 }
 
-// EstimateWithBounds edge cases: identical endpoints, forced clamp-low
-// and clamp-high, and the degenerate lo==hi interval a single on-path
+// Guard edge cases: identical endpoints, forced clamp-low and
+// clamp-high, and the degenerate lo==hi interval a single on-path
 // landmark produces.
-func TestEstimateWithBoundsEdgeCases(t *testing.T) {
+func TestGuardEdgeCases(t *testing.T) {
 	g := pathGraph(t)
 
 	// Landmark at vertex 0: labels 0, 1, 3 -> pair (1,2) gets [2, 4].
@@ -173,17 +173,8 @@ func TestEstimateWithBoundsEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, lo, hi := e.EstimateWithBounds(2, 2)
-		if est != 0 || lo != 0 || hi != 0 {
-			t.Fatalf("self pair: est=%v lo=%v hi=%v, want all zero", est, lo, hi)
-		}
-		g := e.Guard(2, 2)
-		if g.Est != 0 || g.ClampedLow || g.ClampedHigh {
-			t.Fatalf("self guard: %+v", g)
-		}
-		p := e.Explain(2, 2)
-		if p.Est != 0 || p.LoLandmark != -1 || p.HiLandmark != -1 {
-			t.Fatalf("self explain: %+v", p)
+		if g := e.Guard(2, 2); g != (GuardResult{LoLandmark: -1, HiLandmark: -1}) {
+			t.Fatalf("self guard: %+v, want all zero with landmarks -1", g)
 		}
 	})
 
@@ -194,20 +185,15 @@ func TestEstimateWithBoundsEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, lo, hi := e.EstimateWithBounds(1, 2)
-		if lo != 2 || hi != 4 {
-			t.Fatalf("bounds [%v,%v], want [2,4]", lo, hi)
-		}
-		if est != lo {
-			t.Fatalf("low estimate clamped to %v, want lower bound %v", est, lo)
-		}
 		g := e.Guard(1, 2)
-		if !g.ClampedLow || g.ClampedHigh || g.Raw != 0 || g.Est != 2 {
+		if g.Lo != 2 || g.Hi != 4 {
+			t.Fatalf("bounds [%v,%v], want [2,4]", g.Lo, g.Hi)
+		}
+		if !g.ClampedLow || g.ClampedHigh || g.Raw != 0 || g.Est != g.Lo {
 			t.Fatalf("guard direction wrong: %+v", g)
 		}
-		p := e.Explain(1, 2)
-		if !p.ClampedLow || p.LoLandmark != 0 || p.HiLandmark != 0 {
-			t.Fatalf("explain provenance wrong: %+v", p)
+		if g.LoLandmark != 0 || g.HiLandmark != 0 {
+			t.Fatalf("guard provenance wrong: %+v", g)
 		}
 	})
 
@@ -218,15 +204,11 @@ func TestEstimateWithBoundsEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, lo, hi := e.EstimateWithBounds(1, 2)
-		if est != hi {
-			t.Fatalf("high estimate clamped to %v, want upper bound %v", est, hi)
-		}
-		if lo != 2 || hi != 4 {
-			t.Fatalf("bounds [%v,%v], want [2,4]", lo, hi)
-		}
 		g := e.Guard(1, 2)
-		if !g.ClampedHigh || g.ClampedLow || g.Raw != 100 || g.Est != 4 {
+		if g.Lo != 2 || g.Hi != 4 {
+			t.Fatalf("bounds [%v,%v], want [2,4]", g.Lo, g.Hi)
+		}
+		if !g.ClampedHigh || g.ClampedLow || g.Raw != 100 || g.Est != g.Hi {
 			t.Fatalf("guard direction wrong: %+v", g)
 		}
 	})
@@ -244,33 +226,38 @@ func TestEstimateWithBoundsEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, lo, hi := e.EstimateWithBounds(1, 2)
-			if lo != hi || lo != 2 {
-				t.Fatalf("raw %v: interval [%v,%v], want degenerate [2,2]", raw, lo, hi)
+			g := e.Guard(1, 2)
+			if g.Lo != g.Hi || g.Lo != 2 {
+				t.Fatalf("raw %v: interval [%v,%v], want degenerate [2,2]", raw, g.Lo, g.Hi)
 			}
-			if est != 2 {
-				t.Fatalf("raw %v: estimate %v, want exact 2", raw, est)
+			if g.Est != 2 {
+				t.Fatalf("raw %v: estimate %v, want exact 2", raw, g.Est)
 			}
 		}
 	})
 }
 
-// Explain must agree with Guard on every field it shares, and name
-// landmarks consistent with the interval, across random pairs of a
-// trained model.
-func TestExplainMatchesGuard(t *testing.T) {
+// Guard's interval and landmarks are the index's BoundsDetail, and
+// every distinct pair of a trained model names real landmarks.
+func TestGuardProvenance(t *testing.T) {
 	_, e, _ := setup(t)
 	rng := rand.New(rand.NewSource(8))
 	n := int32(e.NumVertices())
 	for trial := 0; trial < 300; trial++ {
 		s, u := rng.Int31n(n), rng.Int31n(n)
 		g := e.Guard(s, u)
-		p := e.Explain(s, u)
-		if p.GuardResult != g {
-			t.Fatalf("(%d,%d): Explain %+v != Guard %+v", s, u, p.GuardResult, g)
+		if s == u {
+			if g.LoLandmark != -1 || g.HiLandmark != -1 {
+				t.Fatalf("(%d,%d): identical pair names landmarks: %+v", s, u, g)
+			}
+			continue
 		}
-		if s != u && (p.LoLandmark < 0 || p.HiLandmark < 0) {
-			t.Fatalf("(%d,%d): missing landmark provenance: %+v", s, u, p)
+		b := e.lt.BoundsDetail(s, u)
+		if g.Lo != b.Lo || g.Hi != b.Hi || g.LoLandmark != b.LoLandmark || g.HiLandmark != b.HiLandmark {
+			t.Fatalf("(%d,%d): Guard %+v disagrees with BoundsDetail %+v", s, u, g, b)
+		}
+		if g.LoLandmark < 0 || g.HiLandmark < 0 {
+			t.Fatalf("(%d,%d): missing landmark provenance: %+v", s, u, g)
 		}
 	}
 }

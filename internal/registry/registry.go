@@ -159,6 +159,17 @@ func Open(root string) (*Store, error) {
 	return &Store{root: root}, nil
 }
 
+// OpenExisting returns a Store over a root that must already exist, for
+// the processes that serve or query versions rather than publish them:
+// a mistyped path fails naming that path instead of leaving an empty
+// registry behind.
+func OpenExisting(root string) (*Store, error) {
+	if _, err := os.Stat(root); err != nil {
+		return nil, fmt.Errorf("registry: %w", err)
+	}
+	return Open(root)
+}
+
 // Root returns the registry root directory.
 func (s *Store) Root() string { return s.root }
 

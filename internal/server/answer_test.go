@@ -69,11 +69,11 @@ func TestAnswersMatchEncodingJSON(t *testing.T) {
 			}
 		}
 		// explain=1 keeps the encoding/json path.
-		p := guard.Explain(s, 0)
-		want := guardFields(p.GuardResult)
+		g := guard.Guard(s, 0)
+		want := guardFields(g)
 		want["s"], want["t"], want["model"] = s, int32(0), m.ExplainEstimate(s, 0)
-		want["guard"] = guardExplanation{Raw: p.Raw, Lo: p.Lo, Hi: p.Hi, Clamp: clampDirection(p.GuardResult),
-			LoLandmark: p.LoLandmark, HiLandmark: p.HiLandmark}
+		want["guard"] = guardExplanation{Raw: g.Raw, Lo: g.Lo, Hi: g.Hi, Clamp: clampDirection(g),
+			LoLandmark: g.LoLandmark, HiLandmark: g.HiLandmark}
 		target := fmt.Sprintf("/distance?s=%d&t=0&explain=1", s)
 		if got := serve(t, h, target); !bytes.Equal(got, wantJSON(t, want)) {
 			t.Fatalf("%s:\n got %s\nwant %s", target, got, wantJSON(t, want))

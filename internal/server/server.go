@@ -348,20 +348,6 @@ func clampDirection(g hybrid.GuardResult) string {
 	}
 }
 
-// explainGuard evaluates one pair with full guard provenance. The pair
-// loop files its clamp counts and drift like any other guarded pair's,
-// so explained queries are first-class traffic, not a monitoring blind
-// spot.
-func explainGuard(sn *snapshot, src, dst int32) (hybrid.GuardResult, guardExplanation) {
-	p := sn.guard.Explain(src, dst)
-	return p.GuardResult, guardExplanation{
-		Raw: p.Raw, Lo: p.Lo, Hi: p.Hi,
-		Clamp:      clampDirection(p.GuardResult),
-		LoLandmark: p.LoLandmark,
-		HiLandmark: p.HiLandmark,
-	}
-}
-
 // misdirect answers an out-of-region request on a shard replica: 421
 // Misdirected Request with the owning shard in the Rne-Shard-Owner
 // header and the body, so a stale-mapped gateway can re-route instead
@@ -605,13 +591,10 @@ func (s *Server) answerPairs(w http.ResponseWriter, r *http.Request, sn *snapsho
 		case sn.guard != nil:
 			var low, high int64
 			for i := done; i < end; i++ {
-				var g hybrid.GuardResult
+				g := sn.guard.Guard(ss[i], ts[i])
 				if explain != nil {
-					var ge guardExplanation
-					g, ge = explainGuard(sn, ss[i], ts[i])
-					explain[i].Guard = &ge
-				} else {
-					g = sn.guard.Guard(ss[i], ts[i])
+					explain[i].Guard = &guardExplanation{Raw: g.Raw, Lo: g.Lo, Hi: g.Hi, Clamp: clampDirection(g),
+						LoLandmark: g.LoLandmark, HiLandmark: g.HiLandmark}
 				}
 				out[i], bufs.Raw[i], bufs.Lo[i], bufs.Hi[i] = g.Est, g.Raw, g.Lo, g.Hi
 				if g.ClampedLow || g.ClampedHigh {

@@ -40,6 +40,15 @@ func TestSwap(t *testing.T) {
 	if out, err := noReg.CombinedOutput(); err == nil || !strings.Contains(string(out), "-registry") {
 		t.Fatalf("rneserver without -registry: %v, output %q; want a non-zero exit naming -registry", err, out)
 	}
+	// A mistyped root is refused by name, and not created.
+	typo := exec.CommandContext(ctx, filepath.Join(binDir, "rneserver"), "-registry", "typo-reg", "-name", "demo", "-addr", "127.0.0.1:0")
+	typo.Dir = f.dir
+	if out, err := typo.CombinedOutput(); err == nil || !strings.Contains(string(out), "typo-reg") {
+		t.Fatalf("rneserver -registry typo-reg: %v, output %q; want a non-zero exit naming typo-reg", err, out)
+	}
+	if _, err := os.Stat(filepath.Join(f.dir, "typo-reg")); !os.IsNotExist(err) {
+		t.Fatalf("rneserver -registry typo-reg left a directory behind (stat: %v)", err)
+	}
 
 	f.run("genroad", "-rows", "10", "-cols", "10", "-seed", "7", "-o", "g.txt")
 	f.run("rnebuild", "-graph", "g.txt", "-dim", "8", "-epochs", "2", "-seed", "1", "-report", "report.json",

@@ -126,12 +126,13 @@ func (f *fleet) run(bin string, args ...string) string {
 
 // grid writes the 10×10 road grid (seed 7) most drills serve to g.txt,
 // trains a model on it (dim 8, 2 epochs, seed 1) and publishes it as
-// version v1 of "demo" in the registry reg.
-func (f *fleet) grid() {
+// version v1 of "demo" in the registry reg. extra are further rnebuild
+// flags, such as a spatial index for a drill that sends /knn.
+func (f *fleet) grid(extra ...string) {
 	f.t.Helper()
 	f.run("genroad", "-rows", "10", "-cols", "10", "-seed", "7", "-o", "g.txt")
-	f.run("rnebuild", "-graph", "g.txt", "-dim", "8", "-epochs", "2", "-seed", "1", "-report", "",
-		"-registry", "reg", "-publish", "demo")
+	f.run("rnebuild", append([]string{"-graph", "g.txt", "-dim", "8", "-epochs", "2", "-seed", "1", "-report", "",
+		"-registry", "reg", "-publish", "demo"}, extra...)...)
 }
 
 // start launches rneserver or rnegate with -addr on a free loopback

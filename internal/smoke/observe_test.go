@@ -123,8 +123,8 @@ func TestTrace(t *testing.T) {
 }
 
 // checkLoadReport decodes the rneload report at path and asserts it
-// holds exactly the named runs, each with measured 2xx traffic and no
-// failed /metrics scrape. It returns the report's bytes and the name
+// holds exactly the named runs, each with 2xx answers on every route
+// its -mix weighs in and no failed /metrics scrape. It returns the report's bytes and the name
 // of every series the runs joined, one per line, with counter deltas
 // prefixed "delta ".
 func (f *fleet) checkLoadReport(path string, runs ...string) (data []byte, joined string) {
@@ -138,10 +138,13 @@ func (f *fleet) checkLoadReport(path string, runs ...string) (data []byte, joine
 	}
 	var names strings.Builder
 	for i, run := range rep.Runs {
-		ok := false
+		if run.Name != runs[i] {
+			f.t.Fatalf("run %d is %q, want %q", i, run.Name, runs[i])
+		}
+		good := map[string]bool{} // routes with 2xx answers
 		for _, st := range run.Steps {
 			for _, r := range st.Routes {
-				ok = ok || r.Class == "2xx" && r.Count > 0
+				good[r.Route] = good[r.Route] || r.Class == "2xx" && r.Count > 0
 			}
 			for _, s := range st.Servers {
 				if s.ScrapeError != "" {
@@ -155,8 +158,10 @@ func (f *fleet) checkLoadReport(path string, runs ...string) (data []byte, joine
 				}
 			}
 		}
-		if run.Name != runs[i] || !ok {
-			f.t.Fatalf("run %d is %q with 2xx traffic %v, want %q with some", i, run.Name, ok, runs[i])
+		for route, weight := range run.Mix {
+			if weight > 0 && !good[route] {
+				f.t.Fatalf("run %s mixes in %s but got no 2xx answer on it", run.Name, route)
+			}
 		}
 	}
 	return f.readFile(path), names.String()
@@ -169,7 +174,8 @@ func (f *fleet) checkLoadReport(path string, runs ...string) (data []byte, joine
 // /metrics counter deltas and the Go runtime gauges.
 func TestLoad(t *testing.T) {
 	f := newFleet(t)
-	f.grid()
+	// 10 indexed targets, enough for rneload's default -knn-k of 8.
+	f.grid("-target-frac", "0.1")
 	debug := freeAddr(t)
 	a := f.start("a", "rneserver", "-registry", "reg", "-name", "demo", "-debug-addr", debug, "-request-timeout", "5s")
 	b := f.start("b", "rneserver", "-registry", "reg", "-name", "demo", "-request-timeout", "5s")

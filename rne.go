@@ -228,6 +228,12 @@ type RegistryLoadOpts = registry.LoadOpts
 // the given directory.
 func OpenModelRegistry(root string) (*ModelRegistry, error) { return registry.Open(root) }
 
+// OpenExistingModelRegistry opens a registry whose root must already
+// exist, as a replica or a query tool does.
+func OpenExistingModelRegistry(root string) (*ModelRegistry, error) {
+	return registry.OpenExisting(root)
+}
+
 // Explanation decomposes one estimate into per-hierarchy-level
 // contributions (Model.ExplainEstimate): the provenance view of a
 // distance answer. Contributions telescope, summing exactly to the
@@ -238,13 +244,10 @@ type Explanation = core.Explanation
 // estimate.
 type LevelContribution = core.LevelContribution
 
-// GuardResult is one guarded estimate: clamped value, raw model
-// estimate, certified interval, and clamp direction.
+// GuardResult is one guarded estimate (BoundedEstimator.Guard): the
+// clamped value, the raw model estimate, the certified interval with
+// the landmark that produced each side, and the clamp direction.
 type GuardResult = hybrid.GuardResult
-
-// GuardProvenance extends GuardResult with the landmarks that produced
-// each side of the certified interval (BoundedEstimator.Explain).
-type GuardProvenance = hybrid.Provenance
 
 // IndexQueryStats counts the work one spatial-index traversal did
 // (SpatialIndex.KNNStats / RangeStats): how much of the tree the

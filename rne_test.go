@@ -163,10 +163,10 @@ func TestFacadeExtensions(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s := int32((i * 61) % g.NumVertices())
 		u := int32((i*97 + 13) % g.NumVertices())
-		est, lo, hi := be.EstimateWithBounds(s, u)
+		g := be.Guard(s, u)
 		exact := ws.Distance(s, u)
-		if est < lo || est > hi || exact < lo-1e-9 || exact > hi+1e-9 {
-			t.Fatalf("(%d,%d): est %v bounds [%v,%v] exact %v", s, u, est, lo, hi, exact)
+		if g.Est < g.Lo || g.Est > g.Hi || exact < g.Lo-1e-9 || exact > g.Hi+1e-9 {
+			t.Fatalf("(%d,%d): est %v bounds [%v,%v] exact %v", s, u, g.Est, g.Lo, g.Hi, exact)
 		}
 	}
 
