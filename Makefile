@@ -81,7 +81,8 @@ bench:
 # routing and /batch fan-out, /batch wire codec and float formatter,
 # drift filing, spatial-index kNN and bj-mini guard benchmarks, 5 of ground-truth
 # labeling on the 90x90 grid, 200 of each 90x90 label-setting search
-# and 5 of the vertex-only SGD pass, so they keep compiling and running.
+# and 5 each of the vertex-only and the hierarchy-phase training pass,
+# so they keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Handler|Wrap|Route|GatewayBatch' -benchtime 200x -benchmem ./internal/server ./internal/resilience ./internal/gateway
 	$(GO) test -run '^$$' -bench 'EncodeAnswer|MergeTwoLegs|DecodePairs|AppendFloat' -benchtime 200x -benchmem ./internal/batchwire
@@ -91,6 +92,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkLabel$$/^90x90$$' -benchtime 5x -benchmem ./internal/sample
 	$(GO) test -run '^$$' -bench '^BenchmarkSearch$$/^90x90' -benchtime 200x -benchmem ./internal/sssp
 	$(GO) test -run '^$$' -bench '^BenchmarkVertexStep$$' -benchtime 5x -benchmem ./internal/train
+	$(GO) test -run '^$$' -bench '^BenchmarkHierStep$$' -benchtime 5x -benchmem ./internal/train
 
 # End-to-end drills through the real binaries, one Test each (see the
 # doc comments in internal/smoke): hot swap, gateway failover, autoheal

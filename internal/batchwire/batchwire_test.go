@@ -197,15 +197,14 @@ func answerSets(rng *rand.Rand, n int) []numberSet {
 
 // refExplanation mirrors the replica's per-pair ?explain=1 block.
 type refExplanation struct {
-	DominantLevel int `json:"dominant_level"`
-	Guard         *struct {
+	Guard *struct {
 		Raw        float64 `json:"raw"`
 		Lo         float64 `json:"lo"`
 		Hi         float64 `json:"hi"`
 		Clamp      string  `json:"clamp,omitempty"`
 		LoLandmark int32   `json:"lo_landmark"`
 		HiLandmark int32   `json:"hi_landmark"`
-	} `json:"guard,omitempty"`
+	} `json:"guard"`
 }
 
 // TestAnswerBytesMatchEncodingJSON checks every answer shape against
@@ -218,17 +217,14 @@ func TestAnswerBytesMatchEncodingJSON(t *testing.T) {
 		dist, lo, hi := set.dist, set.lo, set.hi
 		expl := make([]refExplanation, len(dist))
 		for i := range expl {
-			expl[i].DominantLevel = i % 4
-			if i%2 == 0 {
-				expl[i].Guard = &struct {
-					Raw        float64 `json:"raw"`
-					Lo         float64 `json:"lo"`
-					Hi         float64 `json:"hi"`
-					Clamp      string  `json:"clamp,omitempty"`
-					LoLandmark int32   `json:"lo_landmark"`
-					HiLandmark int32   `json:"hi_landmark"`
-				}{Raw: dist[i], Lo: lo[i], Hi: hi[i], Clamp: []string{"", "low", "high"}[i%3], LoLandmark: 3, HiLandmark: -1}
-			}
+			expl[i].Guard = &struct {
+				Raw        float64 `json:"raw"`
+				Lo         float64 `json:"lo"`
+				Hi         float64 `json:"hi"`
+				Clamp      string  `json:"clamp,omitempty"`
+				LoLandmark int32   `json:"lo_landmark"`
+				HiLandmark int32   `json:"hi_landmark"`
+			}{Raw: dist[i], Lo: lo[i], Hi: hi[i], Clamp: []string{"", "low", "high"}[i%3], LoLandmark: 3, HiLandmark: -1}
 		}
 		explBytes, err := json.Marshal(expl)
 		if err != nil {
@@ -624,7 +620,7 @@ func FuzzBatchReply(f *testing.F) {
 	for _, a := range []Answer{
 		{Distances: fs[:3]},
 		{Distances: fs[:3], Guarded: true, Lo: fs[3:], Hi: fs[3:], ClampedCount: 1},
-		{Distances: fs[:2], Sharded: true, CrossCount: 2, Explain: []byte(`[{"dominant_level":1,"guard":{"raw":1.5,"clamp":"low"}}]`)},
+		{Distances: fs[:2], Sharded: true, CrossCount: 2, Explain: []byte(`[{"guard":{"raw":1.5,"clamp":"low"}}]`)},
 	} {
 		body, _ := new(Buffers).AppendAnswer(nil, &a)
 		f.Add(body)

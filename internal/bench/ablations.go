@@ -252,12 +252,7 @@ func Fig11(w io.Writer, cfg Config) error {
 		for c := 0; c < chunks; c++ {
 			samples := tr.GenVertexSamples(chunk)
 			for e := 0; e < opt.Epochs; e++ {
-				lr := lrBase / (1 + 0.5*float64(e))
-				if hier {
-					tr.VertexStep(samples, lr)
-				} else {
-					tr.FlatStepAllLevels(samples, lr)
-				}
+				tr.VertexStep(samples, lrBase/(1+0.5*float64(e)))
 			}
 			fmt.Fprintf(tw, "%s\t%d\t%.2f\n", name, tr.SamplesUsed(), tr.Validate().MeanRel*100)
 		}

@@ -22,6 +22,15 @@ const (
 	VertexRandom VertexStrategy = "random"
 )
 
+// perSource is how many targets a selector draws per source. Samples
+// that share a source are labeled by one Dijkstra search, which stops
+// once the last of them settles.
+const perSource = 64
+
+// probesPerBucket is the number of validation probes per fine-tuning
+// grid bucket that estimate the bucket's error each round.
+const probesPerBucket = 30
+
 // Options configures an RNE build. Zero values are replaced by the
 // defaults documented on each field; DefaultOptions returns them all.
 type Options struct {
@@ -75,14 +84,7 @@ type Options struct {
 	// GridK is the fine-tuning grid resolution K (default 16, giving
 	// R = 2K-1 distance buckets).
 	GridK int
-	// ProbesPerBucket sets the per-bucket validation probes used to
-	// estimate bucket errors each round (default 30).
-	ProbesPerBucket int
 
-	// PerSource is how many targets a selector draws per source (default
-	// 64). Samples that share a source are labeled by one Dijkstra
-	// search, which stops once the last of them settles.
-	PerSource int
 	// ValidationPairs sizes the held-out exact validation set
 	// (default 2000).
 	ValidationPairs int
@@ -122,10 +124,6 @@ type Options struct {
 	// learning rate each time) before the build fails (default 3;
 	// negative makes any divergence immediately fatal).
 	MaxRecoveries int
-	// DivergenceFactor is the sentinel's spike threshold: a validation
-	// error worse than DivergenceFactor times the best seen so far
-	// triggers a rollback (default 4; must be > 1 when set).
-	DivergenceFactor float64
 
 	// Logger, when non-nil, receives structured build progress: one
 	// Info line per phase and per training unit, and a Warn line for
@@ -172,11 +170,8 @@ func DefaultOptions(seed int64) Options {
 		FineTuneSampleRatio: 5,
 		FineTuneMode:        sample.Global,
 		GridK:               16,
-		ProbesPerBucket:     30,
-		PerSource:           64,
 		ValidationPairs:     2000,
 		MaxRecoveries:       3,
-		DivergenceFactor:    4,
 		Seed:                seed,
 	}
 }
@@ -229,12 +224,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.GridK == 0 {
 		o.GridK = def.GridK
 	}
-	if o.ProbesPerBucket == 0 {
-		o.ProbesPerBucket = def.ProbesPerBucket
-	}
-	if o.PerSource == 0 {
-		o.PerSource = def.PerSource
-	}
 	if o.ValidationPairs == 0 {
 		o.ValidationPairs = def.ValidationPairs
 	}
@@ -247,16 +236,11 @@ func (o Options) withDefaults() (Options, error) {
 	if o.MaxRecoveries < 0 {
 		o.MaxRecoveries = 0 // any divergence is fatal
 	}
-	if o.DivergenceFactor == 0 {
-		o.DivergenceFactor = def.DivergenceFactor
-	}
 	switch {
 	case o.CheckpointEvery < 0:
 		return o, fmt.Errorf("core: CheckpointEvery must be >= 0, got %d", o.CheckpointEvery)
 	case o.Resume && o.CheckpointPath == "":
 		return o, fmt.Errorf("core: Resume requires CheckpointPath")
-	case o.DivergenceFactor <= 1:
-		return o, fmt.Errorf("core: DivergenceFactor must be > 1, got %v", o.DivergenceFactor)
 	case o.Dim < 1:
 		return o, fmt.Errorf("core: Dim must be >= 1, got %d", o.Dim)
 	case o.P <= 0:

@@ -37,6 +37,11 @@ func poisonIfInjected(name string, samples []sample.Sample) {
 // fine-tune round) be re-run after a sentinel rollback.
 var errRetryUnit = errors.New("core: retry training unit after rollback")
 
+// divergenceFactor is the sentinel's spike threshold: a validation
+// error worse than divergenceFactor times the best seen so far triggers
+// a rollback.
+const divergenceFactor float64 = 4
+
 // sentinel is the divergence watchdog of Build. SGD over exact labels
 // can fail silently — one non-finite sample or one exploding step
 // corrupts the embedding and every later phase trains on garbage — so
@@ -102,9 +107,9 @@ func (s *sentinel) check(label string, phase, level, epoch int) (float64, error)
 	// Divergence spike: markedly worse than the best state seen. The
 	// epsilon keeps near-zero validation errors on trivial graphs from
 	// flagging numeric noise.
-	if val > s.opt.DivergenceFactor*s.best+1e-9 {
+	if val > divergenceFactor*s.best+1e-9 {
 		return 0, s.rollback(label, fmt.Sprintf(
-			"validation error %.4g spiked past %g x best %.4g", val, s.opt.DivergenceFactor, s.best))
+			"validation error %.4g spiked past %g x best %.4g", val, divergenceFactor, s.best))
 	}
 	if val < s.best {
 		s.best = val

@@ -76,7 +76,7 @@ func TestSentinelRollsBackValidationSpike(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pretend the best seen was vastly better than the current state.
-	sen.best = sen.tr.Validate().MeanRel / (2 * sen.opt.DivergenceFactor)
+	sen.best = sen.tr.Validate().MeanRel / (2 * divergenceFactor)
 	_, err := sen.check("vertex epoch 1", ckptPhaseVertex, 0, 2)
 	if !errors.Is(err, errRetryUnit) {
 		t.Fatalf("spiking validation returned %v, want errRetryUnit", err)

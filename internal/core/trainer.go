@@ -127,7 +127,7 @@ func NewTrainer(g *graph.Graph, opt Options) (*Trainer, error) {
 	}
 
 	sp = opt.Trace.Child("validation-set", time.Now())
-	valSamples := sample.RandomPairs(g, opt.ValidationPairs, opt.PerSource, t.lab, t.rng)
+	valSamples := sample.RandomPairs(g, opt.ValidationPairs, perSource, t.lab, t.rng)
 	t.val = make([]metrics.Pair, len(valSamples))
 	for i, s := range valSamples {
 		t.val[i] = metrics.Pair{S: s.S, T: s.T, Dist: s.Dist}
@@ -258,15 +258,11 @@ func (t *Trainer) RunHierPhaseFrom(fromLevel int, afterLevel func(lev int) error
 		if n < 500 {
 			n = 500
 		}
-		samples := sample.SubgraphLevel(h, lev, n, t.opt.PerSource, t.lab, t.rng)
+		samples := sample.SubgraphLevel(h, lev, n, perSource, t.lab, t.rng)
 		poisonIfInjected(FailpointHierSamplesNaN, samples)
 		rates := train.LevelRates(t.lr, lev, maxLevel)
 		for e := 0; e < t.opt.Epochs; e++ {
-			if t.adam != nil {
-				t.samplesSkipped += int64(train.HierStepAdam(t.hier, t.adam, rates, samples, t.opt.P, t.scale))
-			} else {
-				t.samplesSkipped += int64(train.HierStep(t.hier, rates, samples, t.opt.P, t.scale))
-			}
+			t.samplesSkipped += int64(train.HierStep(t.hier, t.adam, rates, samples, t.opt.P, t.scale))
 			t.samplesUsed += int64(len(samples))
 		}
 		if afterLevel != nil {
@@ -288,7 +284,7 @@ func (t *Trainer) GenVertexSamples(n int) []sample.Sample {
 	var out []sample.Sample
 	switch t.opt.VertexStrategy {
 	case VertexRandom:
-		out = sample.RandomPairs(t.g, n, t.opt.PerSource, t.lab, t.rng)
+		out = sample.RandomPairs(t.g, n, perSource, t.lab, t.rng)
 	default:
 		out = sample.LandmarkBased(t.g, t.landmarks, n, t.lab, t.rng)
 	}
@@ -296,40 +292,15 @@ func (t *Trainer) GenVertexSamples(n int) []sample.Sample {
 	return out
 }
 
-// VertexStep applies one SGD pass over samples touching only the
+// VertexStep applies one training pass over samples touching only the
 // vertex-level embeddings (phases ② and ③). In naive mode it trains
 // the flat matrix.
 func (t *Trainer) VertexStep(samples []sample.Sample, lr float64) {
 	var skipped int
 	if t.hier != nil {
-		if t.adam != nil {
-			skipped = train.VertexStepAdam(t.hier, t.adam, lr, samples, t.opt.P, t.scale)
-		} else {
-			skipped = train.VertexStep(t.hier, lr, samples, t.opt.P, t.scale)
-		}
-	} else if t.adam != nil {
-		skipped = train.FlatStepAdam(t.flat, t.adam, samples, lr, t.opt.P, t.scale)
+		skipped = train.VertexStep(t.hier, t.adam, lr, samples, t.opt.P, t.scale)
 	} else {
-		skipped = train.FlatStep(t.flat, samples, lr, t.opt.P, t.scale)
-	}
-	t.samplesSkipped += int64(skipped)
-	t.samplesUsed += int64(len(samples))
-}
-
-// FlatStepAllLevels applies one SGD pass over samples training every
-// level at the base rate. Naive mode uses it as its whole training; it
-// also backs ablations that bypass the level schedule.
-func (t *Trainer) FlatStepAllLevels(samples []sample.Sample, lr float64) {
-	var skipped int
-	if t.hier != nil {
-		maxLevel := t.hier.H.MaxDepth()
-		rates := make([]float64, maxLevel+1)
-		for l := 1; l <= maxLevel; l++ {
-			rates[l] = lr
-		}
-		skipped = train.HierStep(t.hier, rates, samples, t.opt.P, t.scale)
-	} else {
-		skipped = train.FlatStep(t.flat, samples, lr, t.opt.P, t.scale)
+		skipped = train.FlatStep(t.flat, t.adam, samples, lr, t.opt.P, t.scale)
 	}
 	t.samplesSkipped += int64(skipped)
 	t.samplesUsed += int64(len(samples))
@@ -377,7 +348,7 @@ func (t *Trainer) RunVertexPhaseFrom(fromEpoch int, afterEpoch func(epoch int) e
 // BucketErrors probes the current model's per-bucket relative errors
 // on the fine-tuning grid.
 func (t *Trainer) BucketErrors() []float64 {
-	return t.gb.ProbeErrors(t.Estimate, t.opt.ProbesPerBucket, t.opt.PerSource, t.lab, t.rng)
+	return t.gb.ProbeErrors(t.Estimate, probesPerBucket, perSource, t.lab, t.rng)
 }
 
 // RunFineTuneRound executes one phase-③ round: probe bucket errors,
@@ -389,7 +360,7 @@ func (t *Trainer) RunFineTuneRound(round int) {
 	if n < 500 {
 		n = 500
 	}
-	samples := t.gb.ErrorBased(errs, t.opt.FineTuneMode, n, t.opt.PerSource, t.lab, t.rng)
+	samples := t.gb.ErrorBased(errs, t.opt.FineTuneMode, n, perSource, t.lab, t.rng)
 	if len(samples) == 0 {
 		return
 	}

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -42,36 +42,6 @@ func smallModel(t *testing.T, seed int64) *core.Model {
 		t.Fatal(err)
 	}
 	return m
-}
-
-func TestExplainEndpoint(t *testing.T) {
-	ts, m := newTestServer(t, false)
-	out := getJSON(t, ts.URL+"/distance?s=3&t=42&explain=1", http.StatusOK)
-	if got, want := out["distance"].(float64), m.Estimate(3, 42); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("explain distance %v, want %v", got, want)
-	}
-	model := out["model"].(map[string]any)
-	if model["has_hierarchy"] != true {
-		t.Fatalf("fresh hierarchical model reports has_hierarchy=%v", model["has_hierarchy"])
-	}
-	levels := model["levels"].([]any)
-	if len(levels) == 0 {
-		t.Fatal("no per-level breakdown")
-	}
-	sum := 0.0
-	for _, l := range levels {
-		sum += l.(map[string]any)["contribution"].(float64)
-	}
-	if est := model["estimate"].(float64); math.Abs(sum-est) > 1e-9 {
-		t.Fatalf("contributions sum to %v, estimate is %v", sum, est)
-	}
-	if _, ok := out["guard"]; ok {
-		t.Fatal("unguarded server reported guard provenance")
-	}
-
-	// Error cases share the /distance validation.
-	getJSON(t, ts.URL+"/distance?s=3&explain=1", http.StatusBadRequest)
-	getJSON(t, ts.URL+"/distance?s=abc&t=1&explain=1", http.StatusBadRequest)
 }
 
 func TestExplainEndpointGuarded(t *testing.T) {
@@ -124,57 +94,81 @@ func TestExplainEndpointGuarded(t *testing.T) {
 	}
 }
 
-// ?explain=1 is strictly opt-in on /distance: the plain response shape
-// is unchanged, the explained response adds the provenance blocks.
-func TestDistanceExplainOptIn(t *testing.T) {
-	ts, _ := newTestServer(t, false)
-	plain := getJSON(t, ts.URL+"/distance?s=2&t=9", http.StatusOK)
-	if _, ok := plain["model"]; ok {
-		t.Fatal("provenance leaked into an unexplained response")
+// fetch GETs url, or POSTs body there when it is non-nil, and returns
+// the 200 answer's body.
+func fetch(t *testing.T, url string, body []byte) []byte {
+	t.Helper()
+	var resp *http.Response
+	var err error
+	if body == nil {
+		resp, err = http.Get(url)
+	} else {
+		resp, err = http.Post(url, "application/json", bytes.NewReader(body))
 	}
-	explained := getJSON(t, ts.URL+"/distance?s=2&t=9&explain=1", http.StatusOK)
-	if explained["distance"] != plain["distance"] {
-		t.Fatal("explain=1 changed the served estimate")
-	}
-	if _, ok := explained["model"].(map[string]any); !ok {
-		t.Fatalf("explain=1 response has no model block: %v", explained)
-	}
-
-	gts, _, _ := newGuardedServer(t)
-	gout := getJSON(t, gts.URL+"/distance?s=2&t=9&explain=1", http.StatusOK)
-	if _, ok := gout["guard"].(map[string]any); !ok {
-		t.Fatalf("guarded explain=1 response has no guard block: %v", gout)
-	}
-}
-
-func TestBatchExplainOptIn(t *testing.T) {
-	ts, _ := newTestServer(t, false)
-	pairs := [][2]int32{{0, 1}, {2, 3}, {4, 5}}
-	body, _ := json.Marshal(map[string]any{"pairs": pairs})
-	resp, err := http.Post(ts.URL+"/batch?explain=1", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out struct {
-		Distances []float64 `json:"distances"`
-		Explain   []struct {
-			DominantLevel int             `json:"dominant_level"`
-			Guard         json.RawMessage `json:"guard"`
-		} `json:"explain"`
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", url, resp.StatusCode, out)
+	}
+	return out
+}
+
+// ?explain=1 is strictly opt-in on /distance, and its provenance is the
+// guard's: an unguarded replica has none to add, so its explained
+// answer is the plain one byte for byte, and a guarded one adds the
+// guard block alone. Explained requests share the plain validation.
+func TestDistanceExplainOptIn(t *testing.T) {
+	ts, _ := newTestServer(t, false)
+	plain := fetch(t, ts.URL+"/distance?s=2&t=9", nil)
+	if explained := fetch(t, ts.URL+"/distance?s=2&t=9&explain=1", nil); !bytes.Equal(explained, plain) {
+		t.Fatalf("unguarded explain=1 answered %s, the plain request %s", explained, plain)
+	}
+	getJSON(t, ts.URL+"/distance?s=3&explain=1", http.StatusBadRequest)
+	getJSON(t, ts.URL+"/distance?s=abc&t=1&explain=1", http.StatusBadRequest)
+
+	gts, _, _ := newGuardedServer(t)
+	gplain := getJSON(t, gts.URL+"/distance?s=2&t=9", http.StatusOK)
+	gout := getJSON(t, gts.URL+"/distance?s=2&t=9&explain=1", http.StatusOK)
+	if _, ok := gout["guard"].(map[string]any); !ok {
+		t.Fatalf("guarded explain=1 response has no guard block: %v", gout)
+	}
+	delete(gout, "guard")
+	if !reflect.DeepEqual(gout, gplain) {
+		t.Fatalf("guarded explain=1 answered %v besides its guard block, the plain request %v", gout, gplain)
+	}
+}
+
+// /batch?explain=1 adds one guard block per pair on a guarded replica;
+// an unguarded replica has no provenance to add and answers what the
+// plain request answers.
+func TestBatchExplainOptIn(t *testing.T) {
+	pairs := [][2]int32{{0, 1}, {2, 3}, {4, 5}}
+	body, _ := json.Marshal(map[string]any{"pairs": pairs})
+	ts, _ := newTestServer(t, false)
+	plain, explained := fetch(t, ts.URL+"/batch", body), fetch(t, ts.URL+"/batch?explain=1", body)
+	if !bytes.Equal(explained, plain) {
+		t.Fatalf("unguarded explain=1 answered %s, the plain request %s", explained, plain)
+	}
+
+	gts, _, _ := newGuardedServer(t)
+	var out struct {
+		Explain []map[string]json.RawMessage `json:"explain"`
+	}
+	if err := json.Unmarshal(fetch(t, gts.URL+"/batch?explain=1", body), &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Explain) != len(pairs) {
 		t.Fatalf("explain array has %d entries for %d pairs", len(out.Explain), len(pairs))
 	}
 	for i, e := range out.Explain {
-		if e.DominantLevel < 0 {
-			t.Fatalf("pair %d: no dominant level on a hierarchical model", i)
-		}
-		if e.Guard != nil {
-			t.Fatalf("pair %d: guard block on an unguarded server", i)
+		if len(e) != 1 || e["guard"] == nil {
+			t.Fatalf("pair %d: explain entry %v, want the guard block alone", i, e)
 		}
 	}
 }

@@ -199,7 +199,7 @@ func (s *Server) Scale() float64 { return s.active.Load().model.Scale() }
 //	GET  /healthz                    liveness + model shape + version
 //	GET  /readyz                     readiness (degraded without spatial index)
 //	GET  /metrics                    Prometheus text exposition
-//	GET  /distance?s=<id>&t=<id>     one estimate (&explain=1 adds provenance)
+//	GET  /distance?s=<id>&t=<id>     one estimate (&explain=1 adds the guard's provenance)
 //	POST /batch                      {"pairs":[[s,t],...]} -> {"distances":[...]}
 //	GET  /knn?s=<id>&k=<n>           k nearest indexed targets (&explain=1 adds traversal stats)
 //	GET  /range?s=<id>&tau=<dist>    indexed targets within tau (&explain=1 adds traversal stats)
@@ -260,21 +260,13 @@ func (s *Server) vertexParam(sn *snapshot, raw, name string) (int32, error) {
 
 // modelMeta is the model-shape block shared by /healthz and /readyz,
 // so probes and dashboards can tell *which* model a replica serves:
-// version label, vertex count, embedding dimension, hierarchy depth
-// (0 for loaded, naive or shard models, which drop the partition tree)
-// and whether the ALT guard is active.
+// version label, vertex count, embedding dimension, and whether the
+// spatial index and the ALT guard are loaded.
 func modelMeta(sn *snapshot) map[string]any {
-	levels := 0
-	if full := sn.full(); full != nil {
-		if h := full.Hierarchy(); h != nil {
-			levels = h.MaxDepth() + 1
-		}
-	}
 	out := map[string]any{
 		"version":  sn.version,
 		"vertices": sn.model.NumVertices(),
 		"dim":      sn.model.Dim(),
-		"levels":   levels,
 		"spatial":  sn.idx != nil,
 		"guard":    sn.guard != nil,
 	}
@@ -388,7 +380,7 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	defer bufs.Release()
 	bufs.S, bufs.T = append(bufs.S[:0], src), append(bufs.T[:0], dst)
 	var explain []pairExplanation
-	if q.wantExplain() {
+	if sn.guard != nil && q.wantExplain() {
 		explain = make([]pairExplanation, 1)
 	}
 	clamped, ok := s.answerPairs(w, r, sn, "/distance", bufs, explain, start)
@@ -400,15 +392,8 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		a.Guarded, a.Lo, a.Hi, a.Clamped = true, bufs.Lo[0], bufs.Hi[0], clamped > 0
 	}
 	if explain != nil {
-		// An explained answer carries the whole per-level decomposition
-		// where /batch reports only its dominant level.
 		out := a.fields()
-		if full := sn.full(); full != nil {
-			out["model"] = full.ExplainEstimate(src, dst)
-		}
-		if ge := explain[0].Guard; ge != nil {
-			out["guard"] = ge
-		}
+		out["guard"] = explain[0].Guard
 		s.writeJSON(w, http.StatusOK, out)
 		return
 	}
@@ -430,13 +415,11 @@ func floats(buf []float64, n int) []float64 {
 }
 
 // pairExplanation is one pair's provenance, filled by the pair loop
-// when a route asks for it: the dominant level (-1 on shard replicas,
-// which drop the per-level decomposition) and the guard's block. /batch
-// returns it per pair as is, brief rather than the full per-level
-// table, which at maxBatch pairs would dwarf the distances themselves.
+// when a guarded route asks for it. A replica serves a registry
+// version, which keeps no partition tree, so the guard's block is the
+// only provenance it has; /batch returns one per pair.
 type pairExplanation struct {
-	DominantLevel int               `json:"dominant_level"`
-	Guard         *guardExplanation `json:"guard,omitempty"`
+	Guard *guardExplanation `json:"guard"`
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -497,7 +480,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var explain []pairExplanation
-	if q := parseQuery(r.URL.RawQuery); q.wantExplain() {
+	if q := parseQuery(r.URL.RawQuery); sn.guard != nil && q.wantExplain() {
 		explain = make([]pairExplanation, len(ss))
 	}
 	clamped, ok := s.answerPairs(w, r, sn, "/batch", bufs, explain, start)
@@ -530,7 +513,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // the clamp counters and the drift monitor, its raw estimates kept in
 // bufs.Raw; without a guard a full model runs its batch kernel a chunk
 // at a time and a shard its per-pair estimate. explain, when non-nil, gets
-// each pair's provenance. Served pairs are sampled into the query log
+// each guarded pair's provenance. Served pairs are sampled into the query log
 // under route, their latency timed from the request's start.
 //
 // The loop checks the request's context every 256 guarded or 4,096
@@ -634,14 +617,6 @@ func (s *Server) answerPairs(w http.ResponseWriter, r *http.Request, sn *snapsho
 		if recs != nil && sn.guard == nil {
 			for i := done; i < end; i++ {
 				logPair(i, nil)
-			}
-		}
-		if explain != nil {
-			for i := done; i < end; i++ {
-				explain[i].DominantLevel = -1
-				if full != nil {
-					explain[i].DominantLevel = full.ExplainEstimate(ss[i], ts[i]).DominantLevel()
-				}
 			}
 		}
 		done = end

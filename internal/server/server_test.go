@@ -98,17 +98,16 @@ func TestHealth(t *testing.T) {
 	if int(out["dim"].(float64)) != m.Dim() {
 		t.Fatal("dim wrong")
 	}
-	if want := m.Hierarchy().MaxDepth() + 1; int(out["levels"].(float64)) != want {
-		t.Fatalf("levels = %v, want %d", out["levels"], want)
-	}
 	if out["spatial"] != true {
 		t.Fatal("spatial flag wrong")
 	}
 	if out["guard"] != false {
 		t.Fatal("guard flag wrong")
 	}
-	if _, ok := out["compact"]; ok {
-		t.Fatalf("health still reports the removed compact flag: %v", out)
+	for _, gone := range []string{"compact", "levels"} {
+		if _, ok := out[gone]; ok {
+			t.Fatalf("health still reports the removed %s key: %v", gone, out)
+		}
 	}
 }
 

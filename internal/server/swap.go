@@ -68,8 +68,7 @@ type snapshot struct {
 	misdirected *telemetry.Counter
 }
 
-// full returns the served full model, or nil on a shard replica: the
-// per-level decomposition behind explain lives only there.
+// full returns the served full model, or nil on a shard replica.
 func (sn *snapshot) full() *core.Model {
 	m, _ := sn.model.(*core.Model)
 	return m

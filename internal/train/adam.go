@@ -1,18 +1,15 @@
 package train
 
-import (
-	"math"
-
-	"repro/internal/emb"
-	"repro/internal/sample"
-	"repro/internal/vecmath"
-)
+import "math"
 
 // Adam holds per-parameter first/second moment estimates for an
 // embedding matrix. The paper trains under TensorFlow, whose adaptive
 // optimizers tolerate raw-scale gradients; this repository's plain SGD
 // replaces that with explicit normalization, and Adam is provided as a
 // faithful alternative (compared by the ablation-optimizer experiment).
+// FlatStep, HierStep and VertexStep each take a *Adam: nil means plain
+// SGD, and an Adam replaces every SGD row update with an Adam step on
+// the same gradient.
 type Adam struct {
 	m, v []float64
 	t    int
@@ -52,72 +49,4 @@ func (a *Adam) update(row []float64, off int, grad []float64, gscale, lr float64
 		a.v[k] = a.Beta2*a.v[k] + (1-a.Beta2)*g*g
 		row[i] -= lr * (a.m[k] / corr1) / (math.Sqrt(a.v[k]/corr2) + a.Eps)
 	}
-}
-
-// FlatStepAdam is FlatStep with Adam updates. It returns the number of
-// samples skipped for carrying non-finite distances.
-func FlatStepAdam(m *emb.Matrix, adam *Adam, samples []sample.Sample, lr, p, scale float64) (skipped int) {
-	d := m.Dim()
-	grad := make([]float64, d)
-	for _, smp := range samples {
-		if !usable(smp) {
-			skipped++
-			continue
-		}
-		rs := m.Row(smp.S)
-		rt := m.Row(smp.T)
-		phiHat := vecmath.Lp(rs, rt, p)
-		err := clampErr(phiHat - smp.Dist/scale)
-		if err == 0 {
-			continue
-		}
-		vecmath.LpGrad(grad, rs, rt, p, phiHat)
-		adam.t++
-		adam.update(rs, int(smp.S)*d, grad, 2*err, lr)
-		adam.update(rt, int(smp.T)*d, grad, -2*err, lr)
-	}
-	return skipped
-}
-
-// HierStepAdam is HierStep with Adam updates; lrByLevel scales the base
-// rate per level exactly as in HierStep. It returns the number of
-// samples skipped for carrying non-finite distances.
-func HierStepAdam(hh *emb.Hier, adam *Adam, lrByLevel []float64, samples []sample.Sample, p, scale float64) (skipped int) {
-	d := hh.Local.Dim()
-	vs := make([]float64, d)
-	vt := make([]float64, d)
-	grad := make([]float64, d)
-	h := hh.H
-	for _, smp := range samples {
-		if !usable(smp) {
-			skipped++
-			continue
-		}
-		ancS := h.Ancestors(smp.S)
-		ancT := h.Ancestors(smp.T)
-		hh.GlobalInto(vs, smp.S)
-		hh.GlobalInto(vt, smp.T)
-		phiHat := vecmath.Lp(vs, vt, p)
-		err := clampErr(phiHat - smp.Dist/scale)
-		if err == 0 {
-			continue
-		}
-		vecmath.LpGrad(grad, vs, vt, p, phiHat)
-		adam.t++
-		common := 0
-		for common < len(ancS) && common < len(ancT) && ancS[common] == ancT[common] {
-			common++
-		}
-		for _, node := range ancS[common:] {
-			if lr := nodeRate(h, node, lrByLevel); lr != 0 {
-				adam.update(hh.Local.Row(node), int(node)*d, grad, 2*err, lr)
-			}
-		}
-		for _, node := range ancT[common:] {
-			if lr := nodeRate(h, node, lrByLevel); lr != 0 {
-				adam.update(hh.Local.Row(node), int(node)*d, grad, -2*err, lr)
-			}
-		}
-	}
-	return skipped
 }

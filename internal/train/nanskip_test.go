@@ -36,7 +36,7 @@ func TestFlatStepSkipsNonFiniteSamples(t *testing.T) {
 	m.RandomInit(rng, 0.01)
 	ref := m.Clone()
 
-	if got := FlatStep(m, poisonedSamples(), 0.01, 1, 1); got != 3 {
+	if got := FlatStep(m, nil, poisonedSamples(), 0.01, 1, 1); got != 3 {
 		t.Fatalf("skipped = %d, want 3", got)
 	}
 	finiteMatrix(t, m, "after FlatStep over poisoned batch")
@@ -44,7 +44,7 @@ func TestFlatStepSkipsNonFiniteSamples(t *testing.T) {
 	// The finite samples must still have trained: same result as a batch
 	// with the poisoned entries removed.
 	clean := []sample.Sample{{S: 0, T: 1, Dist: 1}, {S: 0, T: 3, Dist: 4}}
-	if got := FlatStep(ref, clean, 0.01, 1, 1); got != 0 {
+	if got := FlatStep(ref, nil, clean, 0.01, 1, 1); got != 0 {
 		t.Fatalf("clean batch skipped %d", got)
 	}
 	for i, v := range m.Data() {
@@ -59,10 +59,10 @@ func TestFlatStepAdamSkipsNonFiniteSamples(t *testing.T) {
 	m := emb.NewMatrix(4, 8)
 	m.RandomInit(rng, 0.01)
 	adam := NewAdam(4, 8)
-	if got := FlatStepAdam(m, adam, poisonedSamples(), 0.01, 1, 1); got != 3 {
+	if got := FlatStep(m, adam, poisonedSamples(), 0.01, 1, 1); got != 3 {
 		t.Fatalf("skipped = %d, want 3", got)
 	}
-	finiteMatrix(t, m, "after FlatStepAdam over poisoned batch")
+	finiteMatrix(t, m, "after FlatStep with Adam over poisoned batch")
 }
 
 func TestAdamResetClearsMoments(t *testing.T) {
@@ -71,13 +71,13 @@ func TestAdamResetClearsMoments(t *testing.T) {
 	m.RandomInit(rng, 0.01)
 	adam := NewAdam(4, 8)
 	samples := []sample.Sample{{S: 0, T: 1, Dist: 1}, {S: 1, T: 2, Dist: 2}}
-	FlatStepAdam(m, adam, samples, 0.01, 1, 1)
+	FlatStep(m, adam, samples, 0.01, 1, 1)
 
 	fresh := NewAdam(4, 8)
 	adam.Reset()
 	m2 := m.Clone()
-	FlatStepAdam(m, adam, samples, 0.01, 1, 1)
-	FlatStepAdam(m2, fresh, samples, 0.01, 1, 1)
+	FlatStep(m, adam, samples, 0.01, 1, 1)
+	FlatStep(m2, fresh, samples, 0.01, 1, 1)
 	for i, v := range m.Data() {
 		if v != m2.Data()[i] {
 			t.Fatalf("parameter %d: reset Adam stepped to %v, fresh Adam to %v", i, v, m2.Data()[i])

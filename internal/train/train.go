@@ -2,7 +2,10 @@
 // Training (flat vertex embedding, Section III-D) and Function
 // TrainingHier (hierarchical local embeddings with per-level learning
 // rates, Section IV-B), plus the level learning-rate schedule of
-// Algorithm 1.
+// Algorithm 1. Each model shape has one step: FlatStep for the flat
+// matrix, HierStep for the hierarchy and VertexStep for HierStep's
+// vertex-only schedule. Each takes an optional *Adam; nil means plain
+// SGD.
 //
 // Distances are normalized by a caller-supplied scale (typically the
 // network diameter) so learning rates are graph-independent; the model
@@ -46,12 +49,13 @@ func usable(smp sample.Sample) bool {
 	return !math.IsNaN(smp.Dist) && !math.IsInf(smp.Dist, 0)
 }
 
-// FlatStep performs one SGD pass of Function Training over samples on
-// the flat vertex matrix m: for each (v_s, v_t, φ) it descends the
-// squared error of the L_p estimate with learning rate lr. scale
-// divides the target distances. It returns the number of samples
-// skipped for carrying non-finite distances.
-func FlatStep(m *emb.Matrix, samples []sample.Sample, lr, p, scale float64) (skipped int) {
+// FlatStep performs one pass of Function Training over samples on the
+// flat vertex matrix m: for each (v_s, v_t, φ) it descends the squared
+// error of the L_p estimate with learning rate lr, by plain SGD when
+// adam is nil and by Adam otherwise. scale divides the target
+// distances. It returns the number of samples skipped for carrying
+// non-finite distances.
+func FlatStep(m *emb.Matrix, adam *Adam, samples []sample.Sample, lr, p, scale float64) (skipped int) {
 	d := m.Dim()
 	grad := make([]float64, d)
 	for _, smp := range samples {
@@ -68,6 +72,12 @@ func FlatStep(m *emb.Matrix, samples []sample.Sample, lr, p, scale float64) (ski
 		}
 		vecmath.LpGrad(grad, rs, rt, p, phiHat)
 		// dL/drs = 2*err*grad, dL/drt = -2*err*grad
+		if adam != nil {
+			adam.t++
+			adam.update(rs, int(smp.S)*d, grad, 2*err, lr)
+			adam.update(rt, int(smp.T)*d, grad, -2*err, lr)
+			continue
+		}
 		step := lr * 2 * err
 		vecmath.AddScaled(rs, grad, -step)
 		vecmath.AddScaled(rt, grad, step)
@@ -75,10 +85,11 @@ func FlatStep(m *emb.Matrix, samples []sample.Sample, lr, p, scale float64) (ski
 	return skipped
 }
 
-// HierStep performs one SGD pass of Function TrainingHier over samples
-// on the hierarchical model hh. lrByLevel[l] is α_l, the learning rate
-// applied to local embeddings at tree depth l; levels with zero rate
-// are frozen. scale divides the target distances.
+// HierStep performs one pass of Function TrainingHier over samples on
+// the hierarchical model hh, by plain SGD when adam is nil and by Adam
+// otherwise. lrByLevel[l] is α_l, the learning rate applied to local
+// embeddings at tree depth l; levels with zero rate are frozen, their
+// rows and Adam moments untouched. scale divides the target distances.
 //
 // Ancestors shared by both endpoints receive exactly cancelling
 // gradients in the paper's formulation, so they are skipped here — the
@@ -86,7 +97,7 @@ func FlatStep(m *emb.Matrix, samples []sample.Sample, lr, p, scale float64) (ski
 //
 // It returns the number of samples skipped for carrying non-finite
 // distances.
-func HierStep(hh *emb.Hier, lrByLevel []float64, samples []sample.Sample, p, scale float64) (skipped int) {
+func HierStep(hh *emb.Hier, adam *Adam, lrByLevel []float64, samples []sample.Sample, p, scale float64) (skipped int) {
 	d := hh.Local.Dim()
 	vs := make([]float64, d)
 	vt := make([]float64, d)
@@ -107,6 +118,9 @@ func HierStep(hh *emb.Hier, lrByLevel []float64, samples []sample.Sample, p, sca
 			continue
 		}
 		vecmath.LpGrad(grad, vs, vt, p, phiHat)
+		if adam != nil {
+			adam.t++
+		}
 		step := 2 * err
 
 		// Skip the common ancestor prefix (cancelled gradients).
@@ -116,12 +130,20 @@ func HierStep(hh *emb.Hier, lrByLevel []float64, samples []sample.Sample, p, sca
 		}
 		for _, node := range ancS[common:] {
 			if lr := nodeRate(h, node, lrByLevel); lr != 0 {
-				vecmath.AddScaled(hh.Local.Row(node), grad, -lr*step)
+				if adam != nil {
+					adam.update(hh.Local.Row(node), int(node)*d, grad, step, lr)
+				} else {
+					vecmath.AddScaled(hh.Local.Row(node), grad, -lr*step)
+				}
 			}
 		}
 		for _, node := range ancT[common:] {
 			if lr := nodeRate(h, node, lrByLevel); lr != 0 {
-				vecmath.AddScaled(hh.Local.Row(node), grad, lr*step)
+				if adam != nil {
+					adam.update(hh.Local.Row(node), int(node)*d, grad, -2*err, lr)
+				} else {
+					vecmath.AddScaled(hh.Local.Row(node), grad, lr*step)
+				}
 			}
 		}
 	}

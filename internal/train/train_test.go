@@ -37,7 +37,7 @@ func TestFlatStepReducesLoss(t *testing.T) {
 	}
 	before := loss()
 	for i := 0; i < 400; i++ {
-		FlatStep(m, samples, 0.01/8, 1, 1)
+		FlatStep(m, nil, samples, 0.01/8, 1, 1)
 	}
 	after := loss()
 	if after >= before/10 {
@@ -59,8 +59,8 @@ func TestFlatStepScale(t *testing.T) {
 	m1.RandomInit(rng, 0.01)
 	m2 := m1.Clone()
 	for i := 0; i < 50; i++ {
-		FlatStep(m1, mkSamples(1), 0.01, 1, 1)
-		FlatStep(m2, mkSamples(100), 0.01, 1, 100)
+		FlatStep(m1, nil, mkSamples(1), 0.01, 1, 1)
+		FlatStep(m2, nil, mkSamples(100), 0.01, 1, 100)
 	}
 	for i := range m1.Data() {
 		if math.Abs(m1.Data()[i]-m2.Data()[i]) > 1e-12 {
@@ -101,7 +101,7 @@ func TestHierStepTrainsHierarchy(t *testing.T) {
 	before := loss()
 	rates := LevelRates(0.25/16, h.MaxDepth(), h.MaxDepth())
 	for e := 0; e < 10; e++ {
-		HierStep(hh, rates, samples, 1, scale)
+		HierStep(hh, nil, rates, samples, 1, scale)
 	}
 	after := loss()
 	if after >= before/2 {
@@ -127,7 +127,7 @@ func TestHierStepFrozenLevels(t *testing.T) {
 	lab := sample.NewLabeler(g)
 	samples := sample.RandomPairs(g, 500, 8, lab, rng)
 	rates := VertexOnlyRates(0.01, h.MaxDepth())
-	HierStep(hh, rates, samples, 1, 1000)
+	HierStep(hh, nil, rates, samples, 1, 1000)
 
 	changedVertexRows := 0
 	for node := int32(0); node < int32(h.NumNodes()); node++ {
@@ -195,7 +195,7 @@ func TestHierStepSharedAncestorSkip(t *testing.T) {
 	for l := range rates {
 		rates[l] = 0.01
 	}
-	HierStep(hh, rates, []sample.Sample{{S: a, T: b, Dist: d}}, 1, 1000)
+	HierStep(hh, nil, rates, []sample.Sample{{S: a, T: b, Dist: d}}, 1, 1000)
 
 	for node := int32(0); node < int32(h.NumNodes()); node++ {
 		ra := hh.Local.Row(node)
@@ -260,7 +260,7 @@ func TestFlatStepL2(t *testing.T) {
 	}
 	before := loss()
 	for i := 0; i < 500; i++ {
-		FlatStep(m, samples, 0.02, 2, 1)
+		FlatStep(m, nil, samples, 0.02, 2, 1)
 	}
 	if after := loss(); after >= before/10 {
 		t.Fatalf("L2 loss %v -> %v", before, after)
@@ -288,7 +288,7 @@ func TestAdamFlatConverges(t *testing.T) {
 	}
 	before := loss()
 	for i := 0; i < 600; i++ {
-		FlatStepAdam(m, adam, samples, 1e-3, 1, 1)
+		FlatStep(m, adam, samples, 1e-3, 1, 1)
 	}
 	if after := loss(); after >= before/10 {
 		t.Fatalf("adam loss %v -> %v", before, after)
@@ -312,7 +312,7 @@ func TestAdamHierRespectsFrozenLevels(t *testing.T) {
 
 	lab := sample.NewLabeler(g)
 	samples := sample.RandomPairs(g, 300, 8, lab, rng)
-	HierStepAdam(hh, adam, VertexOnlyRates(1e-3, h.MaxDepth()), samples, 1, 1000)
+	HierStep(hh, adam, VertexOnlyRates(1e-3, h.MaxDepth()), samples, 1, 1000)
 
 	for node := int32(0); node < int32(h.NumNodes()); node++ {
 		if h.IsVertexNode(node) {

@@ -8,31 +8,22 @@ import (
 	"repro/internal/vecmath"
 )
 
-// VertexStep performs one SGD pass over samples that trains only the
-// vertex-node rows of hh, at rate lr: phases ② and ③ of Algorithm 1.
-// It leaves hh bit-identical to HierStep under
-// VertexOnlyRates(lr, hh.H.MaxDepth()), and returns the same skip
-// count, without re-summing every endpoint's frozen ancestors.
+// VertexStep performs one pass over samples that trains only the
+// vertex-node rows of hh, at rate lr, by plain SGD when adam is nil and
+// by Adam otherwise: phases ② and ③ of Algorithm 1. It leaves hh and
+// adam bit-identical to HierStep under VertexOnlyRates(lr,
+// hh.H.MaxDepth()), and returns the same skip count, without re-summing
+// every endpoint's frozen ancestors.
 //
 // Vertex nodes are the tree's leaves, so no vertex row is an ancestor
 // of another node, and a vertex-only pass never changes an internal
 // node's global position. The pass forms each internal node's
 // root-first prefix once (emb.Hier.NodeGlobalInto); an endpoint's
 // global vector is then its parent's prefix plus its own row, the
-// additions GlobalInto makes, in the same order. At p = 1 one loop
-// forms the difference of the two endpoints and its L1 norm, and a
+// additions GlobalInto makes, in the same order. At p = 1 under SGD one
+// loop forms the difference of the two endpoints and its L1 norm, and a
 // second applies the sign updates with AddScaled's arithmetic.
-func VertexStep(hh *emb.Hier, lr float64, samples []sample.Sample, p, scale float64) (skipped int) {
-	return vertexPass(hh, nil, lr, samples, p, scale)
-}
-
-// VertexStepAdam is VertexStep with Adam updates: bit-identical to
-// HierStepAdam under VertexOnlyRates(lr, hh.H.MaxDepth()).
-func VertexStepAdam(hh *emb.Hier, adam *Adam, lr float64, samples []sample.Sample, p, scale float64) (skipped int) {
-	return vertexPass(hh, adam, lr, samples, p, scale)
-}
-
-func vertexPass(hh *emb.Hier, adam *Adam, lr float64, samples []sample.Sample, p, scale float64) (skipped int) {
+func VertexStep(hh *emb.Hier, adam *Adam, lr float64, samples []sample.Sample, p, scale float64) (skipped int) {
 	f := freeze(hh)
 	d := hh.Local.Dim()
 	vs := make([]float64, d)

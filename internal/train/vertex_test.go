@@ -1,6 +1,7 @@
 package train
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,7 +44,8 @@ func raggedHier(t testing.TB, d int) *emb.Hier {
 }
 
 // vertexSamples draws pairs over n vertices, with s == t pairs and
-// non-finite labels among them.
+// non-finite labels among them. Some s == t pairs carry their true
+// distance 0, a zero residual that no step trains on.
 func vertexSamples(n, count int, seed int64) []sample.Sample {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]sample.Sample, count)
@@ -53,11 +55,13 @@ func vertexSamples(n, count int, seed int64) []sample.Sample {
 			tt = s
 		}
 		dist := 2 * rng.Float64()
-		switch i % 23 {
-		case 5:
+		switch {
+		case i%23 == 5:
 			dist = math.NaN()
-		case 11:
+		case i%23 == 11:
 			dist = math.Inf(1)
+		case i%34 == 0:
+			dist = 0
 		}
 		out[i] = sample.Sample{S: s, T: tt, Dist: dist}
 	}
@@ -65,8 +69,9 @@ func vertexSamples(n, count int, seed int64) []sample.Sample {
 }
 
 // TestVertexStepMatchesHierStep pins the frozen-prefix step to HierStep
-// and HierStepAdam under VertexOnlyRates: every Local row bit-identical
-// and the same skip counts, over two passes, at p = 1, 2 and 0.5.
+// under VertexOnlyRates, with and without Adam: every Local row
+// bit-identical, the same skip counts and the same Adam state, over two
+// passes, at p = 1, 2 and 0.5.
 func TestVertexStepMatchesHierStep(t *testing.T) {
 	const d, lr, scale = 16, 0.05, 1.5
 	base := raggedHier(t, d)
@@ -79,19 +84,21 @@ func TestVertexStepMatchesHierStep(t *testing.T) {
 		aw := NewAdam(base.Local.Rows(), d)
 		ag := NewAdam(base.Local.Rows(), d)
 		for pass := 0; pass < 2; pass++ {
-			sw := HierStep(want, rates, samples, p, scale)
-			sg := VertexStep(got, lr, samples, p, scale)
+			sw := HierStep(want, nil, rates, samples, p, scale)
+			sg := VertexStep(got, nil, lr, samples, p, scale)
 			if sw != sg {
 				t.Fatalf("p=%v pass %d: VertexStep skipped %d, HierStep %d", p, pass, sg, sw)
 			}
-			sw = HierStepAdam(adamWant, aw, rates, samples, p, scale)
-			sg = VertexStepAdam(adamGot, ag, lr, samples, p, scale)
-			if sw != sg || aw.t != ag.t {
-				t.Fatalf("p=%v pass %d: VertexStepAdam skipped %d after %d steps, HierStepAdam %d after %d", p, pass, sg, ag.t, sw, aw.t)
+			sw = HierStep(adamWant, aw, rates, samples, p, scale)
+			sg = VertexStep(adamGot, ag, lr, samples, p, scale)
+			if sw != sg {
+				t.Fatalf("p=%v pass %d: VertexStep with Adam skipped %d, HierStep %d", p, pass, sg, sw)
 			}
 		}
-		sameRows(t, "VertexStep", p, want.Local, got.Local)
-		sameRows(t, "VertexStepAdam", p, adamWant.Local, adamGot.Local)
+		name := fmt.Sprintf("VertexStep p=%v", p)
+		sameRows(t, name, want.Local, got.Local)
+		sameRows(t, name+" with Adam", adamWant.Local, adamGot.Local)
+		sameAdam(t, name, aw, ag)
 		moved := false
 		for i, x := range got.Local.Data() {
 			moved = moved || x != base.Local.Data()[i]
@@ -102,22 +109,37 @@ func TestVertexStepMatchesHierStep(t *testing.T) {
 	}
 }
 
-func sameRows(t *testing.T, step string, p float64, want, got *emb.Matrix) {
+// sameRows fails unless got's rows are bit-identical to want's.
+func sameRows(t *testing.T, name string, want, got *emb.Matrix) {
 	t.Helper()
 	for r := int32(0); r < int32(want.Rows()); r++ {
 		for i, x := range want.Row(r) {
 			if math.Float64bits(got.Row(r)[i]) != math.Float64bits(x) {
-				t.Fatalf("%s p=%v: row %d[%d] = %v, HierStep %v", step, p, r, i, got.Row(r)[i], x)
+				t.Fatalf("%s: row %d[%d] = %v, want %v", name, r, i, got.Row(r)[i], x)
 			}
 		}
 	}
 }
 
-// BenchmarkVertexStep times one vertex-only SGD pass at the paper's
-// p = 1 and d = 64 over 16,384 samples on a bj-mini-sized hierarchy
-// (90x90 grid, κ=4, δ=64): HierStep under VertexOnlyRates, which
-// re-sums every ancestor row, against the frozen-prefix VertexStep.
-func BenchmarkVertexStep(b *testing.B) {
+// sameAdam fails unless got's step counter and moments are
+// bit-identical to want's.
+func sameAdam(t *testing.T, name string, want, got *Adam) {
+	t.Helper()
+	if got.t != want.t {
+		t.Fatalf("%s: Adam took %d steps, want %d", name, got.t, want.t)
+	}
+	for k := range want.m {
+		if math.Float64bits(got.m[k]) != math.Float64bits(want.m[k]) ||
+			math.Float64bits(got.v[k]) != math.Float64bits(want.v[k]) {
+			t.Fatalf("%s: Adam moments at %d = (%v, %v), want (%v, %v)",
+				name, k, got.m[k], got.v[k], want.m[k], want.v[k])
+		}
+	}
+}
+
+// benchFixture is the step benchmarks' input: a bj-mini-sized
+// hierarchy (90x90 grid, κ=4, δ=64) and 16,384 samples.
+func benchFixture(b *testing.B) (*partition.Hierarchy, []sample.Sample) {
 	g, err := gen.Grid(90, 90, gen.DefaultConfig(1))
 	if err != nil {
 		b.Fatal(err)
@@ -126,25 +148,62 @@ func BenchmarkVertexStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const lr = 1e-4
 	samples := vertexSamples(g.NumVertices(), 1<<14, 1)
 	for i := range samples {
 		samples[i].Dist = g.Euclidean(samples[i].S, samples[i].T) / 10000
 	}
+	return h, samples
+}
+
+// benchHier returns a fresh d=64 model over h.
+func benchHier(h *partition.Hierarchy) *emb.Hier {
+	hh := emb.NewHier(h, 64)
+	hh.Local.RandomInit(rand.New(rand.NewSource(1)), 0.01)
+	return hh
+}
+
+// BenchmarkVertexStep times one vertex-only SGD pass at the paper's
+// p = 1 and d = 64 over benchFixture: HierStep under VertexOnlyRates,
+// which re-sums every ancestor row, against the frozen-prefix
+// VertexStep.
+func BenchmarkVertexStep(b *testing.B) {
+	h, samples := benchFixture(b)
+	const lr = 1e-4
 	steps := map[string]func(hh *emb.Hier){
 		"HierStep": func(hh *emb.Hier) {
-			HierStep(hh, VertexOnlyRates(lr, h.MaxDepth()), samples, 1, 1)
+			HierStep(hh, nil, VertexOnlyRates(lr, h.MaxDepth()), samples, 1, 1)
 		},
-		"VertexStep": func(hh *emb.Hier) { VertexStep(hh, lr, samples, 1, 1) },
+		"VertexStep": func(hh *emb.Hier) { VertexStep(hh, nil, lr, samples, 1, 1) },
 	}
 	for _, name := range []string{"HierStep", "VertexStep"} {
 		b.Run(name, func(b *testing.B) {
-			hh := emb.NewHier(h, 64)
-			hh.Local.RandomInit(rand.New(rand.NewSource(1)), 0.01)
+			hh := benchHier(h)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				steps[name](hh)
+			}
+		})
+	}
+}
+
+// BenchmarkHierStep times one phase-① pass at p = 1 over benchFixture:
+// HierStep under LevelRates focused on a middle level, which moves every
+// level below the root, by SGD and by Adam.
+func BenchmarkHierStep(b *testing.B) {
+	h, samples := benchFixture(b)
+	rates := LevelRates(1e-4, h.MaxDepth()/2, h.MaxDepth())
+	for _, name := range []string{"sgd", "adam"} {
+		b.Run(name, func(b *testing.B) {
+			hh := benchHier(h)
+			var adam *Adam
+			if name == "adam" {
+				adam = NewAdam(h.NumNodes(), 64)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				HierStep(hh, adam, rates, samples, 1, 1)
 			}
 		})
 	}
